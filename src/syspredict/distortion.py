@@ -164,10 +164,8 @@ class UnivariateDistortion:
 class BivariateDistortion:
     """D-hat(u, v) for an ordered pair T1 <= T of system lifetimes."""
 
-    def __init__(self, first, system, copula, mode="strict"):
+    def __init__(self, first, system, copula):
         _check_same_n(copula, first, system)
-        if mode not in ("strict", "weak"):
-            raise RegionError(f"mode must be 'strict' or 'weak', got {mode!r}")
         r_first, r_sys = first.r, system.r
         if (1 << (r_first + r_sys)) > TERM_BUDGET:
             raise TermLimitExceeded(
@@ -177,7 +175,6 @@ class BivariateDistortion:
         self.system = system
         self.copula = copula
         self.n = copula.n
-        self.mode = mode
 
         sys_unions, sys_signs = _subset_unions(system.path_masks)
         first_unions, first_signs = _subset_unions(first.path_masks)
@@ -258,7 +255,7 @@ class TrivariateDistortion:
                     acc[key] = acc.get(key, 0) + sgn_s2 * fir_signs[s1]
         self._ordered = _TermSum(copula, _merge(acc))
         # w -> 1 boundary: the (T1, T2) joint law
-        self._pair = BivariateDistortion(first, second, copula, mode="weak")
+        self._pair = BivariateDistortion(first, second, copula)
 
     @property
     def terms(self):
@@ -301,14 +298,9 @@ def build_univariate(structure, copula) -> UnivariateDistortion:
     return UnivariateDistortion(structure, copula)
 
 
-def build_bivariate(first, system, copula, mode="strict") -> BivariateDistortion:
-    """Joint distortion of (T1, T); `mode` records whether T1 < T holds a.s.
-
-    The construction is identical for both modes; the flag documents the
-    caller's ordering contract (checked post hoc by the Monte Carlo ordering
-    report, since it is not decidable from the path sets alone).
-    """
-    return BivariateDistortion(first, system, copula, mode=mode)
+def build_bivariate(first, system, copula) -> BivariateDistortion:
+    """Joint distortion of (T1, T); the same whether or not T1 < T holds a.s."""
+    return BivariateDistortion(first, system, copula)
 
 
 def build_trivariate(first, second, system, copula) -> TrivariateDistortion:

@@ -168,12 +168,6 @@ class _PredictorCore:
             out[ix] = horizon[ix] + _quad(integrand, ZCUT, float(zhi[ix]))
         return _scalar_like(out[()] if shape == () else out, *cond)
 
-    def median_curve(self, *cond):
-        return self.quantile(0.5, *cond)
-
-    def mean_curve(self, *cond):
-        return self.mean(*cond)
-
     def band(self, kind, level) -> PredictionBand:
         """Prediction band evaluators at the given coverage level."""
         level = float(level)
@@ -202,7 +196,9 @@ class EarlyFailurePredictor(_PredictorCore):
 
     def __init__(self, first, system, copula, marginal, *, ordering="strict",
                  require_alive=False, analytic_inverse=None):
-        self.dist = BivariateDistortion(first, system, copula, mode=ordering)
+        if ordering not in ("strict", "weak"):
+            raise OutOfRange(f"ordering must be 'strict' or 'weak', got {ordering!r}")
+        self.dist = BivariateDistortion(first, system, copula)
         self.marginal = marginal
         self.ordering = ordering
         self.require_alive = bool(require_alive)
@@ -232,20 +228,18 @@ class EarlyFailurePredictor(_PredictorCore):
         s = np.clip(num / den, 0.0, 1.0)
         if self.require_alive:
             a = self._alpha_from(u, den, base)
+            if np.any(a == 0.0):
+                raise ZeroAlpha("system cannot survive the conditioning time")
             s = np.clip(s / a, 0.0, 1.0)
         return s
 
     def _alpha_from(self, u, den, base):
-        a = np.clip((self.dist.d1(u, u, side="ordered") - base) / den, 0.0, 1.0)
-        if self.require_alive and np.any(a == 0.0):
-            raise ZeroAlpha("system cannot survive the conditioning time")
-        return a
+        return np.clip((self.dist.d1(u, u, side="ordered") - base) / den, 0.0, 1.0)
 
     def alpha(self, t):
         """P(T > t | T1 = t): the continuous share of the conditional law."""
         u = np.asarray(self.marginal.sf(t), dtype=float)
-        den = self._denominator(u)
-        a = np.clip((self.dist.d1(u, u, side="ordered") - self.dist.d1_at_zero_plus(u)) / den, 0.0, 1.0)
+        a = self._alpha_from(u, self._denominator(u), self.dist.d1_at_zero_plus(u))
         return _scalar_like(a, t)
 
     def _atom_mask(self, w, t):

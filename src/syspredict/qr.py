@@ -1,13 +1,27 @@
-"""Linear quantile regression by exact candidate enumeration.
+"""Linear quantile regression by an exact scan of the candidate lines.
 
-The pinball loss L(a, b) = sum rho_tau(y_i - a - b x_i) is convex and
+The pinball loss L(a, b) = sum rho_tau(y_k - a - b x_k) is convex and
 piecewise linear in (a, b), so some optimum interpolates two sample points
-(or is a horizontal line through one when all slopes tie); scanning that
-finite candidate set is exact, unlike iterative solvers.  Ties break
+(or is a horizontal line through one when all slopes tie); minimizing over
+that finite candidate set is exact, unlike an iterative solver.
+
+The scan works pivot by pivot.  A line through point i with slope b leaves
+residuals e_k - b d_k, where e_k = y_k - y_i and d_k = x_k - x_i, so its
+loss is sum |d_k| rho_{tau_k}(s_k - b) over the knots s_k = e_k / d_k, with
+tau_k = tau where d_k > 0 and 1 - tau where d_k < 0, plus a constant from
+the points with d_k = 0.  That is a weighted-quantile objective: one sort
+of the knots and prefix sums give the loss at every candidate slope, so
+the scan costs O(n^2 log n) time and O(n) memory per pivot.  Horizontal
+lines are the same problem with e = y and d = 1.
+
+Prefix sums are approximate.  Every candidate whose approximate loss lies
+within a floating-point error bound of the best is therefore scored again
+by the direct sum, and the winner is picked from those.  Ties break
 deterministically: smallest loss, then smallest |slope|, then smallest
-intercept.  Two interchangeable kernels implement the scan (a compiled lane
-and a blocked-numpy lane); the compiled one is picked at import when
-available.
+intercept, then the earliest candidate.  The candidates are the lines
+through (x_i, y_i) and (x_j, y_j) for i < j in lexicographic order, with
+slope (y_j - y_i) / (x_j - x_i) and intercept y_i - slope * x_i, followed
+by the horizontal line through each point.
 """
 
 from __future__ import annotations
@@ -19,15 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDesign, OutOfRange
-from . import _pinball_np
 
-try:
-    from . import _pinball  # compiled lane
-
-    HAVE_COMPILED = True
-except ImportError:  # pragma: no cover - build-dependent
-    _pinball = None
-    HAVE_COMPILED = False
+CELLS = 1 << 14  # elements in each (candidate lines x points) temporary
+_UNIT = np.finfo(float).eps / 2  # unit roundoff
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,8 @@ def _as_xy(pairs):
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise DegenerateDesign(f"need an (n, 2) array with n >= 2, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DegenerateDesign("x and y must be finite")
     x = np.ascontiguousarray(arr[:, 0])
     y = np.ascontiguousarray(arr[:, 1])
     if np.unique(x).size < 2:
@@ -58,23 +68,103 @@ def pinball_loss(pairs, intercept, slope, tau):
     return float(np.sum(resid * (tau - (resid < 0.0))))
 
 
-def fit_lqr(pairs, tau, engine="auto") -> FittedLine:
+def _knot_losses(e, d, tau):
+    """Knots s = e / d and, per row, sum_k rho_tau(e_k - s_m d_k) at each knot s_m.
+
+    Rows are independent.  Entries with d == 0 are not knots (their s is
+    meaningless) and add rho_tau(e_k) to every loss of their row.
+    """
+    s = e / np.where(d == 0.0, 1.0, d)
+    order = np.argsort(s, axis=1)
+    s_sorted = np.take_along_axis(s, order, axis=1)
+    e = np.take_along_axis(e, order, axis=1)
+    d = np.take_along_axis(d, order, axis=1)
+    flat = d == 0.0
+    up = d > 0.0
+    # rho's slope for a residual e - b d whose knot lies below / above b
+    below = np.where(flat, 0.0, np.where(up, tau - 1.0, tau))
+    above = np.where(flat, 0.0, np.where(up, tau, tau - 1.0))
+    const = np.sum(np.where(flat, e * (tau - (e < 0.0)), 0.0), axis=1, keepdims=True)
+
+    def before(v):  # sum over the strictly earlier knots of the row
+        return np.cumsum(v, axis=1) - v
+
+    def after(v):  # sum over the strictly later knots of the row
+        return np.sum(v, axis=1, keepdims=True) - np.cumsum(v, axis=1)
+
+    loss_sorted = (const + before(below * e) - s_sorted * before(below * d)
+                   + after(above * e) - s_sorted * after(above * d))
+    loss = np.empty_like(loss_sorted)
+    np.put_along_axis(loss, order, loss_sorted, axis=1)
+    return s, loss
+
+
+def _best_in_block(x, y, tau, a_blk, b_blk):
+    """(loss, |b|, a, b) of the winning line of a block, losses summed directly."""
+    resid = y[None, :] - a_blk[:, None] - b_blk[:, None] * x[None, :]
+    loss = np.sum(resid * (tau - (resid < 0.0)), axis=1)
+    # lexsort is stable, so full ties go to the earliest candidate
+    i = np.lexsort((a_blk, np.abs(b_blk), loss))[0]
+    return loss[i], abs(b_blk[i]), a_blk[i], b_blk[i]
+
+
+def _scan(x, y, tau):
+    """Return (intercept, slope, loss) of the exact pinball minimizer."""
+    n = x.size
+    rows = max(1, CELLS // n)
+    gross_x, gross_y = np.sum(np.abs(x)), np.sum(np.abs(y))
+    best = None  # (loss, |b|, a, b) of the winner so far
+
+    def consider(px, py, b, approx):
+        # Candidate lines through the points (px, py) with slopes b, in scan
+        # order, and their prefix-sum losses `approx`.  With u the unit
+        # roundoff and G the bound below on the sum of the absolute terms,
+        # `approx` is within (3n + 15) u G of the directly summed loss:
+        # (2n + 10) u G from the prefix sums, 2 u G from the line
+        # y_i + b (x - x_i) versus its stored intercept, (n + 3) u G from the
+        # direct sum.  The slack rounds that up to 4 (n + 4) u G to cover the
+        # rounding of this test.  A candidate whose lower bound exceeds some
+        # upper bound, or the best direct loss so far, cannot win or tie;
+        # only the others are summed directly.
+        nonlocal best
+        if b.size == 0:
+            return
+        slack = 4.0 * (n + 4) * _UNIT * (gross_y + n * np.abs(py)
+                                         + np.abs(b) * (gross_x + n * np.abs(px)))
+        cut = np.min(approx + slack)
+        if best is not None:
+            cut = min(cut, best[0])
+        keep = approx - slack <= cut
+        b = b[keep]
+        a = py[keep] - b * px[keep]
+        for start in range(0, a.size, rows):
+            cand = _best_in_block(x, y, tau, a[start:start + rows], b[start:start + rows])
+            if best is None or cand[:3] < best[:3]:
+                best = cand
+
+    for first in range(0, n - 1, rows):
+        pivots = np.arange(first, min(first + rows, n - 1))
+        e = y[None, :] - y[pivots, None]
+        d = x[None, :] - x[pivots, None]
+        s, approx = _knot_losses(e, d, tau)
+        # each pair line once, from its lower-index point
+        pair = (d != 0.0) & (np.arange(n)[None, :] > pivots[:, None])
+        pivot = pivots[np.nonzero(pair)[0]]
+        consider(x[pivot], y[pivot], s[pair], approx[pair])
+    # horizontals: residuals y_k - y_i are e - b d with e = y, d = 1, b = y_i
+    _, approx = _knot_losses(y[None, :], np.ones((1, n)), tau)
+    consider(np.zeros(n), y, np.zeros(n), approx[0])
+    loss, _, a, b = best
+    return float(a), float(b), float(loss)
+
+
+def fit_lqr(pairs, tau) -> FittedLine:
     """Exact linear tau-quantile regression over the candidate-line set."""
     tau = float(tau)
     if not 0.0 < tau < 1.0:
         raise OutOfRange(f"tau must lie in (0, 1), got {tau}")
     x, y = _as_xy(pairs)
-    if engine == "auto":
-        kernel = _pinball if HAVE_COMPILED else _pinball_np
-    elif engine == "compiled":
-        if not HAVE_COMPILED:
-            raise OutOfRange("compiled kernel is not available")
-        kernel = _pinball
-    elif engine == "numpy":
-        kernel = _pinball_np
-    else:
-        raise OutOfRange(f"unknown engine {engine!r}")
-    a, b, loss = kernel.scan(x, y, tau)
+    a, b, loss = _scan(x, y, tau)
     return FittedLine(intercept=a, slope=b, loss=loss, tau=tau)
 
 

@@ -361,6 +361,13 @@ def test_cli_error_paths(tmp_path, capsys):
     ), name="bad.json")
     assert main(["curves", "--config", bad, "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("IndexOutOfRange:")
+    # a non-finite sample cell is rejected, not fitted to a nan loss
+    sample = tmp_path / "nan.csv"
+    sample.write_text("t1,t\n0.1,0.6\nnan,0.9\n0.3,1.0\n")
+    fit = write_cfg(tmp_path, {"fitqr": {"sample": str(sample), "taus": [0.5]}},
+                    name="nan.json")
+    assert main(["fitqr", "--config", fit, "--out", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err.startswith("DegenerateDesign:")
     with pytest.raises(SystemExit):
         main(["curves"])  # --config is required
     with pytest.raises(SystemExit):

@@ -23,10 +23,10 @@ def _interior(seed, count, lo=0.03, hi=0.97):
 
 def _all_bivariate_designs(relay, gate, first3, product3, fgm1, clayton23):
     return [
-        build_bivariate(first3, relay, product3, mode="strict"),
-        build_bivariate(first3, relay, clayton23, mode="strict"),
-        build_bivariate(first3, gate, product3, mode="weak"),
-        build_bivariate(first3, gate, fgm1, mode="weak"),
+        build_bivariate(first3, relay, product3),
+        build_bivariate(first3, relay, clayton23),
+        build_bivariate(first3, gate, product3),
+        build_bivariate(first3, gate, fgm1),
     ]
 
 
@@ -58,7 +58,7 @@ def test_univariate_derivative(relay, first3, product3, clayton23):
 
 
 def test_bivariate_relay_product(relay, first3, product3):
-    d = build_bivariate(first3, relay, product3, mode="strict")
+    d = build_bivariate(first3, relay, product3)
     u = _interior(21, 40)
     v = u * np.random.default_rng(22).uniform(0.0, 1.0, 40)
     np.testing.assert_allclose(d.value(u, v), u * u * v + u * v * v - v**3, atol=1e-14)
@@ -72,7 +72,7 @@ def test_bivariate_relay_product(relay, first3, product3):
 
 def test_bivariate_relay_clayton(relay, first3, clayton23):
     # derived oracle: differentiate the joint survival of the theta=1 design
-    d = build_bivariate(first3, relay, clayton23, mode="strict")
+    d = build_bivariate(first3, relay, clayton23)
     rng = np.random.default_rng(23)
     u = rng.uniform(0.05, 0.99, 60)
     v = u * rng.uniform(0.0, 1.0, 60)
@@ -86,7 +86,7 @@ def test_bivariate_relay_clayton(relay, first3, clayton23):
 
 
 def test_bivariate_gate_product(gate, first3, product3):
-    d = build_bivariate(first3, gate, product3, mode="weak")
+    d = build_bivariate(first3, gate, product3)
     rng = np.random.default_rng(24)
     u = rng.uniform(0.02, 1.0, 50)
     v = u * rng.uniform(0.0, 1.0, 50)
@@ -97,7 +97,7 @@ def test_bivariate_gate_product(gate, first3, product3):
 
 @pytest.mark.parametrize("theta", [1.0, -0.6])
 def test_bivariate_gate_fgm(gate, first3, theta):
-    d = build_bivariate(first3, gate, FGMCopula(theta=theta, n=3), mode="weak")
+    d = build_bivariate(first3, gate, FGMCopula(theta=theta, n=3))
     rng = np.random.default_rng(25)
     u = rng.uniform(0.02, 1.0, 50)
     v = u * rng.uniform(0.0, 1.0, 50)
@@ -118,7 +118,7 @@ def test_bivariate_gate_fgm(gate, first3, theta):
 
 def test_joint_survival_through_marginal(relay, first3, clayton23, exp1):
     """The (first failure, system) joint survival on x <= y, on a time grid."""
-    d = build_bivariate(first3, relay, clayton23, mode="strict")
+    d = build_bivariate(first3, relay, clayton23)
     xs = np.linspace(0.0, 3.0, 20)
     for x in xs:
         for y in np.linspace(x, 4.0, 20):
@@ -128,7 +128,7 @@ def test_joint_survival_through_marginal(relay, first3, clayton23, exp1):
 
 
 def test_term_structure(relay, first3, parallel3, two_of_three, product3, fgm1):
-    d = build_bivariate(first3, relay, product3, mode="strict")
+    d = build_bivariate(first3, relay, product3)
     assert d.terms == (
         (-1, ((), (1, 2, 3))),
         (1, ((1,), (2, 3))),
@@ -245,7 +245,7 @@ def test_zero_plus_limits(relay, gate, first3, two_of_three, parallel3,
 
 
 def test_d1_side_convention(relay, first3, product3):
-    d = build_bivariate(first3, relay, product3, mode="strict")
+    d = build_bivariate(first3, relay, product3)
     u = 0.6
     # at the kink the two one-sided derivatives differ; the flag picks the side
     assert d.d1(u, u, side="ordered") == pytest.approx(2 * u * u + u * u, abs=1e-14)
@@ -256,9 +256,7 @@ def test_d1_side_convention(relay, first3, product3):
         d.d1(0.5, 0.3, side="sideways")
 
 
-def test_region_and_mode_errors(relay, first3, two_of_three, parallel3, product3, fgm1):
-    with pytest.raises(RegionError):
-        build_bivariate(first3, relay, product3, mode="loose")
+def test_region_and_mode_errors(first3, two_of_three, parallel3, fgm1):
     tri = build_trivariate(first3, two_of_three, parallel3, fgm1)
     with pytest.raises(RegionError):
         tri.value(0.3, 0.7, 0.1)

@@ -225,10 +225,10 @@ def test_survival_monotone_and_inversion(relay_strict, clayton_strict, gate_weak
 
 def test_median_mean_curves_vectorized(relay_strict):
     grid = np.linspace(0.0, 2.0, 9)
-    med = relay_strict.median_curve(grid)
+    med = relay_strict.median(grid)
     assert med.shape == grid.shape
     np.testing.assert_allclose(med, grid + RELAY_MEDIAN, atol=1e-7)
-    mean = relay_strict.mean_curve(grid)
+    mean = relay_strict.mean(grid)
     np.testing.assert_allclose(mean, grid + 5.0 / 6.0, atol=1e-7)
     band = relay_strict.band("centered", 0.9)
     np.testing.assert_allclose(band.lower(grid), grid + RELAY_I90[0], atol=1e-7)
@@ -245,6 +245,11 @@ def test_band_argument_errors(relay_strict):
         relay_strict.quantile(0.0, 1.0)
     with pytest.raises(OutOfRange):
         relay_strict.quantile(1.0, 1.0)
+
+
+def test_ordering_validation(first3, relay, product3, exp1):
+    with pytest.raises(OutOfRange, match="ordering"):
+        EarlyFailurePredictor(first3, relay, product3, exp1, ordering="loose")
 
 
 def test_system_means(relay, gate, parallel3, first3, product3, fgm1, clayton23, exp1):

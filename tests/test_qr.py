@@ -10,10 +10,53 @@ from syspredict import (
     simulate,
 )
 from syspredict.errors import DegenerateDesign, OutOfRange
-from syspredict.qr import HAVE_COMPILED, load_xy
+from syspredict.qr import load_xy
 
 RELAY_MEDIAN = 0.5427656
 RELAY_Q95 = 2.6258179  # offset of the 0.95 conditional quantile
+
+
+def oracle_scan(x, y, tau):
+    """Reference O(n^3) scan: every candidate line, its loss summed directly.
+
+    Candidates are the lines through (x_i, y_i), (x_j, y_j) for i < j in
+    lexicographic order, then the horizontal line through each point; the
+    winner is the first in (loss, |slope|, intercept) order.
+    """
+    n = x.size
+    ii, jj = np.triu_indices(n, k=1)
+    dx = x[jj] - x[ii]
+    keep = dx != 0.0
+    ii, jj, dx = ii[keep], jj[keep], dx[keep]
+    pair_b = (y[jj] - y[ii]) / dx
+    a = np.concatenate([y[ii] - pair_b * x[ii], y])
+    b = np.concatenate([pair_b, np.zeros(n)])
+    loss = np.empty(a.size)
+    for start in range(0, a.size, 2048):
+        blk = slice(start, start + 2048)
+        resid = y[None, :] - a[blk, None] - b[blk, None] * x[None, :]
+        loss[blk] = np.sum(resid * (tau - (resid < 0.0)), axis=1)
+    k = np.lexsort((a, np.abs(b), loss))[0]
+    return a[k], b[k], loss[k]
+
+
+def oracle_designs():
+    rng = np.random.default_rng(12)
+    for n in (3, 4, 10, 40, 120, 200):
+        x = rng.uniform(0.0, 4.0, n)
+        yield f"random n={n}", x, rng.normal(1.0 + x, 1.5)
+    for trial in range(40):
+        n = int(rng.integers(3, 20))
+        x = rng.integers(0, 5, n).astype(float)
+        x[:2] = 0.0, 1.0
+        yield f"integer ties {trial}", x, rng.integers(-3, 4, n).astype(float)
+    for trial in range(30):
+        n = int(rng.integers(4, 40))
+        x = rng.choice(rng.uniform(-2.0, 2.0, max(2, n // 3)), n)
+        x[:2] = -2.5, 2.5
+        yield f"duplicated x {trial}", x, x + rng.normal(0.0, 1.0, n)
+    x = rng.permutation(np.linspace(-1.0, 3.0, 60))
+    yield "collinear", x, 2.5 * x - 0.7
 
 
 @pytest.fixture(scope="module")
@@ -35,34 +78,26 @@ def test_exact_line_interpolation():
 def test_tie_break_rule():
     # all candidate lines tie at loss 1; the rule picks the flattest, lowest
     pairs = [(0.0, 0.0), (1.0, 1.0), (1.0, -1.0)]
-    for engine in ("numpy", "compiled") if HAVE_COMPILED else ("numpy",):
-        fit = fit_lqr(pairs, 0.5, engine=engine)
-        assert (fit.intercept, fit.slope) == (0.0, 0.0)
-        assert fit.loss == pytest.approx(1.0, abs=1e-12)
+    fit = fit_lqr(pairs, 0.5)
+    assert (fit.intercept, fit.slope) == (0.0, 0.0)
+    assert fit.loss == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel unavailable")
-def test_engines_agree():
-    rng = np.random.default_rng(5)
-    pairs = np.column_stack([rng.uniform(0, 4, 300), rng.normal(1, 2, 300)])
-    for tau in (0.1, 0.5, 0.9):
-        fast = fit_lqr(pairs, tau, engine="compiled")
-        slow = fit_lqr(pairs, tau, engine="numpy")
-        assert (fast.intercept, fast.slope) == (slow.intercept, slow.slope), (
-            "the two scan lanes must pick the same line"
-        )
-        # losses may differ by summation order only
-        assert fast.loss == pytest.approx(slow.loss, rel=1e-12)
+@pytest.mark.parametrize("tau", [0.1, 0.25, 0.5, 0.9])
+def test_scan_matches_oracle_bitwise(tau):
+    for name, x, y in oracle_designs():
+        fit = fit_lqr(np.column_stack([x, y]), tau)
+        got = [v.hex() for v in (fit.intercept, fit.slope, fit.loss)]
+        want = [float(v).hex() for v in oracle_scan(x, y, tau)]
+        assert got == want, f"{name}, tau={tau}"
 
 
-def test_engine_and_tau_validation():
+def test_tau_validation():
     pairs = [(0.0, 0.0), (1.0, 1.0), (2.0, 1.5)]
     with pytest.raises(OutOfRange):
         fit_lqr(pairs, 0.0)
     with pytest.raises(OutOfRange):
         fit_lqr(pairs, 1.0)
-    with pytest.raises(OutOfRange):
-        fit_lqr(pairs, 0.5, engine="turbo")
 
 
 def test_degenerate_designs():
@@ -72,6 +107,13 @@ def test_degenerate_designs():
         fit_lqr([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)], 0.5)
     with pytest.raises(DegenerateDesign):
         fit_ols([(2.0, 1.0), (2.0, 5.0)])
+    for bad in (np.nan, np.inf, -np.inf):
+        for pairs in ([(0.0, 1.0), (1.0, bad), (2.0, 3.0)],
+                      [(0.0, 1.0), (bad, 2.0), (2.0, 3.0)]):
+            with pytest.raises(DegenerateDesign, match="finite"):
+                fit_lqr(pairs, 0.5)
+            with pytest.raises(DegenerateDesign, match="finite"):
+                fit_ols(pairs)
 
 
 def test_pinball_loss_hand_values():
