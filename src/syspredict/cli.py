@@ -7,21 +7,13 @@ conditional median/mean and two prediction bands over a time grid,
 interval experiment, and `fitqr` fits quantile-regression lines to a
 sample file.  Scalar settings (seed, output path) can be overridden on
 the command line; everything is deterministic given (config, seed).
-
-Grid evaluation may be spread over threads (PREDICT_THREADS, 0 = one per
-CPU); chunks are reassembled in grid order, so the thread count never
-changes the output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-
-import numpy as np
 
 from .config import grid_from, load_config, point_from, predictor_from, structure_from
 from .copula import copula_from_config
@@ -37,33 +29,6 @@ FITQR_COLUMNS = ("tau", "intercept", "slope", "loss")
 
 def _fmt(value):
     return f"{float(value):.9g}"
-
-
-def thread_count(env=None):
-    """Worker count from PREDICT_THREADS (0 or unset: one per CPU)."""
-    raw = (env if env is not None else os.environ.get("PREDICT_THREADS", "0")).strip()
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"PREDICT_THREADS must be an integer, got {raw!r}") from None
-    if threads < 0:
-        raise ConfigError(f"PREDICT_THREADS must be >= 0, got {threads}")
-    return threads if threads else (os.cpu_count() or 1)
-
-
-def _over_grid(fn, grid, threads):
-    """Evaluate a vectorized fn over the grid, chunked across threads.
-
-    Chunks are mapped in submission order, so the result is identical to
-    fn(grid) regardless of scheduling.
-    """
-    workers = min(int(threads), grid.size)
-    if workers <= 1:
-        return np.asarray(fn(grid), dtype=float)
-    chunks = np.array_split(grid, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda g: np.asarray(fn(g), dtype=float), chunks))
-    return np.concatenate(parts)
 
 
 def _write_csv(path, header, rows):
@@ -98,18 +63,10 @@ def cmd_curves(args, cfg):
     grid = grid_from(cfg)
     kind = cfg.get("band_kind", "centered")
     out = _resolve_out(args, cfg)
-    threads = thread_count()
     band50 = predictor.band(kind, 0.5)
     band90 = predictor.band(kind, 0.9)
-    columns = [
-        grid,
-        _over_grid(predictor.median, grid, threads),
-        _over_grid(predictor.mean, grid, threads),
-        _over_grid(band50.lower, grid, threads),
-        _over_grid(band50.upper, grid, threads),
-        _over_grid(band90.lower, grid, threads),
-        _over_grid(band90.upper, grid, threads),
-    ]
+    columns = [grid, predictor.median(grid), predictor.mean(grid),
+               band50.lower(grid), band50.upper(grid), band90.lower(grid), band90.upper(grid)]
     _write_csv(out, CURVE_COLUMNS, zip(*columns))
     print("command: curves")
     print(f"mode: {mode}")

@@ -145,9 +145,12 @@ SCHEMA = {
 
 def load_config(path) -> dict:
     """Load and schema-validate a config document."""
+    def reject(literal):
+        raise ConfigError(f"config {path!r} uses {literal}, which is not valid JSON")
+
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

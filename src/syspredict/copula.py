@@ -2,9 +2,8 @@
 
 A survival copula C-hat couples the marginal survival functions:
 P(X_1 > x_1, ..., X_n > x_n) = C-hat(F-bar(x_1), ..., F-bar(x_n)).  The
-distortion machinery needs three things from a family: pointwise evaluation,
-lower-dimensional slices (some coordinates pinned to shared variables or to
-1), and mixed partial derivatives up to order three with respect to distinct
+distortion machinery needs two things from a family: pointwise evaluation
+and mixed partial derivatives up to order three with respect to distinct
 coordinates.  Partials are derived by hand per family; a finite-difference
 oracle (computed in extended precision) cross-checks them in the tests.
 
@@ -27,7 +26,6 @@ import numpy as np
 
 from .errors import (
     BoundaryTooClose,
-    IncompleteAssignment,
     IndexOutOfRange,
     LengthMismatch,
     OutOfRange,
@@ -36,14 +34,11 @@ from .errors import (
     UnsupportedOrder,
 )
 
-# slice assignment symbols
-U, V, W, ONE = "u", "v", "w", "one"
-
 _FD_STEPS = {1: 1e-6, 2: 1e-5, 3: 1e-3}
 
 
 class SurvivalCopula:
-    """Shared validation, slicing, and the finite-difference oracle."""
+    """Shared validation and the finite-difference oracle."""
 
     n: int
 
@@ -79,40 +74,6 @@ class SurvivalCopula:
 
     def partial(self, indices, u):
         raise NotImplementedError
-
-    def slice(self, assignment):
-        """Pin each coordinate to one of the symbols u, v, w or to 1.
-
-        Returns a callable of the distinct free symbols present, in u, v, w
-        order.  Example: ``{1: U, 2: V, 3: V}`` yields ``f(u, v)``.
-        """
-        keys = set(assignment)
-        if keys != set(range(1, self.n + 1)):
-            raise IncompleteAssignment(
-                f"assignment must cover coordinates 1..{self.n} exactly, got {sorted(keys)}"
-            )
-        symbols = {}
-        for i, sym in assignment.items():
-            sym = str(sym).lower()
-            if sym not in (U, V, W, ONE):
-                raise IncompleteAssignment(f"unknown symbol {sym!r} for coordinate {i}")
-            symbols[i] = sym
-        free = [s for s in (U, V, W) if s in symbols.values()]
-
-        def sliced(*args):
-            if len(args) != len(free):
-                raise LengthMismatch(
-                    f"slice takes {len(free)} arguments ({', '.join(free)})"
-                )
-            values = dict(zip(free, (np.asarray(a) for a in args)))
-            shape = np.broadcast_shapes(*(v.shape for v in values.values())) if values else ()
-            point = np.ones(shape + (self.n,))
-            for i, sym in symbols.items():
-                if sym != ONE:
-                    point[..., i - 1] = values[sym]
-            return self.eval(point)
-
-        return sliced
 
     def fd_partial(self, indices, u, h=None):
         """Central finite-difference oracle for :meth:`partial`.

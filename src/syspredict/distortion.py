@@ -26,30 +26,22 @@ then v, then u, else 1).  The mixed partial d12 drives conditioning on the
 first two failure times; its normalizing denominator is the mixed partial
 of the (T1, T2) bivariate distortion, exposed as `d12_boundary`.
 
-Expansions are merged (equal coordinate patterns, summed coefficients,
-zeros dropped) and capped at 2^20 raw terms.
+Every expansion is the product of the structures' merged univariate
+expansions (SystemStructure.inclusion_exclusion), merged again over equal
+coordinate patterns with zero coefficients dropped.  A product of more
+than TERM_BUDGET = 2^20 merged terms is refused.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from math import prod
 
 import numpy as np
 
 from .copula import SurvivalCopula
 from .errors import DimensionMismatch, RegionError, TermLimitExceeded
-from .structure import SystemStructure
-
-TERM_BUDGET = 1 << 20
-
-
-def _subset_unions(masks):
-    """Union and sign for every nonempty subfamily, via bit-index DP."""
-    r = len(masks)
-    unions = [0] * (1 << r)
-    for s in range(1, 1 << r):
-        low = s & -s
-        unions[s] = unions[s ^ low] | masks[low.bit_length() - 1]
-    signs = [1 if bin(s).count("1") % 2 else -1 for s in range(1 << r)]
-    return unions, signs
+from .structure import TERM_BUDGET, SystemStructure
 
 
 def _ids(mask):
@@ -72,6 +64,32 @@ def _merge(acc):
     )
 
 
+def _joint_terms(*structures):
+    """Merged joint expansion of structures given in variable order, system last.
+
+    The product of the structures' merged expansions, keyed by one mask per
+    variable: a coordinate in the system's union carries the system's
+    variable, else one in the union before it carries that variable, and so
+    on back to the first structure (the innermost union containing it).
+    """
+    expansions = [s.inclusion_exclusion().terms for s in structures]
+    size = prod(len(e) for e in expansions)
+    if size > TERM_BUDGET:
+        raise TermLimitExceeded(
+            f"{size} joint terms exceed the 2^20 term budget"
+        )
+    acc = {}
+    for combo in product(*reversed(expansions)):
+        coeff, taken, masks = 1, 0, []
+        for c, m in combo:
+            coeff *= c
+            masks.append(m & ~taken)
+            taken |= m
+        key = tuple(reversed(masks))
+        acc[key] = acc.get(key, 0) + coeff
+    return _merge(acc)
+
+
 class _TermSum:
     """Signed sum of copula slices sharing a variable layout."""
 
@@ -84,48 +102,46 @@ class _TermSum:
             (coeff, tuple(_ids(m) for m in masks)) for coeff, masks in terms
         )
 
-    def _points(self, values):
+    def _broadcast(self, values):
         shape = np.broadcast_shapes(*(np.shape(v) for v in values))
         vals = [np.broadcast_to(np.asarray(v), shape) for v in values]
         return shape, vals
 
+    def _point(self, ids, shape, vals):
+        """Copula argument of one term: each variable on its coordinates, 1 elsewhere."""
+        point = np.ones(shape + (self.n,))
+        for axis_ids, val in zip(ids, vals):
+            for i in axis_ids:
+                point[..., i] = val
+        return point
+
     def value(self, *values):
-        shape, vals = self._points(values)
+        shape, vals = self._broadcast(values)
         total = np.zeros(shape)
         for coeff, ids in self._terms:
-            point = np.ones(shape + (self.n,))
-            for axis_ids, val in zip(ids, vals):
-                for i in axis_ids:
-                    point[..., i] = val
-            total += coeff * self.copula.eval(point)
+            total += coeff * self.copula.eval(self._point(ids, shape, vals))
         return total
 
     def d_var(self, var, *values):
         """Sum of first partials over the coordinates carrying variable `var`."""
-        shape, vals = self._points(values)
+        shape, vals = self._broadcast(values)
         total = np.zeros(shape)
         for coeff, ids in self._terms:
             if not ids[var]:
                 continue
-            point = np.ones(shape + (self.n,))
-            for axis_ids, val in zip(ids, vals):
-                for i in axis_ids:
-                    point[..., i] = val
+            point = self._point(ids, shape, vals)
             for i in ids[var]:
                 total += coeff * self.copula.partial((i + 1,), point)
         return total
 
     def d_mixed(self, var_a, var_b, *values):
         """Sum of mixed partials over coordinate pairs carrying two variables."""
-        shape, vals = self._points(values)
+        shape, vals = self._broadcast(values)
         total = np.zeros(shape)
         for coeff, ids in self._terms:
             if not ids[var_a] or not ids[var_b]:
                 continue
-            point = np.ones(shape + (self.n,))
-            for axis_ids, val in zip(ids, vals):
-                for i in axis_ids:
-                    point[..., i] = val
+            point = self._point(ids, shape, vals)
             for i in ids[var_a]:
                 for j in ids[var_b]:
                     total += coeff * self.copula.partial((i + 1, j + 1), point)
@@ -166,26 +182,11 @@ class BivariateDistortion:
 
     def __init__(self, first, system, copula):
         _check_same_n(copula, first, system)
-        r_first, r_sys = first.r, system.r
-        if (1 << (r_first + r_sys)) > TERM_BUDGET:
-            raise TermLimitExceeded(
-                f"2^{r_first + r_sys} raw terms exceed the 2^20 budget"
-            )
         self.first = first
         self.system = system
         self.copula = copula
         self.n = copula.n
-
-        sys_unions, sys_signs = _subset_unions(system.path_masks)
-        first_unions, first_signs = _subset_unions(first.path_masks)
-        acc = {}
-        for s in range(1, 1 << r_sys):
-            p = sys_unions[s]
-            sgn = sys_signs[s]
-            for s1 in range(1, 1 << r_first):
-                key = (first_unions[s1] & ~p, p)  # (mask_u, mask_v)
-                acc[key] = acc.get(key, 0) + sgn * first_signs[s1]
-        self._ordered = _TermSum(copula, _merge(acc))
+        self._ordered = _TermSum(copula, _joint_terms(first, system))
         self._tail = UnivariateDistortion(first, copula)
 
     @property
@@ -227,33 +228,12 @@ class TrivariateDistortion:
 
     def __init__(self, first, second, system, copula):
         _check_same_n(copula, first, second, system)
-        r1, r2, r_sys = first.r, second.r, system.r
-        if (1 << (r1 + r2 + r_sys)) > TERM_BUDGET:
-            raise TermLimitExceeded(
-                f"2^{r1 + r2 + r_sys} raw terms exceed the 2^20 budget"
-            )
         self.first = first
         self.second = second
         self.system = system
         self.copula = copula
         self.n = copula.n
-
-        sys_unions, sys_signs = _subset_unions(system.path_masks)
-        sec_unions, sec_signs = _subset_unions(second.path_masks)
-        fir_unions, fir_signs = _subset_unions(first.path_masks)
-        acc = {}
-        for s in range(1, 1 << r_sys):
-            p = sys_unions[s]
-            sgn_s = sys_signs[s]
-            for s2 in range(1, 1 << r2):
-                p2 = sec_unions[s2]
-                sgn_s2 = sgn_s * sec_signs[s2]
-                mask_v = p2 & ~p
-                shadow = ~p2 & ~p
-                for s1 in range(1, 1 << r1):
-                    key = (fir_unions[s1] & shadow, mask_v, p)  # (u, v, w) masks
-                    acc[key] = acc.get(key, 0) + sgn_s2 * fir_signs[s1]
-        self._ordered = _TermSum(copula, _merge(acc))
+        self._ordered = _TermSum(copula, _joint_terms(first, second, system))
         # w -> 1 boundary: the (T1, T2) joint law
         self._pair = BivariateDistortion(first, second, copula)
 

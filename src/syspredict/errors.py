@@ -37,10 +37,6 @@ class OutOfUnitInterval(SysPredictError, ValueError):
     """A copula argument lies outside [0, 1]."""
 
 
-class IncompleteAssignment(SysPredictError, ValueError):
-    """A slice assignment does not cover every coordinate."""
-
-
 class UnsupportedOrder(SysPredictError, ValueError):
     """Partial derivative order outside 1..3 or repeated indices."""
 

@@ -23,10 +23,10 @@ partial d12 of the trivariate distortion, normalized by the mixed partial
 of the (T1, T2) boundary slice.
 
 Quantiles invert the survival level in z = F-bar(y) space, where every law
-is monotone on (0, F-bar(t)]: an analytic inverse can be registered, and the
-default is bisection to |dz| < 1e-12 (at most 200 iterations).  Centered
-level-gamma bands run from the (1+gamma)/2 to the (1-gamma)/2 quantile;
-bottom bands run from the conditioning time to the (1-gamma) quantile.
+is monotone on (0, F-bar(t)], by bisection to |dz| < 1e-12 (at most 200
+iterations).  Centered level-gamma bands run from the (1+gamma)/2 to the
+(1-gamma)/2 quantile; bottom bands run from the conditioning time to the
+(1-gamma) quantile.
 Mean curves integrate the survival function by adaptive quadrature after
 substituting z = F-bar(y), which maps (t, inf) onto the bounded interval
 (0, F-bar(t)); the tail below F-bar(y) = 1e-14 is dropped.
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -112,7 +112,6 @@ class _PredictorCore:
     """Shared quantile/median/mean/band machinery over a z-space law."""
 
     marginal = None
-    analytic_inverse: Optional[Callable] = None
 
     # subclasses provide:
     #   _zhi(*cond)            F-bar at the conditioning horizon
@@ -124,16 +123,9 @@ class _PredictorCore:
     def survival(self, y, *cond):
         raise NotImplementedError
 
-    def quantile(self, w, *cond, method="auto"):
+    def quantile(self, w, *cond):
         """Generalized inverse of the conditional survival at level w."""
         w = _as_level(w)
-        if method not in ("auto", "numeric", "analytic"):
-            raise OutOfRange(f"unknown quantile method {method!r}")
-        if method == "analytic" and self.analytic_inverse is None:
-            raise NotInvertible("no analytic inverse registered")
-        if self.analytic_inverse is not None and method in ("auto", "analytic"):
-            out = self.analytic_inverse(w, *cond)
-            return _scalar_like(out, w, *cond)
         zhi = self._zhi(*cond)
         shape = np.broadcast_shapes(np.shape(w), np.shape(zhi))
         w_b = np.broadcast_to(w, shape)
@@ -195,14 +187,13 @@ class EarlyFailurePredictor(_PredictorCore):
     """
 
     def __init__(self, first, system, copula, marginal, *, ordering="strict",
-                 require_alive=False, analytic_inverse=None):
+                 require_alive=False):
         if ordering not in ("strict", "weak"):
             raise OutOfRange(f"ordering must be 'strict' or 'weak', got {ordering!r}")
         self.dist = BivariateDistortion(first, system, copula)
         self.marginal = marginal
         self.ordering = ordering
         self.require_alive = bool(require_alive)
-        self.analytic_inverse = analytic_inverse
 
     # -- z-space law -------------------------------------------------------
 
@@ -262,10 +253,9 @@ class EarlyFailurePredictor(_PredictorCore):
 class TwoFailurePredictor(_PredictorCore):
     """Predict T from the first two observed failure times t1 <= t2."""
 
-    def __init__(self, first, second, system, copula, marginal, *, analytic_inverse=None):
+    def __init__(self, first, second, system, copula, marginal):
         self.dist = TrivariateDistortion(first, second, system, copula)
         self.marginal = marginal
-        self.analytic_inverse = analytic_inverse
 
     def _check_cond(self, t1, t2):
         t1 = np.asarray(t1, dtype=float)

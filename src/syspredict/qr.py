@@ -205,5 +205,10 @@ def load_xy(path, x_col="t1", y_col="t"):
             raise DegenerateDesign(
                 f"CSV must provide columns {x_col!r} and {y_col!r}, got {reader.fieldnames}"
             )
-        rows = [(float(row[x_col]), float(row[y_col])) for row in reader]
+        try:
+            rows = [(float(row[x_col]), float(row[y_col])) for row in reader]
+        except (TypeError, ValueError):  # a non-numeric cell, or a short row
+            raise DegenerateDesign(
+                f"line {reader.line_num}: columns {x_col!r} and {y_col!r} must hold numbers"
+            ) from None
     return np.asarray(rows, dtype=float)

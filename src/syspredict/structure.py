@@ -12,8 +12,10 @@ that signed expansion, which downstream modules turn into distortion
 functions.
 
 Component sets are stored as bitmasks (component j <-> bit j-1), so n is
-capped at 64; the 2^r inclusion-exclusion enumeration additionally caps the
-number of path sets at 24.
+capped at 64.  The expansion adds path sets one at a time to a table of
+merged unions.  TERM_BUDGET = 2^20 caps its table updates, and the
+distortion module checks the product of merged sizes of a joint expansion
+against it too, so a hopeless input is refused within about a second.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
 )
 
 MAX_COMPONENTS = 64
-MAX_PATHS = 24
+TERM_BUDGET = 1 << 20
 
 
 def _mask(indices):
@@ -106,25 +108,31 @@ class SystemStructure:
         """Signed expansion of P(T > t) over unions of path sets.
 
         P(T > t) = sum over nonempty subfamilies S of (-1)^(|S|+1)
-        P(all components in union(S) survive t).  Identical unions are merged.
+        P(all components in union(S) survive t), with identical unions
+        merged.  Path sets join one at a time: each merged union U with
+        coefficient c gains the union U | m with coefficient -c, m itself
+        gains +1, and zero coefficients are dropped as they appear.
         """
-        if self.r > MAX_PATHS:
-            raise TermLimitExceeded(
-                f"{self.r} path sets exceed the enumeration cap of {MAX_PATHS}"
-            )
         acc: dict[int, int] = {}
-        masks = self.path_masks
-        for k in range(1, len(masks) + 1):
-            sign = 1 if k % 2 == 1 else -1
-            for combo in combinations(masks, k):
-                union = 0
-                for m in combo:
-                    union |= m
-                acc[union] = acc.get(union, 0) + sign
+        work = 0
+        for m in self.path_masks:
+            step = list(acc.items())
+            work += len(step) + 1
+            if work > TERM_BUDGET:
+                raise TermLimitExceeded(
+                    f"expanding {self.r} path sets exceeds the 2^20 term budget"
+                )
+            # the empty union with coefficient -1 puts the +1 on m itself
+            for union, c in step + [(0, -1)]:
+                key = union | m
+                c = acc.get(key, 0) - c
+                if c:
+                    acc[key] = c
+                else:
+                    del acc[key]
         terms = tuple(
             (c, m)
             for m, c in sorted(acc.items(), key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
-            if c != 0
         )
         return SignedTermList(self.n, terms)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from syspredict import EarlyFailurePredictor, TwoFailurePredictor
-from syspredict.cli import main, thread_count
+from syspredict.cli import main
 from syspredict.config import (
     grid_from,
     load_config,
@@ -143,18 +143,16 @@ def test_grid_and_point_helpers():
         point_from({}, "strict")
 
 
-def test_thread_count(monkeypatch):
-    assert thread_count("4") == 4
-    assert thread_count(" 2 ") == 2
-    assert thread_count("0") >= 1
-    monkeypatch.delenv("PREDICT_THREADS", raising=False)
-    assert thread_count() >= 1
-    monkeypatch.setenv("PREDICT_THREADS", "3")
-    assert thread_count() == 3
-    with pytest.raises(ConfigError):
-        thread_count("many")
-    with pytest.raises(ConfigError):
-        thread_count("-1")
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_load_config_rejects_non_json_constants(tmp_path, capsys, literal):
+    # Python's json module accepts these literals; JSON does not
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(relay_cfg(point={"t1": 0.5}))
+                    .replace("0.5", literal))
+    with pytest.raises(ConfigError, match=f"uses {literal}, which is not valid JSON"):
+        load_config(path)
+    assert main(["predict", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("ConfigError:")
 
 
 # -- CLI commands ------------------------------------------------------------
@@ -193,15 +191,14 @@ def test_curves_alive_mode(tmp_path):
     np.testing.assert_allclose(med, [0.3465736, 1.3465736], atol=1e-6)
 
 
-def test_curves_deterministic_across_threads(tmp_path, capsys, monkeypatch):
+def test_curves_deterministic_across_runs(tmp_path, capsys):
     cfg = write_cfg(tmp_path, relay_cfg(grid={"start": 0.0, "stop": 2.0, "count": 17}))
     outputs = []
-    for name, threads in (("a.csv", "1"), ("b.csv", "3"), ("c.csv", "1")):
-        monkeypatch.setenv("PREDICT_THREADS", threads)
+    for name in ("a.csv", "b.csv"):
         out = str(tmp_path / name)
         assert main(["curves", "--config", cfg, "--out", out]) == 0
         outputs.append(open(out, "rb").read())
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
     assert b"\r\n" in outputs[0], "CSV rows end with CRLF"
 
 
@@ -368,6 +365,16 @@ def test_cli_error_paths(tmp_path, capsys):
                     name="nan.json")
     assert main(["fitqr", "--config", fit, "--out", str(tmp_path / "f.csv")]) == 1
     assert capsys.readouterr().err.startswith("DegenerateDesign:")
+    # a non-numeric cell or a short row names its line instead of a traceback
+    for name, text, line in (("abc.csv", "t1,t\n0.1,0.6\n0.2,abc\n", 3),
+                             ("short.csv", "t1,t\n0.1,0.6\n0.2,0.7\n0.3\n", 4)):
+        sample = tmp_path / name
+        sample.write_text(text)
+        fit = write_cfg(tmp_path, {"fitqr": {"sample": str(sample), "taus": [0.5]}},
+                        name="bad_sample.json")
+        assert main(["fitqr", "--config", fit, "--out", str(tmp_path / "f.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"DegenerateDesign: line {line}: columns 't1' and 't' must hold numbers\n")
     with pytest.raises(SystemExit):
         main(["curves"])  # --config is required
     with pytest.raises(SystemExit):

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syspredict import ClaytonPairCopula, FGMCopula, ProductCopula
-from syspredict.copula import ONE, U, V, W, copula_from_config
+from syspredict.copula import copula_from_config
 from syspredict.errors import (
     BoundaryTooClose,
-    IncompleteAssignment,
     IndexOutOfRange,
     LengthMismatch,
     OutOfRange,
@@ -148,27 +147,20 @@ def test_fd_boundary_guard():
 
 
 def test_slice():
+    # coordinates pinned to shared variables or to 1
     fgm = FGMCopula(theta=1.0, n=3)
-    f = fgm.slice({1: U, 2: V, 3: ONE})
     for u, v in np.random.default_rng(10).uniform(0.0, 1.0, (20, 2)):
-        assert f(u, v) == pytest.approx(u * v, abs=1e-15)
+        assert fgm.eval([u, v, 1.0]) == pytest.approx(u * v, abs=1e-15)
 
     prod = ProductCopula(3)
-    g = prod.slice({1: U, 2: V, 3: V})
-    assert g(0.5, 0.4) == pytest.approx(0.5 * 0.16, abs=1e-15)
+    assert prod.eval([0.5, 0.4, 0.4]) == pytest.approx(0.5 * 0.16, abs=1e-15)
 
     clay = ClaytonPairCopula(pair=(2, 3), theta=1.0, n=3)
-    h = clay.slice({1: ONE, 2: U, 3: U})
-    diag = clay.slice({1: U, 2: U, 3: U})
     for u in np.linspace(0.01, 1.0, 13):
-        assert h(u) == pytest.approx(u / (2.0 - u), abs=1e-14)
-        assert diag(u) == pytest.approx(u * u / (2.0 - u), abs=1e-14)
+        assert clay.eval([1.0, u, u]) == pytest.approx(u / (2.0 - u), abs=1e-14)
+        assert clay.eval([u, u, u]) == pytest.approx(u * u / (2.0 - u), abs=1e-14)
 
-    tri = prod.slice({1: U, 2: W, 3: V})
-    assert tri(0.2, 0.3, 0.5) == pytest.approx(0.2 * 0.3 * 0.5, abs=1e-15)
-
-    with pytest.raises(IncompleteAssignment):
-        prod.slice({1: U, 2: V})
+    assert prod.eval([0.2, 0.5, 0.3]) == pytest.approx(0.2 * 0.3 * 0.5, abs=1e-15)
 
 
 def test_argument_validation():
@@ -196,7 +188,10 @@ def test_argument_validation():
 def test_fgm_pair_rectangle_positivity(a, b, theta):
     """2-increasing check on the dependent margins of the 3-dim FGM."""
     cop = FGMCopula(theta=theta, n=3)
-    f = cop.slice({1: ONE, 2: U, 3: V})
+
+    def f(u, v):
+        return cop.eval([1.0, u, v])
+
     lo_u, hi_u = min(a, b), max(a, b) + 0.04
     lo_v, hi_v = 0.3, 0.9
     mass = f(hi_u, hi_v) - f(lo_u, hi_v) - f(hi_u, lo_v) + f(lo_u, lo_v)

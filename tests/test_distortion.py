@@ -276,10 +276,15 @@ def test_term_budget():
     wide = validate_structure(n, [[i] for i in range(1, n + 1)])
     narrow = validate_structure(n, [list(range(1, n + 1))])
     cop = ProductCopula(n)
-    with pytest.raises(TermLimitExceeded, match=r"2\^23 raw terms"):
+    with pytest.raises(TermLimitExceeded, match=r"22 path sets exceeds the 2\^20 term budget"):
         build_bivariate(narrow, wide, cop)
-    with pytest.raises(TermLimitExceeded):
+    with pytest.raises(TermLimitExceeded, match="term budget"):
         build_trivariate(narrow, k_out_of_n(21, n), wide, cop)
     big = parallel(25)
-    with pytest.raises(TermLimitExceeded):
+    with pytest.raises(TermLimitExceeded, match="term budget"):
         build_univariate(big, ProductCopula(25))
+    # each expansion fits (2^11 - 1 and 2^10 - 1 merged terms), their product does not
+    first = validate_structure(n, [[i] for i in range(1, 11)] + [list(range(11, n + 1))])
+    system = validate_structure(n, [[i] for i in range(1, 10)] + [list(range(10, n + 1))])
+    with pytest.raises(TermLimitExceeded, match=r"2094081 joint terms exceed the 2\^20"):
+        build_bivariate(first, system, cop)

@@ -16,7 +16,6 @@ from syspredict import (
 from syspredict.errors import (
     DegenerateDenominator,
     InvalidOrder,
-    NotInvertible,
     OutOfRange,
     ZeroAlpha,
 )
@@ -110,21 +109,10 @@ def test_relay_analytic_inverse(first3, relay, product3, exp1):
         u = exp1.sf(np.asarray(t, dtype=float))
         return exp1.inv_sf(u * (np.sqrt(1.0 + 3.0 * np.asarray(w)) - 1.0))
 
-    fast = EarlyFailurePredictor(
-        first3, relay, product3, exp1, ordering="strict", analytic_inverse=inverse
-    )
-    slow = EarlyFailurePredictor(first3, relay, product3, exp1, ordering="strict")
+    pred = EarlyFailurePredictor(first3, relay, product3, exp1, ordering="strict")
     for w in (0.05, 0.25, 0.5, 0.9):
         for t in (0.0, 0.8):
-            a = fast.quantile(w, t, method="analytic")
-            n = fast.quantile(w, t, method="numeric")
-            assert a == pytest.approx(n, abs=1e-9)
-            assert fast.quantile(w, t) == a, "auto should take the registered inverse"
-            assert slow.quantile(w, t) == pytest.approx(a, abs=1e-9)
-    with pytest.raises(NotInvertible):
-        slow.quantile(0.5, 1.0, method="analytic")
-    with pytest.raises(OutOfRange):
-        slow.quantile(0.5, 1.0, method="fancy")
+            assert pred.quantile(w, t) == pytest.approx(inverse(w, t), abs=1e-9)
 
 
 def test_gate_weak_law_and_offsets(gate_weak):
@@ -309,15 +297,10 @@ def test_two_failure_analytic_inverse(first3, two_of_three, parallel3, fgm1, exp
             )
         return exp1.inv_sf(z)
 
-    fast = TwoFailurePredictor(
-        first3, two_of_three, parallel3, fgm1, exp1, analytic_inverse=inverse
-    )
-    slow = TwoFailurePredictor(first3, two_of_three, parallel3, fgm1, exp1)
+    pred = TwoFailurePredictor(first3, two_of_three, parallel3, fgm1, exp1)
     for w in (0.05, 0.5, 0.95):
         for t1, t2 in ((0.2, 0.5), (0.4632196, 0.6899807), (1.0, 1.0)):
-            a = fast.quantile(w, t1, t2, method="analytic")
-            n = slow.quantile(w, t1, t2, method="numeric")
-            assert a == pytest.approx(n, abs=1e-9)
+            assert pred.quantile(w, t1, t2) == pytest.approx(inverse(w, t1, t2), abs=1e-9)
 
 
 def test_two_failure_product_markov(first3, two_of_three, parallel3, product3, exp1):

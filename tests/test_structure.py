@@ -14,7 +14,6 @@ from syspredict.errors import (
     UncoveredComponent,
 )
 from syspredict.structure import (
-    MAX_PATHS,
     SystemStructure,
     k_out_of_n,
     parallel,
@@ -77,9 +76,9 @@ def test_inclusion_exclusion_known_systems():
 
 
 def test_inclusion_exclusion_path_cap():
+    # 25 singletons merge into 2^25 - 1 unions: refused by the term budget
     s = validate_structure(25, [[j] for j in range(1, 26)])
-    assert s.r == MAX_PATHS + 1
-    with pytest.raises(TermLimitExceeded):
+    with pytest.raises(TermLimitExceeded, match=r"25 path sets exceeds the 2\^20 term budget"):
         s.inclusion_exclusion()
 
 
