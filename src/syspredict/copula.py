@@ -4,7 +4,9 @@ A survival copula C-hat couples the marginal survival functions:
 P(X_1 > x_1, ..., X_n > x_n) = C-hat(F-bar(x_1), ..., F-bar(x_n)).  The
 distortion machinery needs two things from a family: pointwise evaluation
 and mixed partial derivatives up to order three with respect to distinct
-coordinates.  Partials are derived by hand per family; a finite-difference
+coordinates.  Partials are derived by hand per family, as one kernel per
+family that takes a boolean coordinate mask, so a stack of points with a
+different differentiated set per row costs one call; a finite-difference
 oracle (computed in extended precision) cross-checks them in the tests.
 
 Families:
@@ -67,13 +69,49 @@ class SurvivalCopula:
                 raise IndexOutOfRange(f"coordinate index {i} outside 1..{self.n}")
         return tuple(sorted(idx))
 
+    def _check_mask(self, mask):
+        if mask.ndim != 2 or mask.shape[1] != self.n:
+            raise LengthMismatch(
+                f"expected a (rows, {self.n}) coordinate mask, got shape {mask.shape}"
+            )
+        counts = mask.sum(axis=1)
+        if np.any(counts < 1) or np.any(counts > 3):
+            raise UnsupportedOrder(
+                "partials are supported for 1..3 distinct coordinates per mask row"
+            )
+        return mask
+
     # -- interface --------------------------------------------------------
 
     def eval(self, u):
         raise NotImplementedError
 
-    def partial(self, indices, u):
+    def _partial(self, mask, arr):
+        """Partial kernel: mask (K, n) bool, arr (..., K, n) -> (..., K)."""
         raise NotImplementedError
+
+    def partial(self, indices, u):
+        """Mixed partial derivative in 1..3 distinct coordinates.
+
+        ``indices`` is either a tuple of 1-based coordinate indices, applied
+        to every point of ``u[..., n]``, or a boolean ``(K, n)`` mask that
+        differentiates row k of a stacked ``u[..., K, n]`` in the coordinates
+        marked in mask row k (the result then has shape ``u.shape[:-1]``).
+        Both forms run the same kernel and give the same bits.
+        """
+        if isinstance(indices, np.ndarray) and indices.dtype == bool:
+            mask = self._check_mask(indices)
+            arr = self._check_point(u)
+            if arr.shape[-2:-1] != mask.shape[:1]:
+                raise LengthMismatch(
+                    f"a {mask.shape[0]}-row mask needs points of shape (..., "
+                    f"{mask.shape[0]}, {self.n}), got {arr.shape}"
+                )
+            return self._partial(mask, arr)
+        mask = np.zeros((1, self.n), dtype=bool)
+        mask[0, [i - 1 for i in self._check_indices(indices)]] = True
+        arr = self._check_point(u)
+        return self._partial(mask, arr[..., None, :])[..., 0]
 
     def fd_partial(self, indices, u, h=None):
         """Central finite-difference oracle for :meth:`partial`.
@@ -120,11 +158,9 @@ class ProductCopula(SurvivalCopula):
     def eval(self, u):
         return np.prod(self._check_point(u), axis=-1)
 
-    def partial(self, indices, u):
-        idx = self._check_indices(indices)
-        arr = self._check_point(u)
-        keep = [i - 1 for i in range(1, self.n + 1) if i not in idx]
-        return np.prod(arr[..., keep], axis=-1) if keep else np.ones(arr.shape[:-1])
+    def _partial(self, mask, arr):
+        # differentiated coordinates enter as exact 1.0 factors
+        return np.prod(np.where(mask, 1.0, arr), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -145,17 +181,12 @@ class FGMCopula(SurvivalCopula):
         base = np.prod(arr, axis=-1)
         return base + self.theta * np.prod(arr * (1.0 - arr), axis=-1)
 
-    def partial(self, indices, u):
+    def _partial(self, mask, arr):
         # d/du_S [prod u + theta prod u(1-u)]
         #   = prod_{j not in S} u_j + theta prod_{i in S}(1-2u_i) prod_{j not in S} u_j(1-u_j)
-        idx = self._check_indices(indices)
-        arr = self._check_point(u)
-        keep = [i - 1 for i in range(1, self.n + 1) if i not in idx]
-        diff = [i - 1 for i in idx]
-        ones = np.ones(arr.shape[:-1], dtype=arr.dtype)
-        kept = np.prod(arr[..., keep], axis=-1) if keep else ones
-        kept_fgm = np.prod(arr[..., keep] * (1.0 - arr[..., keep]), axis=-1) if keep else ones
-        bent = np.prod(1.0 - 2.0 * arr[..., diff], axis=-1)
+        kept = np.prod(np.where(mask, 1.0, arr), axis=-1)
+        kept_fgm = np.prod(np.where(mask, 1.0, arr * (1.0 - arr)), axis=-1)
+        bent = np.prod(np.where(mask, 1.0 - 2.0 * arr, 1.0), axis=-1)
         return kept + self.theta * bent * kept_fgm
 
 
@@ -235,22 +266,24 @@ class ClaytonPairCopula(SurvivalCopula):
         indep = np.prod(arr[..., [i - 1 for i in others]], axis=-1) if others else 1.0
         return indep * _pair_value(arr[..., j - 1], arr[..., k - 1], self.theta)
 
-    def partial(self, indices, u):
-        idx = self._check_indices(indices)
-        arr = self._check_point(u)
-        j, k, others = self._split()
-        keep = [i - 1 for i in others if i not in idx]
-        indep = np.prod(arr[..., keep], axis=-1) if keep else np.ones(arr.shape[:-1], dtype=arr.dtype)
+    def _partial(self, mask, arr):
+        j, k = self.pair
+        in_j, in_k = mask[:, j - 1], mask[:, k - 1]
+        skip = mask.copy()
+        skip[:, [j - 1, k - 1]] = True
+        indep = np.prod(np.where(skip, 1.0, arr), axis=-1)
         p, q = arr[..., j - 1], arr[..., k - 1]
-        in_j, in_k = j in idx, k in idx
-        if in_j and in_k:
-            pair = _pair_d12(p, q, self.theta)
-        elif in_j:
-            pair = _pair_d1(p, q, self.theta)
-        elif in_k:
-            pair = _pair_d1(q, p, self.theta)  # symmetric factor
-        else:
-            pair = _pair_value(p, q, self.theta)
+        pair = np.zeros(indep.shape)
+        # each row takes the pair factor's partial in the pair coordinates it differentiates
+        for rows, fn, a, b in (
+            (in_j & in_k, _pair_d12, p, q),
+            (in_j & ~in_k, _pair_d1, p, q),
+            (in_k & ~in_j, _pair_d1, q, p),  # symmetric factor
+            (~in_j & ~in_k, _pair_value, p, q),
+        ):
+            rows = np.flatnonzero(rows)
+            if rows.size:
+                pair[..., rows] = fn(a[..., rows], b[..., rows], self.theta)
         return indep * pair
 
 

@@ -43,6 +43,8 @@ from .copula import SurvivalCopula
 from .errors import DimensionMismatch, RegionError, TermLimitExceeded
 from .structure import TERM_BUDGET, SystemStructure
 
+CELLS = 1 << 16  # copula-argument cells (points x rows x n) per stacked call
+
 
 def _ids(mask):
     return tuple(i for i in range(64) if mask >> i & 1)
@@ -91,7 +93,17 @@ def _joint_terms(*structures):
 
 
 class _TermSum:
-    """Signed sum of copula slices sharing a variable layout."""
+    """Signed sum of copula slices sharing a variable layout.
+
+    Term k is the copula at the point whose coordinate i carries variable
+    ``layout[k, i]``, or 1 where that entry is -1.  Each evaluation gathers
+    the points of all its rows (one per term for `value`, one per term and
+    differentiated coordinate or coordinate pair for the partials) into one
+    stacked array and makes one copula call, `eval` or a masked `partial`,
+    per chunk of at most CELLS cells (points x rows x n).  Rows are added in
+    term order by a running sum, so a total equals the term-by-term loop
+    bit for bit.
+    """
 
     def __init__(self, copula: SurvivalCopula, terms):
         # terms: ((coeff, (mask_per_variable, ...)), ...); variables ordered
@@ -101,51 +113,75 @@ class _TermSum:
         self._terms = tuple(
             (coeff, tuple(_ids(m) for m in masks)) for coeff, masks in terms
         )
+        self._coeffs = np.array([c for c, _ in self._terms], dtype=float)
+        self._layout = np.full((len(self._terms), self.n), -1, dtype=np.intp)
+        for k, (_, ids) in enumerate(self._terms):
+            for var, axis_ids in enumerate(ids):
+                self._layout[k, list(axis_ids)] = var
+        self._plans = {}
 
-    def _broadcast(self, values):
+    def _plan(self, var_a=None, var_b=None):
+        """(layout, mask, coeffs) of the rows of one sum, built on first use.
+
+        No variable: one row per term, no mask (`eval`).  One variable: a row
+        per term and coordinate carrying it.  Two: a row per term and
+        coordinate pair carrying them.  Rows follow term order, coordinates
+        ascending within a term.
+        """
+        key = (var_a, var_b)
+        plan = self._plans.get(key)
+        if plan is None:
+            if var_a is None:
+                rows = [(k, ()) for k in range(len(self._terms))]
+            elif var_b is None:
+                rows = [(k, (i,)) for k, (_, ids) in enumerate(self._terms)
+                        for i in ids[var_a]]
+            else:
+                rows = [(k, (i, j)) for k, (_, ids) in enumerate(self._terms)
+                        for i in ids[var_a] for j in ids[var_b]]
+            terms = np.array([k for k, _ in rows], dtype=np.intp)
+            mask = None
+            if var_a is not None:
+                mask = np.zeros((len(rows), self.n), dtype=bool)
+                for r, (_, coords) in enumerate(rows):
+                    mask[r, list(coords)] = True
+            plan = (self._layout[terms], mask, self._coeffs[terms])
+            self._plans[key] = plan
+        return plan
+
+    def _sum(self, plan, values):
+        layout, mask, coeffs = plan
         shape = np.broadcast_shapes(*(np.shape(v) for v in values))
-        vals = [np.broadcast_to(np.asarray(v), shape) for v in values]
-        return shape, vals
-
-    def _point(self, ids, shape, vals):
-        """Copula argument of one term: each variable on its coordinates, 1 elsewhere."""
-        point = np.ones(shape + (self.n,))
-        for axis_ids, val in zip(ids, vals):
-            for i in axis_ids:
-                point[..., i] = val
-        return point
+        # slot -1 holds the 1 that pinned coordinates take
+        table = np.stack(
+            [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in values]
+            + [np.ones(shape)],
+            axis=-1,
+        )
+        total = np.zeros(shape)
+        step = max(1, CELLS // (max(1, total.size) * self.n))
+        for lo in range(0, len(coeffs), step):
+            rows = slice(lo, lo + step)
+            points = table[..., layout[rows]]
+            if mask is None:
+                part = self.copula.eval(points)
+            else:
+                part = self.copula.partial(mask[rows], points)
+            summands = coeffs[rows] * part
+            summands[..., 0] += total
+            total = np.cumsum(summands, axis=-1)[..., -1]
+        return total
 
     def value(self, *values):
-        shape, vals = self._broadcast(values)
-        total = np.zeros(shape)
-        for coeff, ids in self._terms:
-            total += coeff * self.copula.eval(self._point(ids, shape, vals))
-        return total
+        return self._sum(self._plan(), values)
 
     def d_var(self, var, *values):
         """Sum of first partials over the coordinates carrying variable `var`."""
-        shape, vals = self._broadcast(values)
-        total = np.zeros(shape)
-        for coeff, ids in self._terms:
-            if not ids[var]:
-                continue
-            point = self._point(ids, shape, vals)
-            for i in ids[var]:
-                total += coeff * self.copula.partial((i + 1,), point)
-        return total
+        return self._sum(self._plan(var), values)
 
     def d_mixed(self, var_a, var_b, *values):
         """Sum of mixed partials over coordinate pairs carrying two variables."""
-        shape, vals = self._broadcast(values)
-        total = np.zeros(shape)
-        for coeff, ids in self._terms:
-            if not ids[var_a] or not ids[var_b]:
-                continue
-            point = self._point(ids, shape, vals)
-            for i in ids[var_a]:
-                for j in ids[var_b]:
-                    total += coeff * self.copula.partial((i + 1, j + 1), point)
-        return total
+        return self._sum(self._plan(var_a, var_b), values)
 
     @property
     def terms(self):

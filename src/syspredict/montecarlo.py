@@ -314,13 +314,18 @@ def coverage_experiment(k, replications, seed, *, score="same",
     and scores them on the same k systems (`score="fresh"` scores
     `eval_draws` new systems instead; `exact_mu` pins mu-hat to the truth).
     """
+    return _coverage(k, replications, seed, _interval_offsets(), score=score,
+                     eval_draws=eval_draws, exact_mu=exact_mu)
+
+
+def _coverage(k, replications, seed, offs, *, score="same", eval_draws=None,
+              exact_mu=False):
     k = int(k)
     replications = int(replications)
     if k < 1 or replications < 1:
         raise InvalidK("need k >= 1 and replications >= 1")
     if score not in ("same", "fresh"):
         raise OutOfRange(f"score must be 'same' or 'fresh', got {score!r}")
-    offs = _interval_offsets()
     root = _seed_sequence(seed)
     cov50 = np.empty(replications)
     cov90 = np.empty(replications)
@@ -357,11 +362,13 @@ def coverage_table(ks, replications, seed, **kwargs) -> list[CoverageReport]:
     """Run the coverage experiment over a grid of k values.
 
     Each k gets its own child of the root seed, so adding or removing grid
-    entries does not perturb the others.
+    entries does not perturb the others.  The interval offsets are solved
+    once for the whole grid.
     """
     ks = list(ks)
     children = _seed_sequence(seed).spawn(len(ks))
+    offs = _interval_offsets()
     return [
-        coverage_experiment(k, replications, child, **kwargs)
+        _coverage(k, replications, child, offs, **kwargs)
         for k, child in zip(ks, children)
     ]

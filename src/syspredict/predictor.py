@@ -22,6 +22,11 @@ With two observed failure times t1 <= t2 the same ratios use the mixed
 partial d12 of the trivariate distortion, normalized by the mixed partial
 of the (T1, T2) boundary slice.
 
+Each conditioning point's law z -> S(z | t) is built once per solve: the
+denominator, the defect term d1(u, 0+) (or d12(u, v, 0+)) and alpha depend
+only on the conditioning point, so every bisection step and quadrature node
+evaluates just the numerator.
+
 Quantiles invert the survival level in z = F-bar(y) space, where every law
 is monotone on (0, F-bar(t)], by bisection to |dz| < 1e-12 (at most 200
 iterations).  Centered level-gamma bands run from the (1+gamma)/2 to the
@@ -90,8 +95,6 @@ def _bisect_increasing(f, hi, target, skip=None):
 
 
 def _quad(f, a, b):
-    if not b > a:
-        return 0.0
     out = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-8, limit=200, full_output=1)
     if len(out) > 3:
         raise QuadratureFailure(out[3])
@@ -114,11 +117,15 @@ class _PredictorCore:
     marginal = None
 
     # subclasses provide:
-    #   _zhi(*cond)            F-bar at the conditioning horizon
-    #   _survival_z(z, *cond)  conditional survival at z = F-bar(y)
-    #   _atom(*cond)           mask of conditioning points whose level sits in the atom
+    #   _zhi(*cond)        F-bar at the conditioning horizon
+    #   _law(*cond)        z -> conditional survival at z = F-bar(y), with the
+    #                      normalizers of the conditioning point computed once
+    #   _atom_mask(w, *cond)  mask of levels that sit in the atom at the horizon
     def _atom_mask(self, w, *cond):
         return None
+
+    def _survival_z(self, z, *cond):
+        return self._law(*cond)(z)
 
     def survival(self, y, *cond):
         raise NotImplementedError
@@ -131,9 +138,7 @@ class _PredictorCore:
         w_b = np.broadcast_to(w, shape)
         zhi_b = np.broadcast_to(zhi, shape)
         atom = self._atom_mask(w_b, *cond)
-        root = _bisect_increasing(
-            lambda z: self._survival_z(z, *cond), zhi_b, w_b, skip=atom
-        )
+        root = _bisect_increasing(self._law(*cond), zhi_b, w_b, skip=atom)
         y = self.marginal.inv_sf(root)
         if atom is not None:
             horizon = np.broadcast_to(self._horizon(*cond), shape)
@@ -151,13 +156,17 @@ class _PredictorCore:
         conds = [np.broadcast_to(np.asarray(c, dtype=float), shape) for c in cond]
         out = np.empty(shape)
         for ix in np.ndindex(shape):
-            ci = tuple(c[ix] for c in conds)
+            zmax = float(zhi[ix])
+            tail = 0.0
+            if zmax > ZCUT:  # an empty range evaluates no law
+                law = self._law(*(c[ix] for c in conds))
 
-            def integrand(z):
-                s = self._survival_z(np.asarray(z), *ci)
-                return float(s) / float(self.marginal.pdf(self.marginal.inv_sf(z)))
+                def integrand(z):
+                    s = law(np.asarray(z))
+                    return float(s) / float(self.marginal.pdf(self.marginal.inv_sf(z)))
 
-            out[ix] = horizon[ix] + _quad(integrand, ZCUT, float(zhi[ix]))
+                tail = _quad(integrand, ZCUT, zmax)
+            out[ix] = horizon[ix] + tail
         return _scalar_like(out[()] if shape == () else out, *cond)
 
     def band(self, kind, level) -> PredictionBand:
@@ -211,18 +220,24 @@ class EarlyFailurePredictor(_PredictorCore):
             )
         return den
 
-    def _survival_z(self, z, t):
+    def _law(self, t):
         u = np.asarray(self.marginal.sf(t), dtype=float)
         den = self._denominator(u)
         base = self.dist.d1_at_zero_plus(u)
-        num = self.dist.d1(u, np.asarray(z, dtype=float), side="ordered") - base
-        s = np.clip(num / den, 0.0, 1.0)
+        a = None
         if self.require_alive:
             a = self._alpha_from(u, den, base)
             if np.any(a == 0.0):
                 raise ZeroAlpha("system cannot survive the conditioning time")
-            s = np.clip(s / a, 0.0, 1.0)
-        return s
+
+        def law(z):
+            num = self.dist.d1(u, np.asarray(z, dtype=float), side="ordered") - base
+            s = np.clip(num / den, 0.0, 1.0)
+            if a is not None:
+                s = np.clip(s / a, 0.0, 1.0)
+            return s
+
+        return law
 
     def _alpha_from(self, u, den, base):
         return np.clip((self.dist.d1(u, u, side="ordered") - base) / den, 0.0, 1.0)
@@ -271,7 +286,7 @@ class TwoFailurePredictor(_PredictorCore):
         self._check_cond(t1, t2)
         return self.marginal.sf(t2)
 
-    def _survival_z(self, z, t1, t2):
+    def _law(self, t1, t2):
         t1, t2 = self._check_cond(t1, t2)
         u = np.asarray(self.marginal.sf(t1), dtype=float)
         v = np.asarray(self.marginal.sf(t2), dtype=float)
@@ -280,8 +295,13 @@ class TwoFailurePredictor(_PredictorCore):
             raise DegenerateDenominator(
                 "mixed partial of the (T1, T2) law vanished at the conditioning point"
             )
-        num = self.dist.d12(u, v, np.asarray(z, dtype=float)) - self.dist.d12_at_zero_plus(u, v)
-        return np.clip(num / den, 0.0, 1.0)
+        base = self.dist.d12_at_zero_plus(u, v)
+
+        def law(z):
+            num = self.dist.d12(u, v, np.asarray(z, dtype=float)) - base
+            return np.clip(num / den, 0.0, 1.0)
+
+        return law
 
     def survival(self, y, t1, t2):
         """P(T > y | T1 = t1, T2 = t2)."""

@@ -36,6 +36,7 @@ from .errors import (
 
 MAX_COMPONENTS = 64
 TERM_BUDGET = 1 << 20
+PAIR_CELLS = 1 << 20  # path-set pairs per minimality-check temporary
 
 
 def _mask(indices):
@@ -109,10 +110,20 @@ class SystemStructure:
 
         P(T > t) = sum over nonempty subfamilies S of (-1)^(|S|+1)
         P(all components in union(S) survive t), with identical unions
-        merged.  Path sets join one at a time: each merged union U with
-        coefficient c gains the union U | m with coefficient -c, m itself
-        gains +1, and zero coefficients are dropped as they appear.
+        merged.  The expansion is computed on the first call and kept on
+        the instance, so every distortion built from this structure shares
+        it.
         """
+        cached = self.__dict__.get("_expansion")
+        if cached is None:
+            cached = self._expand()
+            object.__setattr__(self, "_expansion", cached)
+        return cached
+
+    def _expand(self) -> SignedTermList:
+        # Path sets join one at a time: each merged union U with coefficient
+        # c gains the union U | m with coefficient -c, m itself gains +1, and
+        # zero coefficients are dropped as they appear.
         acc: dict[int, int] = {}
         work = 0
         for m in self.path_masks:
@@ -135,6 +146,29 @@ class SystemStructure:
             for m, c in sorted(acc.items(), key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
         )
         return SignedTermList(self.n, terms)
+
+
+def _first_nested_pair(masks):
+    """First pair (a, b), in combinations order, with one set inside the other.
+
+    The pairs are compared as uint64 masks, a block of rows against all
+    later masks at a time, so a temporary holds at most PAIR_CELLS pairs.
+    """
+    arr = np.array(masks, dtype=np.uint64)
+    r = len(arr)
+    step = max(1, PAIR_CELLS // max(1, r))
+    for lo in range(0, r - 1, step):
+        hi = min(lo + step, r - 1)
+        a = arr[lo:hi, None]
+        b = arr[None, lo + 1:]
+        both = a & b
+        nested = (both == a) | (both == b)
+        # keep only the pairs after row i (column c is mask lo + 1 + c)
+        nested &= np.arange(lo + 1, r)[None, :] > np.arange(lo, hi)[:, None]
+        if nested.any():
+            i, c = divmod(int(np.argmax(nested)), nested.shape[1])
+            return masks[lo + i], masks[lo + 1 + c]
+    return None
 
 
 def validate_structure(n, paths) -> SystemStructure:
@@ -160,15 +194,15 @@ def validate_structure(n, paths) -> SystemStructure:
         for j in p:
             if not isinstance(j, (int, np.integer)) or j < 1 or j > n:
                 raise IndexOutOfRange(f"component index {j!r} outside 1..{n}")
-        m = _mask(p)
-        if m not in masks:
-            masks.append(m)
-    for a, b in combinations(masks, 2):
-        if a & b == a or a & b == b:
-            raise NonMinimalPath(
-                f"path set {_indices(min(a, b, key=lambda x: bin(x).count('1')))} "
-                "is contained in another"
-            )
+        masks.append(_mask(p))
+    masks = list(dict.fromkeys(masks))
+    pair = _first_nested_pair(masks)
+    if pair is not None:
+        a, b = pair
+        raise NonMinimalPath(
+            f"path set {_indices(min(a, b, key=lambda x: bin(x).count('1')))} "
+            "is contained in another"
+        )
     covered = 0
     for m in masks:
         covered |= m

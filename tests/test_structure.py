@@ -13,6 +13,7 @@ from syspredict.errors import (
     TermLimitExceeded,
     UncoveredComponent,
 )
+from syspredict import structure
 from syspredict.structure import (
     SystemStructure,
     k_out_of_n,
@@ -144,3 +145,46 @@ def test_k_out_of_n_bounds():
         k_out_of_n(4, 3)
     assert k_out_of_n(1, 4).paths == parallel(4).paths
     assert k_out_of_n(4, 4).paths == series(4).paths
+
+
+def _oracle_nested_message(n, paths):
+    """The pairwise loop the minimality check replaced: first pair in combinations order."""
+    masks = []
+    for p in paths:
+        m = sum(1 << (j - 1) for j in set(p))
+        if m not in masks:
+            masks.append(m)
+    for a, b in itertools.combinations(masks, 2):
+        if a & b == a or a & b == b:
+            small = min(a, b, key=lambda x: bin(x).count("1"))
+            comps = tuple(j + 1 for j in range(n) if small >> j & 1)
+            return f"path set {comps} is contained in another"
+    return None
+
+
+@given(st.integers(2, 7), st.lists(st.sets(st.integers(1, 7), min_size=1), min_size=1,
+                                   max_size=12), st.sampled_from([1, 5, 1 << 20]))
+@settings(max_examples=150, deadline=None)
+def test_minimality_check_matches_pairwise_loop(n, raw, cells):
+    paths = [sorted(j for j in p if j <= n) or [1] for p in raw]
+    want = _oracle_nested_message(n, paths)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "PAIR_CELLS", cells)  # 1 and 5: many row blocks
+        try:
+            validate_structure(n, paths)
+            got = None
+        except NonMinimalPath as exc:
+            got = str(exc)
+        except UncoveredComponent:
+            got = "uncovered"
+    if got == "uncovered":
+        assert want is None
+    else:
+        assert got == want
+
+
+def test_wide_minimality_check_is_vectorized():
+    s = k_out_of_n(7, 15)  # 6,435 path sets, about 20.7M pairs
+    assert s.r == 6435
+    with pytest.raises(NonMinimalPath, match=r"path set \(1, 2, 3, 4, 5, 6, 7\)"):
+        validate_structure(15, list(s.paths) + [[1, 2, 3, 4, 5, 6, 7, 8]])
