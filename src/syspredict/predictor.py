@@ -124,9 +124,6 @@ class _PredictorCore:
     def _atom_mask(self, w, *cond):
         return None
 
-    def _survival_z(self, z, *cond):
-        return self._law(*cond)(z)
-
     def survival(self, y, *cond):
         raise NotImplementedError
 
@@ -259,7 +256,7 @@ class EarlyFailurePredictor(_PredictorCore):
         y = np.asarray(y, dtype=float)
         t = np.asarray(t, dtype=float)
         z = self.marginal.sf(y)
-        s = self._survival_z(z, t)
+        s = self._law(t)(z)
         before = (y < t) if not self.require_alive else (y <= t)
         out = np.where(before, 1.0, s)
         return _scalar_like(out, y, t)
@@ -310,7 +307,7 @@ class TwoFailurePredictor(_PredictorCore):
         # times before t2 land outside the ordered region; clamp, then the
         # y < t2 branch overrides with probability 1
         z = np.minimum(self.marginal.sf(y), self.marginal.sf(t2))
-        s = self._survival_z(z, t1, t2)
+        s = self._law(t1, t2)(z)
         out = np.where(y < t2, 1.0, s)
         return _scalar_like(out, y, t1, t2)
 
