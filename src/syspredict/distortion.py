@@ -243,10 +243,18 @@ class BivariateDistortion:
         if side not in ("ordered", "tail"):
             raise RegionError(f"side must be 'ordered' or 'tail', got {side!r}")
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        ordered = self._ordered.d_var(0, u, v)
+        ordered = self.d1_ordered(u, v)
         tail = self._tail.derivative(u)
         on_ordered = (v <= u) if side == "ordered" else (v < u)
         return np.where(on_ordered, ordered, tail)
+
+    def d1_ordered(self, u, v):
+        """The ordered-region branch of d1, evaluated at every (u, v) given.
+
+        Equal to d1 wherever v <= u; beyond that, d1 is the tail branch,
+        which depends on u alone.
+        """
+        return self._ordered.d_var(0, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
     def d1_at_zero_plus(self, u):
         """Term-by-term limit of d1(u, v) as v -> 0+ (defect mass at infinity)."""

@@ -228,7 +228,9 @@ class EarlyFailurePredictor(_PredictorCore):
                 raise ZeroAlpha("system cannot survive the conditioning time")
 
         def law(z):
-            num = self.dist.d1(u, np.asarray(z, dtype=float), side="ordered") - base
+            z = np.asarray(z, dtype=float)
+            # d1(u, z) past the ordered region is its tail branch, which is den
+            num = np.where(z <= u, self.dist.d1_ordered(u, z), den) - base
             s = np.clip(num / den, 0.0, 1.0)
             if a is not None:
                 s = np.clip(s / a, 0.0, 1.0)

@@ -24,6 +24,7 @@ from syspredict import (
     SurvivalCopula,
     TrivariateDistortion,
     TwoFailurePredictor,
+    UnivariateDistortion,
     k_out_of_n,
     series,
     validate_structure,
@@ -234,26 +235,45 @@ def _count(monkeypatch, cls, name, counts):
 
 @pytest.mark.parametrize("mode", ["one", "two"])
 def test_scalar_quantile_call_budget(monkeypatch, mode):
+    """One copula call per term sum, one term sum per law evaluation, z-free terms once."""
     copula = FGMCopula(theta=0.5, n=4)
     if mode == "one":
         pred = EarlyFailurePredictor(series(4), k_out_of_n(2, 4), copula,
                                      Exponential(1.0), ordering="strict")
         cond = (0.3,)
-        zero_plus = (BivariateDistortion, "d1_at_zero_plus")
+        # the denominator d1(u, 1) sums the ordered branch and the tail branch
+        once, z_free_sums = [(BivariateDistortion, "d1_at_zero_plus"),
+                             (UnivariateDistortion, "derivative")], 3
     else:
         pred = TwoFailurePredictor(series(4), k_out_of_n(3, 4), k_out_of_n(2, 4),
                                    copula, Exponential(1.0))
         cond = (0.3, 0.6)
-        zero_plus = (TrivariateDistortion, "d12_at_zero_plus")
+        once, z_free_sums = [(TrivariateDistortion, "d12_at_zero_plus"),
+                             (TrivariateDistortion, "d12_boundary")], 2
     counts = {}
     _count(monkeypatch, SurvivalCopula, "partial", counts)
     _count(monkeypatch, FGMCopula, "eval", counts)
     _count(monkeypatch, _TermSum, "_sum", counts)
-    _count(monkeypatch, *zero_plus, counts)
+    for cls, name in once:
+        _count(monkeypatch, cls, name, counts)
+    law = pred._law
+
+    def counted_law(*args):
+        inner = law(*args)
+
+        def evaluate(z):
+            counts["law"] = counts.get("law", 0) + 1
+            return inner(z)
+
+        return evaluate
+
+    monkeypatch.setattr(pred, "_law", counted_law)
     pred.quantile(0.5, *cond)
-    assert counts["_sum"] > 40  # one bisection: some 40 steps
+    assert counts["law"] > 35  # the bracket check and every bisection step
+    assert counts["_sum"] == counts["law"] + z_free_sums
     assert counts["partial"] + counts.get("eval", 0) == counts["_sum"]
-    assert counts[zero_plus[1]] == 1
+    for _, name in once:
+        assert counts[name] == 1
 
 
 def test_build_expands_each_structure_once(monkeypatch):
