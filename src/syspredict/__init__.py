@@ -9,14 +9,7 @@ from the same copulas to validate the laws and to run coverage experiments.
 """
 
 from .copula import ClaytonPairCopula, FGMCopula, ProductCopula, SurvivalCopula
-from .distortion import (
-    BivariateDistortion,
-    TrivariateDistortion,
-    UnivariateDistortion,
-    build_bivariate,
-    build_trivariate,
-    build_univariate,
-)
+from .distortion import BivariateDistortion, TrivariateDistortion, UnivariateDistortion
 from .errors import SysPredictError
 from .marginal import Exponential, Weibull
 from .montecarlo import (
@@ -73,9 +66,6 @@ __all__ = [
     "TwoFailurePredictor",
     "UnivariateDistortion",
     "Weibull",
-    "build_bivariate",
-    "build_trivariate",
-    "build_univariate",
     "components_from_uniforms",
     "coverage_experiment",
     "coverage_table",

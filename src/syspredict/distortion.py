@@ -13,11 +13,11 @@ survival P(T1 > x, T > y) is a bivariate distortion D-hat(u, v) of
 x <= y) it expands over pairs of subfamilies: coordinates in P = union(S)
 carry v, coordinates in union(S*) \\ P carry u, the rest are pinned to 1.
 On v > u the joint event degenerates to {T1 > x}, so D-hat(u, v) =
-q-bar_T1(u).  The first partial d1 = dD-hat/du feeds the conditional laws;
-its limit as v -> 0+ captures any defect mass, and the v > u branch
-evaluated at v = 1 is the density transform q-bar_T1'(u) that normalizes
-them.  d1 has a kink across u = v, so the evaluation side at equality is
-explicit (`side="ordered"` for v <= u, the default, or `side="tail"`).
+q-bar_T1(u), the distortion exposed as `tail`.  The first partial
+d1 = dD-hat/du feeds the conditional laws; its limit as v -> 0+ captures any
+defect mass, and its v > u branch is the density transform q-bar_T1'(u)
+(`tail.derivative`) that normalizes them.  d1 has a kink across u = v; at
+equality it takes the ordered branch, which `d1_ordered` evaluates alone.
 
 With three ordered lifetimes T1 <= T2 <= T the same expansion runs over
 triples of subfamilies on the ordered region w <= v <= u; each coordinate
@@ -223,30 +223,22 @@ class BivariateDistortion:
         self.copula = copula
         self.n = copula.n
         self._ordered = _TermSum(copula, _joint_terms(first, system))
-        self._tail = UnivariateDistortion(first, copula)
+        # v > u branch: the T1 distortion
+        self.tail = UnivariateDistortion(first, copula)
 
     @property
     def terms(self):
         """Ordered-region terms as (coeff, (u indices, v indices))."""
         return self._ordered.terms
 
-    @property
-    def tail_terms(self):
-        return self._tail.terms
-
     def value(self, u, v):
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        return np.where(v <= u, self._ordered.value(u, v), self._tail.value(u))
+        return np.where(v <= u, self._ordered.value(u, v), self.tail.value(u))
 
-    def d1(self, u, v, side="ordered"):
-        """dD-hat/du; `side` picks the branch on the kink u == v."""
-        if side not in ("ordered", "tail"):
-            raise RegionError(f"side must be 'ordered' or 'tail', got {side!r}")
+    def d1(self, u, v):
+        """dD-hat/du, on the ordered branch at the kink u == v."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        ordered = self.d1_ordered(u, v)
-        tail = self._tail.derivative(u)
-        on_ordered = (v <= u) if side == "ordered" else (v < u)
-        return np.where(on_ordered, ordered, tail)
+        return np.where(v <= u, self.d1_ordered(u, v), self.tail.derivative(u))
 
     def d1_ordered(self, u, v):
         """The ordered-region branch of d1, evaluated at every (u, v) given.
@@ -315,18 +307,3 @@ class TrivariateDistortion:
     def d12_boundary(self, u, v):
         """Mixed partial of the w -> 1 boundary slice (the (T1,T2) law)."""
         return self._pair.d12(u, v)
-
-
-def build_univariate(structure, copula) -> UnivariateDistortion:
-    """Distortion of one system lifetime."""
-    return UnivariateDistortion(structure, copula)
-
-
-def build_bivariate(first, system, copula) -> BivariateDistortion:
-    """Joint distortion of (T1, T); the same whether or not T1 < T holds a.s."""
-    return BivariateDistortion(first, system, copula)
-
-
-def build_trivariate(first, second, system, copula) -> TrivariateDistortion:
-    """Joint distortion of (T1, T2, T) for strictly ordered failure times."""
-    return TrivariateDistortion(first, second, system, copula)

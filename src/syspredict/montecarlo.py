@@ -116,21 +116,15 @@ def survival_uniforms_numeric(copula, U):
     return V
 
 
-def components_from_uniforms(copula, marginal, U, method="analytic"):
+def components_from_uniforms(copula, marginal, U):
     """Component lifetimes from a block of independent uniforms."""
-    if method == "analytic":
-        V = survival_uniforms(copula, U)
-    elif method == "numeric":
-        V = survival_uniforms_numeric(copula, U)
-    else:
-        raise OutOfRange(f"unknown sampling method {method!r}")
-    return marginal.inv_sf(V)
+    return marginal.inv_sf(survival_uniforms(copula, U))
 
 
-def sample_components(copula, marginal, rng, size, method="analytic"):
+def sample_components(copula, marginal, rng, size):
     """Draw `size` joint component-lifetime rows."""
     U = rng.random((int(size), copula.n))
-    return components_from_uniforms(copula, marginal, U, method=method)
+    return components_from_uniforms(copula, marginal, U)
 
 
 # -- sample sets -------------------------------------------------------------
@@ -167,13 +161,12 @@ class SampleSet:
                 writer.writerow([f"{x:.9g}" for x in row])
 
 
-def simulate(first, system, copula, marginal, size, seed, second=None,
-             method="analytic") -> SampleSet:
+def simulate(first, system, copula, marginal, size, seed, second=None) -> SampleSet:
     """Simulate component lifetimes and the ordered system lifetimes."""
     if int(size) < 1:
         raise OutOfRange(f"size must be >= 1, got {size}")
     rng = np.random.default_rng(_seed_sequence(seed))
-    X = sample_components(copula, marginal, rng, size, method=method)
+    X = sample_components(copula, marginal, rng, size)
     meta = {
         "seed": int(seed),
         "size": int(size),
@@ -260,7 +253,7 @@ def empirical_conditional_check(sample, predictor, t1_bin, y_grid,
         lo2, hi2 = float(t2_bin[0]), float(t2_bin[1])
         mask &= (sample.t2 >= lo2) & (sample.t2 < hi2)
         cond.append(0.5 * (lo2 + hi2))
-    if getattr(predictor, "require_alive", False):
+    if predictor.require_alive:
         mask &= sample.t > sample.t1
     rows = int(np.sum(mask))
     if rows < MIN_BIN_ROWS:

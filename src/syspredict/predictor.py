@@ -1,40 +1,40 @@
 """Conditional prediction of a system failure time from early failures.
 
-Given the joint distortion D-hat of ordered lifetimes, conditioning on the
-the first failure time T1 = t turns into ratios of partial derivatives in
-(u, v) = (F-bar(t), F-bar(y)):
+Every conditioning case is one ratio of distortion partials.  Write c for
+the conditioning point in survival scale and z = F-bar(y); then
 
-* strict ordering (the observed failure can never be the system failure):
+      S(z | c) = [num(c, z) - base(c)] / den(c),   z <= F-bar(horizon),
 
-      S(y | t) = [d1(u, v) - d1(u, 0+)] / d1(u, 1),   y >= t,
+where the horizon is the last observed time and base(c) = num(c, 0+)
+removes any defect mass.
 
-  where d1(u, 1) is the v > u branch, i.e. the derivative of the T1
-  marginal distortion, and d1(u, 0+) removes any defect mass.
+* one failure T1 = t, c = (u,) = (F-bar(t),): num is d1(u, z) on its
+  ordered branch, den = q-bar_T1'(u) is the derivative of the T1 marginal
+  distortion (the v > u branch of d1).
+* two failures t1 <= t2, c = (u, v): num is the mixed partial d12(u, v, z)
+  of the trivariate distortion, den the mixed partial of the (T1, T2)
+  boundary slice.
 
-* weak ordering (the system may die exactly at the observed failure): the
-  same ratio, now starting from S(t | t) = alpha(t) < 1, leaving an atom of
-  size 1 - alpha(t) at y = t.
+Strict ordering (the observed failure can never be the system failure)
+uses S as it is.  Weak ordering (the system may die exactly at the
+observed failure) starts from S(F-bar(t) | c) = alpha(t) < 1, leaving an
+atom of size 1 - alpha(t) at y = t; `require_alive=True` conditions on the
+system having survived and renormalizes the law by alpha(t).
 
-* weak ordering, system known alive at t: the weak law renormalized by
-  alpha(t).
+Each conditioning point's law is built once per solve: den, base and alpha
+depend only on c, so every bisection step and quadrature node evaluates
+just the numerator.  Subclasses name the three distortion callables and map
+their conditioning times to (horizon, c); quantiles, means, survival,
+alpha and bands are shared.
 
-With two observed failure times t1 <= t2 the same ratios use the mixed
-partial d12 of the trivariate distortion, normalized by the mixed partial
-of the (T1, T2) boundary slice.
-
-Each conditioning point's law z -> S(z | t) is built once per solve: the
-denominator, the defect term d1(u, 0+) (or d12(u, v, 0+)) and alpha depend
-only on the conditioning point, so every bisection step and quadrature node
-evaluates just the numerator.
-
-Quantiles invert the survival level in z = F-bar(y) space, where every law
-is monotone on (0, F-bar(t)], by bisection to |dz| < 1e-12 (at most 200
+Quantiles invert the survival level in z space, where every law is
+monotone on (0, F-bar(horizon)], by bisection to |dz| < 1e-12 (at most 200
 iterations).  Centered level-gamma bands run from the (1+gamma)/2 to the
-(1-gamma)/2 quantile; bottom bands run from the conditioning time to the
-(1-gamma) quantile.
+(1-gamma)/2 quantile; bottom bands run from the horizon to the (1-gamma)
+quantile.
 Mean curves integrate the survival function by adaptive quadrature after
-substituting z = F-bar(y), which maps (t, inf) onto the bounded interval
-(0, F-bar(t)); the tail below F-bar(y) = 1e-14 is dropped.
+substituting z = F-bar(y), which maps (horizon, inf) onto the bounded
+interval (0, F-bar(horizon)); the tail below F-bar(y) = 1e-14 is dropped.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ from typing import Callable
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betainc
+from scipy.special import betaincinv
 
-from .distortion import BivariateDistortion, TrivariateDistortion, build_univariate
+from .distortion import BivariateDistortion, TrivariateDistortion, UnivariateDistortion
 from .errors import (
     DegenerateDenominator,
     InvalidOrder,
@@ -94,8 +94,14 @@ def _bisect_increasing(f, hi, target, skip=None):
     return 0.5 * (lo + hi)
 
 
-def _quad(f, a, b):
-    out = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-8, limit=200, full_output=1)
+def _tail_integral(law, marginal, zmax):
+    """Integral over y of the survival law z -> law(z), substituting z = F-bar(y)."""
+
+    def integrand(z):
+        return float(law(np.asarray(z))) / float(marginal.pdf(marginal.inv_sf(z)))
+
+    out = integrate.quad(integrand, ZCUT, zmax, epsabs=1e-13, epsrel=1e-8, limit=200,
+                         full_output=1)
     if len(out) > 3:
         raise QuadratureFailure(out[3])
     return out[0]
@@ -112,33 +118,74 @@ class PredictionBand:
 
 
 class _PredictorCore:
-    """Shared quantile/median/mean/band machinery over a z-space law."""
+    """Quantile, mean, survival, alpha and bands over one conditional law.
+
+    A subclass sets, in `__init__`, the distortion callables `_num(*c, z)`,
+    `_base(*c)` and `_den(*c)` and the `_degenerate` message, and defines
+    `_point(*cond) -> (horizon, c)`: the last observed time and the
+    conditioning point in survival scale, whose last entry is F-bar(horizon).
+    """
 
     marginal = None
+    ordering = "strict"
+    require_alive = False
 
-    # subclasses provide:
-    #   _zhi(*cond)        F-bar at the conditioning horizon
-    #   _law(*cond)        z -> conditional survival at z = F-bar(y), with the
-    #                      normalizers of the conditioning point computed once
-    #   _atom_mask(w, *cond)  mask of levels that sit in the atom at the horizon
-    def _atom_mask(self, w, *cond):
-        return None
+    def _law(self, *c):
+        """z -> S(z | c) with the normalizers of c computed once, and alpha.
+
+        alpha = S(F-bar(horizon) | c) before any renormalization; it is None
+        when neither an atom nor the alive condition needs it.
+        """
+        den = self._den(*c)
+        if np.any(den == 0.0) or np.any(~np.isfinite(den)):
+            raise DegenerateDenominator(self._degenerate)
+        base = self._base(*c)
+
+        def law(z):
+            return np.clip((self._num(*c, np.asarray(z, dtype=float)) - base) / den, 0.0, 1.0)
+
+        if self.ordering == "strict" and not self.require_alive:
+            return law, None
+        alpha = law(c[-1])
+        if not self.require_alive:
+            return law, alpha
+        void = np.any(alpha == 0.0)
+
+        def alive(z):
+            if void:
+                raise ZeroAlpha("system cannot survive the conditioning time")
+            return np.clip(law(z) / alpha, 0.0, 1.0)
+
+        return alive, alpha
 
     def survival(self, y, *cond):
-        raise NotImplementedError
+        """P(T > y | cond): 1 before the horizon."""
+        horizon, c = self._point(*cond)
+        law, _ = self._law(*c)
+        y = np.asarray(y, dtype=float)
+        # times before the horizon lie outside the ordered region: clamp,
+        # then the y < horizon branch overrides with probability 1
+        s = law(np.minimum(self.marginal.sf(y), c[-1]))
+        return _scalar_like(np.where(y < horizon, 1.0, s), y, *cond)
+
+    def alpha(self, *cond):
+        """P(T > horizon | cond) before renormalization: the continuous share."""
+        _, c = self._point(*cond)
+        law, alpha = self._law(*c)
+        return _scalar_like(law(c[-1]) if alpha is None else alpha, *cond)
 
     def quantile(self, w, *cond):
         """Generalized inverse of the conditional survival at level w."""
         w = _as_level(w)
-        zhi = self._zhi(*cond)
-        shape = np.broadcast_shapes(np.shape(w), np.shape(zhi))
+        horizon, c = self._point(*cond)
+        law, alpha = self._law(*c)
+        shape = np.broadcast_shapes(np.shape(w), np.shape(c[-1]))
         w_b = np.broadcast_to(w, shape)
-        zhi_b = np.broadcast_to(zhi, shape)
-        atom = self._atom_mask(w_b, *cond)
-        root = _bisect_increasing(self._law(*cond), zhi_b, w_b, skip=atom)
+        # levels at or above alpha sit in the atom at the horizon
+        atom = None if self.require_alive or alpha is None else w_b >= alpha
+        root = _bisect_increasing(law, np.broadcast_to(c[-1], shape), w_b, skip=atom)
         y = self.marginal.inv_sf(root)
         if atom is not None:
-            horizon = np.broadcast_to(self._horizon(*cond), shape)
             y = np.where(atom, horizon, y)
         return _scalar_like(y, w, *cond)
 
@@ -147,24 +194,20 @@ class _PredictorCore:
 
     def mean(self, *cond):
         """Conditional mean: horizon + integral of the survival tail."""
-        shape = np.broadcast_shapes(*(np.shape(c) for c in cond))
-        horizon = np.broadcast_to(np.asarray(self._horizon(*cond), dtype=float), shape)
-        zhi = np.broadcast_to(np.asarray(self._zhi(*cond), dtype=float), shape)
-        conds = [np.broadcast_to(np.asarray(c, dtype=float), shape) for c in cond]
+        shape = np.broadcast_shapes(*(np.shape(x) for x in cond))
+        horizon, c = self._point(*cond)
+        horizon = np.broadcast_to(horizon, shape)
+        zhi = np.broadcast_to(c[-1], shape)
+        conds = [np.broadcast_to(np.asarray(x, dtype=float), shape) for x in cond]
         out = np.empty(shape)
         for ix in np.ndindex(shape):
-            zmax = float(zhi[ix])
             tail = 0.0
-            if zmax > ZCUT:  # an empty range evaluates no law
-                law = self._law(*(c[ix] for c in conds))
-
-                def integrand(z):
-                    s = law(np.asarray(z))
-                    return float(s) / float(self.marginal.pdf(self.marginal.inv_sf(z)))
-
-                tail = _quad(integrand, ZCUT, zmax)
+            if zhi[ix] > ZCUT:  # an empty range evaluates no law
+                # the point's law from its own times, as a scalar call builds it
+                law, _ = self._law(*self._point(*(x[ix] for x in conds))[1])
+                tail = _tail_integral(law, self.marginal, float(zhi[ix]))
             out[ix] = horizon[ix] + tail
-        return _scalar_like(out[()] if shape == () else out, *cond)
+        return _scalar_like(out, *cond)
 
     def band(self, kind, level) -> PredictionBand:
         """Prediction band evaluators at the given coverage level."""
@@ -175,9 +218,7 @@ class _PredictorCore:
             lower = lambda *cond: self.quantile((1.0 + level) / 2.0, *cond)
             upper = lambda *cond: self.quantile((1.0 - level) / 2.0, *cond)
         elif kind == "bottom":
-            lower = lambda *cond: _scalar_like(
-                np.asarray(self._horizon(*cond), dtype=float), *cond
-            )
+            lower = lambda *cond: _scalar_like(self._point(*cond)[0], *cond)
             upper = lambda *cond: self.quantile(1.0 - level, *cond)
         else:
             raise OutOfRange(f"band kind must be 'centered' or 'bottom', got {kind!r}")
@@ -200,68 +241,14 @@ class EarlyFailurePredictor(_PredictorCore):
         self.marginal = marginal
         self.ordering = ordering
         self.require_alive = bool(require_alive)
+        self._num = self.dist.d1_ordered
+        self._base = self.dist.d1_at_zero_plus
+        self._den = self.dist.tail.derivative
+        self._degenerate = "marginal distortion derivative of the first failure vanished"
 
-    # -- z-space law -------------------------------------------------------
-
-    def _horizon(self, t):
-        return t
-
-    def _zhi(self, t):
-        return self.marginal.sf(t)
-
-    def _denominator(self, u):
-        den = self.dist.d1(u, np.ones_like(np.asarray(u, dtype=float)), side="tail")
-        if np.any(den == 0.0) or np.any(~np.isfinite(den)):
-            raise DegenerateDenominator(
-                "marginal distortion derivative of the first failure vanished"
-            )
-        return den
-
-    def _law(self, t):
-        u = np.asarray(self.marginal.sf(t), dtype=float)
-        den = self._denominator(u)
-        base = self.dist.d1_at_zero_plus(u)
-        a = None
-        if self.require_alive:
-            a = self._alpha_from(u, den, base)
-            if np.any(a == 0.0):
-                raise ZeroAlpha("system cannot survive the conditioning time")
-
-        def law(z):
-            z = np.asarray(z, dtype=float)
-            # d1(u, z) past the ordered region is its tail branch, which is den
-            num = np.where(z <= u, self.dist.d1_ordered(u, z), den) - base
-            s = np.clip(num / den, 0.0, 1.0)
-            if a is not None:
-                s = np.clip(s / a, 0.0, 1.0)
-            return s
-
-        return law
-
-    def _alpha_from(self, u, den, base):
-        return np.clip((self.dist.d1(u, u, side="ordered") - base) / den, 0.0, 1.0)
-
-    def alpha(self, t):
-        """P(T > t | T1 = t): the continuous share of the conditional law."""
-        u = np.asarray(self.marginal.sf(t), dtype=float)
-        a = self._alpha_from(u, self._denominator(u), self.dist.d1_at_zero_plus(u))
-        return _scalar_like(a, t)
-
-    def _atom_mask(self, w, t):
-        if self.ordering != "weak" or self.require_alive:
-            return None
-        a = np.broadcast_to(np.asarray(self.alpha(t)), w.shape)
-        return w >= a
-
-    def survival(self, y, t):
-        """P(T > y | T1 = t) (with survival conditioning if configured)."""
-        y = np.asarray(y, dtype=float)
+    def _point(self, t):
         t = np.asarray(t, dtype=float)
-        z = self.marginal.sf(y)
-        s = self._law(t)(z)
-        before = (y < t) if not self.require_alive else (y <= t)
-        out = np.where(before, 1.0, s)
-        return _scalar_like(out, y, t)
+        return t, (self.marginal.sf(t),)
 
 
 class TwoFailurePredictor(_PredictorCore):
@@ -270,60 +257,22 @@ class TwoFailurePredictor(_PredictorCore):
     def __init__(self, first, second, system, copula, marginal):
         self.dist = TrivariateDistortion(first, second, system, copula)
         self.marginal = marginal
+        self._num = self.dist.d12
+        self._base = self.dist.d12_at_zero_plus
+        self._den = self.dist.d12_boundary
+        self._degenerate = "mixed partial of the (T1, T2) law vanished at the conditioning point"
 
-    def _check_cond(self, t1, t2):
+    def _point(self, t1, t2):
         t1 = np.asarray(t1, dtype=float)
         t2 = np.asarray(t2, dtype=float)
         if np.any(t1 < 0) or np.any(t2 < t1):
             raise OutOfRange("conditioning times must satisfy 0 <= t1 <= t2")
-        return t1, t2
-
-    def _horizon(self, t1, t2):
-        return t2
-
-    def _zhi(self, t1, t2):
-        self._check_cond(t1, t2)
-        return self.marginal.sf(t2)
-
-    def _law(self, t1, t2):
-        t1, t2 = self._check_cond(t1, t2)
-        u = np.asarray(self.marginal.sf(t1), dtype=float)
-        v = np.asarray(self.marginal.sf(t2), dtype=float)
-        den = self.dist.d12_boundary(u, v)
-        if np.any(den == 0.0) or np.any(~np.isfinite(den)):
-            raise DegenerateDenominator(
-                "mixed partial of the (T1, T2) law vanished at the conditioning point"
-            )
-        base = self.dist.d12_at_zero_plus(u, v)
-
-        def law(z):
-            num = self.dist.d12(u, v, np.asarray(z, dtype=float)) - base
-            return np.clip(num / den, 0.0, 1.0)
-
-        return law
-
-    def survival(self, y, t1, t2):
-        """P(T > y | T1 = t1, T2 = t2)."""
-        t1, t2 = self._check_cond(t1, t2)
-        y = np.asarray(y, dtype=float)
-        # times before t2 land outside the ordered region; clamp, then the
-        # y < t2 branch overrides with probability 1
-        z = np.minimum(self.marginal.sf(y), self.marginal.sf(t2))
-        s = self._law(t1, t2)(z)
-        out = np.where(y < t2, 1.0, s)
-        return _scalar_like(out, y, t1, t2)
+        return t2, (self.marginal.sf(t1), self.marginal.sf(t2))
 
 
 def system_mean(structure, copula, marginal):
     """E(T) by quadrature of the univariate distortion in survival scale."""
-    q = build_univariate(structure, copula)
-
-    def integrand(z):
-        return float(q.value(np.asarray(z))) / float(
-            marginal.pdf(marginal.inv_sf(z))
-        )
-
-    return _quad(integrand, ZCUT, 1.0)
+    return _tail_integral(UnivariateDistortion(structure, copula).value, marginal, 1.0)
 
 
 def _check_kofn(n, r, s):
@@ -339,19 +288,11 @@ def kofn_quantile_factor(n, r, s, w):
 
     For exchangeable-free residual lifetimes the conditional law of the s-th
     ordered failure given the r-th at t satisfies F-bar(y)/F-bar(t) = rho with
-    survival I_rho(n-s+1, s-r); this solves I_rho = w for rho by monotone
-    bisection on the regularized incomplete beta function (|d rho| < 1e-10).
+    survival I_rho(n-s+1, s-r); this solves I_rho = w for rho with the inverse
+    regularized incomplete beta function.
     """
     _check_kofn(n, r, s)
-    w = float(_as_level(w))
-    lo, hi = 0.0, 1.0
-    while hi - lo >= 1e-10:
-        mid = 0.5 * (lo + hi)
-        if betainc(n - s + 1, s - r, mid) < w:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(betaincinv(n - s + 1, s - r, float(_as_level(w))))
 
 
 def kofn_survival(n, r, s, t, y, marginal):

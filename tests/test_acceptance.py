@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from syspredict import (
+    BivariateDistortion,
     TwoFailurePredictor,
     EarlyFailurePredictor,
-    build_bivariate,
-    build_trivariate,
-    build_univariate,
+    TrivariateDistortion,
+    UnivariateDistortion,
     coverage_experiment,
     coverage_table,
     empirical_conditional_check,
@@ -58,14 +58,14 @@ def test_acceptance_1_golden_distortions(
         assert max_abs(dist[1].value(U, V), want) < eps
         uo, vo = U[ord_mask], V[ord_mask]
         ut, vt = U[~ord_mask], V[~ord_mask]
-        assert max_abs(dist[1].d1(uo, vo, side="ordered"), d1_ord_ref(uo, vo)) < eps
-        assert max_abs(dist[1].d1(ut, vt, side="tail"), d1_tail_ref(ut, vt)) < eps
+        assert max_abs(dist[1].d1(uo, vo), d1_ord_ref(uo, vo)) < eps
+        assert max_abs(dist[1].d1(ut, vt), d1_tail_ref(ut, vt)) < eps
 
     with criterion(1, "golden distortions"):
         th = 1.0
         check_pair(
-            (build_univariate(relay, product3),
-             build_bivariate(first3, relay, product3)),
+            (UnivariateDistortion(relay, product3),
+             BivariateDistortion(first3, relay, product3)),
             lambda u: u + u * u - u ** 3,
             lambda u, v: u * u * v + u * v * v - v ** 3,
             lambda u, v: u ** 3,
@@ -73,8 +73,8 @@ def test_acceptance_1_golden_distortions(
             lambda u, v: 3 * u * u,
         )
         check_pair(
-            (build_univariate(gate, product3),
-             build_bivariate(first3, gate, product3)),
+            (UnivariateDistortion(gate, product3),
+             BivariateDistortion(first3, gate, product3)),
             lambda u: 2 * u * u - u ** 3,
             lambda u, v: 2 * u * v * v - v ** 3,
             lambda u, v: u ** 3,
@@ -82,8 +82,8 @@ def test_acceptance_1_golden_distortions(
             lambda u, v: 3 * u * u,
         )
         check_pair(
-            (build_univariate(gate, fgm1),
-             build_bivariate(first3, gate, fgm1)),
+            (UnivariateDistortion(gate, fgm1),
+             BivariateDistortion(first3, gate, fgm1)),
             lambda u: 2 * u * u - u ** 3 - th * u ** 3 * (1 - u) ** 3,
             lambda u, v: (2 * u * v * v + 2 * th * (u - u * u) * (v - v * v) ** 2
                           - v ** 3 - th * (v - v * v) ** 3),
@@ -94,7 +94,7 @@ def test_acceptance_1_golden_distortions(
 
         # dependent pair: joint survival of (first failure, system) through
         # the exponential marginal on a 50x50 time grid
-        d_cl = build_bivariate(first3, relay, clayton23)
+        d_cl = BivariateDistortion(first3, relay, clayton23)
         xs = np.linspace(0.0, 3.0, 50)
         for x in xs:
             ys = np.linspace(x, x + 4.0, 50)
@@ -104,7 +104,7 @@ def test_acceptance_1_golden_distortions(
 
         # exchangeable triple: the 13-term construction collapses to the
         # 4-term symmetric combination of copula values
-        tri = build_trivariate(first3, two_of_three, parallel3, fgm1)
+        tri = TrivariateDistortion(first3, two_of_three, parallel3, fgm1)
         pts = np.linspace(0.03, 0.97, 17)
         W3, V3, U3 = np.meshgrid(pts, pts, pts, indexing="ij")
         keep = (W3 <= V3) & (V3 <= U3)
@@ -222,9 +222,9 @@ def test_acceptance_4_derivative_oracles(
                         f"{type(cop).__name__} order {order} at {p}")
 
         designs = [
-            build_bivariate(first3, relay, product3),
-            build_bivariate(first3, gate, fgm1),
-            build_bivariate(first3, relay, clayton23),
+            BivariateDistortion(first3, relay, product3),
+            BivariateDistortion(first3, gate, fgm1),
+            BivariateDistortion(first3, relay, clayton23),
         ]
         u = rng.uniform(0.30, 0.90, 100)
         v_ord = u * rng.uniform(0.15, 0.80, 100)
@@ -233,16 +233,16 @@ def test_acceptance_4_derivative_oracles(
         for d in designs:
             fd1 = (d.value(u + h1, v_ord) - d.value(u - h1, v_ord)) / (2 * h1)
             assert np.allclose(
-                d.d1(u, v_ord, side="ordered"), fd1, rtol=rtol, atol=1e-8)
+                d.d1(u, v_ord), fd1, rtol=rtol, atol=1e-8)
             fd1t = (d.value(u + h1, v_tail) - d.value(u - h1, v_tail)) / (2 * h1)
             assert np.allclose(
-                d.d1(u, v_tail, side="tail"), fd1t, rtol=rtol, atol=1e-8)
+                d.d1(u, v_tail), fd1t, rtol=rtol, atol=1e-8)
             fd12 = (d.value(u + h2, v_ord + h2) - d.value(u + h2, v_ord - h2)
                     - d.value(u - h2, v_ord + h2)
                     + d.value(u - h2, v_ord - h2)) / (4 * h2 * h2)
             assert np.allclose(d.d12(u, v_ord), fd12, rtol=rtol, atol=1e-7)
 
-        tri = build_trivariate(first3, two_of_three, parallel3, fgm1)
+        tri = TrivariateDistortion(first3, two_of_three, parallel3, fgm1)
         ut = rng.uniform(0.55, 0.95, 100)
         vt = ut - rng.uniform(0.12, 0.25, 100)
         wt = vt - rng.uniform(0.12, 0.25, 100)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from syspredict import (
+    BivariateDistortion,
     ClaytonPairCopula,
     FGMCopula,
     ProductCopula,
-    build_bivariate,
-    build_trivariate,
-    build_univariate,
+    TrivariateDistortion,
+    UnivariateDistortion,
     k_out_of_n,
     parallel,
     series,
@@ -23,17 +23,17 @@ def _interior(seed, count, lo=0.03, hi=0.97):
 
 def _all_bivariate_designs(relay, gate, first3, product3, fgm1, clayton23):
     return [
-        build_bivariate(first3, relay, product3),
-        build_bivariate(first3, relay, clayton23),
-        build_bivariate(first3, gate, product3),
-        build_bivariate(first3, gate, fgm1),
+        BivariateDistortion(first3, relay, product3),
+        BivariateDistortion(first3, relay, clayton23),
+        BivariateDistortion(first3, gate, product3),
+        BivariateDistortion(first3, gate, fgm1),
     ]
 
 
 def test_univariate_golden(relay, gate, first3, product3):
-    q_relay = build_univariate(relay, product3)
-    q_gate = build_univariate(gate, product3)
-    q_gate_fgm = build_univariate(gate, FGMCopula(theta=0.4, n=3))
+    q_relay = UnivariateDistortion(relay, product3)
+    q_gate = UnivariateDistortion(gate, product3)
+    q_gate_fgm = UnivariateDistortion(gate, FGMCopula(theta=0.4, n=3))
     for u in np.linspace(0.0, 1.0, 101):
         assert q_relay.value(u) == pytest.approx(u + u * u - u**3, abs=1e-14)
         assert q_gate.value(u) == pytest.approx(2 * u * u - u**3, abs=1e-14)
@@ -50,7 +50,7 @@ def test_univariate_golden(relay, gate, first3, product3):
 def test_univariate_derivative(relay, first3, product3, clayton23):
     for cop in (product3, clayton23):
         for struct in (relay, first3):
-            q = build_univariate(struct, cop)
+            q = UnivariateDistortion(struct, cop)
             for u in _interior(11, 30, 0.05, 0.95):
                 h = 1e-6
                 num = (q.value(u + h) - q.value(u - h)) / (2 * h)
@@ -58,7 +58,7 @@ def test_univariate_derivative(relay, first3, product3, clayton23):
 
 
 def test_bivariate_relay_product(relay, first3, product3):
-    d = build_bivariate(first3, relay, product3)
+    d = BivariateDistortion(first3, relay, product3)
     u = _interior(21, 40)
     v = u * np.random.default_rng(22).uniform(0.0, 1.0, 40)
     np.testing.assert_allclose(d.value(u, v), u * u * v + u * v * v - v**3, atol=1e-14)
@@ -72,7 +72,7 @@ def test_bivariate_relay_product(relay, first3, product3):
 
 def test_bivariate_relay_clayton(relay, first3, clayton23):
     # derived oracle: differentiate the joint survival of the theta=1 design
-    d = build_bivariate(first3, relay, clayton23)
+    d = BivariateDistortion(first3, relay, clayton23)
     rng = np.random.default_rng(23)
     u = rng.uniform(0.05, 0.99, 60)
     v = u * rng.uniform(0.0, 1.0, 60)
@@ -86,7 +86,7 @@ def test_bivariate_relay_clayton(relay, first3, clayton23):
 
 
 def test_bivariate_gate_product(gate, first3, product3):
-    d = build_bivariate(first3, gate, product3)
+    d = BivariateDistortion(first3, gate, product3)
     rng = np.random.default_rng(24)
     u = rng.uniform(0.02, 1.0, 50)
     v = u * rng.uniform(0.0, 1.0, 50)
@@ -97,7 +97,7 @@ def test_bivariate_gate_product(gate, first3, product3):
 
 @pytest.mark.parametrize("theta", [1.0, -0.6])
 def test_bivariate_gate_fgm(gate, first3, theta):
-    d = build_bivariate(first3, gate, FGMCopula(theta=theta, n=3))
+    d = BivariateDistortion(first3, gate, FGMCopula(theta=theta, n=3))
     rng = np.random.default_rng(25)
     u = rng.uniform(0.02, 1.0, 50)
     v = u * rng.uniform(0.0, 1.0, 50)
@@ -118,7 +118,7 @@ def test_bivariate_gate_fgm(gate, first3, theta):
 
 def test_joint_survival_through_marginal(relay, first3, clayton23, exp1):
     """The (first failure, system) joint survival on x <= y, on a time grid."""
-    d = build_bivariate(first3, relay, clayton23)
+    d = BivariateDistortion(first3, relay, clayton23)
     xs = np.linspace(0.0, 3.0, 20)
     for x in xs:
         for y in np.linspace(x, 4.0, 20):
@@ -128,15 +128,15 @@ def test_joint_survival_through_marginal(relay, first3, clayton23, exp1):
 
 
 def test_term_structure(relay, first3, parallel3, two_of_three, product3, fgm1):
-    d = build_bivariate(first3, relay, product3)
+    d = BivariateDistortion(first3, relay, product3)
     assert d.terms == (
         (-1, ((), (1, 2, 3))),
         (1, ((1,), (2, 3))),
         (1, ((2, 3), (1,))),
     )
-    assert d.tail_terms == ((1, ((1, 2, 3),)),)
+    assert d.tail.terms == ((1, ((1, 2, 3),)),)
 
-    q = build_univariate(parallel3, product3)
+    q = UnivariateDistortion(parallel3, product3)
     coeffs = {ids[0]: c for c, ids in q.terms}
     assert coeffs == {
         (1,): 1, (2,): 1, (3,): 1,
@@ -144,7 +144,7 @@ def test_term_structure(relay, first3, parallel3, two_of_three, product3, fgm1):
         (1, 2, 3): 1,
     }
 
-    tri = build_trivariate(first3, two_of_three, parallel3, fgm1)
+    tri = TrivariateDistortion(first3, two_of_three, parallel3, fgm1)
     assert len(tri.terms) == 13
     assert sum(c for c, _ in tri.terms) == 1, "terms must sum to 1 at the corner"
 
@@ -153,7 +153,7 @@ def test_term_structure(relay, first3, parallel3, two_of_three, product3, fgm1):
 def test_trivariate_collapse(first3, two_of_three, parallel3, theta):
     """Order-statistic triple under an exchangeable copula: collapsed form."""
     cop = FGMCopula(theta=theta, n=3)
-    tri = build_trivariate(first3, two_of_three, parallel3, cop)
+    tri = TrivariateDistortion(first3, two_of_three, parallel3, cop)
 
     def chat(a, b, c):
         return a * b * c * (1 + theta * (1 - a) * (1 - b) * (1 - c))
@@ -215,7 +215,7 @@ def test_d12_matches_finite_differences(relay, gate, first3, two_of_three, paral
         ) / (4 * h * h)
         np.testing.assert_allclose(d.d12(u, v), num, rtol=1e-5, atol=1e-6)
 
-    tri = build_trivariate(first3, two_of_three, parallel3, fgm1)
+    tri = TrivariateDistortion(first3, two_of_three, parallel3, fgm1)
     for _ in range(20):
         w, v, u = np.sort(rng.uniform(0.2, 0.95, 3))
         v = max(v, w + 3 * h)
@@ -236,7 +236,7 @@ def test_zero_plus_limits(relay, gate, first3, two_of_three, parallel3,
         np.testing.assert_allclose(limit, 0.0, atol=1e-15)
         np.testing.assert_allclose(limit, d.d1(us, eps), atol=1e-6)
 
-    tri = build_trivariate(first3, two_of_three, parallel3, fgm1)
+    tri = TrivariateDistortion(first3, two_of_three, parallel3, fgm1)
     for u in us:
         v = 0.8 * u
         limit = tri.d12_at_zero_plus(u, v)
@@ -245,19 +245,18 @@ def test_zero_plus_limits(relay, gate, first3, two_of_three, parallel3,
 
 
 def test_d1_side_convention(relay, first3, product3):
-    d = build_bivariate(first3, relay, product3)
+    d = BivariateDistortion(first3, relay, product3)
     u = 0.6
-    # at the kink the two one-sided derivatives differ; the flag picks the side
-    assert d.d1(u, u, side="ordered") == pytest.approx(2 * u * u + u * u, abs=1e-14)
-    assert d.d1(u, u, side="tail") == pytest.approx(3 * u * u, abs=1e-14)
-    # away from the kink the flag is irrelevant
-    assert d.d1(0.7, 0.2, side="tail") == pytest.approx(d.d1(0.7, 0.2), abs=1e-15)
-    with pytest.raises(RegionError):
-        d.d1(0.5, 0.3, side="sideways")
+    # at the kink the two one-sided derivatives differ; d1 takes the ordered one
+    assert d.d1(u, u) == pytest.approx(2 * u * u + u * u, abs=1e-14)
+    assert d.d1_ordered(u, u) == d.d1(u, u)
+    # the tail side is the derivative of the first failure's distortion
+    assert d.tail.derivative(u) == pytest.approx(3 * u * u, abs=1e-14)
+    assert d.d1(u, 0.9) == d.tail.derivative(u)
 
 
 def test_region_and_mode_errors(first3, two_of_three, parallel3, fgm1):
-    tri = build_trivariate(first3, two_of_three, parallel3, fgm1)
+    tri = TrivariateDistortion(first3, two_of_three, parallel3, fgm1)
     with pytest.raises(RegionError):
         tri.value(0.3, 0.7, 0.1)
     with pytest.raises(RegionError):
@@ -266,9 +265,9 @@ def test_region_and_mode_errors(first3, two_of_three, parallel3, fgm1):
 
 def test_dimension_mismatch(relay, first3):
     with pytest.raises(DimensionMismatch):
-        build_univariate(relay, ProductCopula(4))
+        UnivariateDistortion(relay, ProductCopula(4))
     with pytest.raises(DimensionMismatch):
-        build_bivariate(first3, relay, FGMCopula(theta=0.5, n=5))
+        BivariateDistortion(first3, relay, FGMCopula(theta=0.5, n=5))
 
 
 def test_term_budget():
@@ -277,14 +276,14 @@ def test_term_budget():
     narrow = validate_structure(n, [list(range(1, n + 1))])
     cop = ProductCopula(n)
     with pytest.raises(TermLimitExceeded, match=r"22 path sets exceeds the 2\^20 term budget"):
-        build_bivariate(narrow, wide, cop)
+        BivariateDistortion(narrow, wide, cop)
     with pytest.raises(TermLimitExceeded, match="term budget"):
-        build_trivariate(narrow, k_out_of_n(21, n), wide, cop)
+        TrivariateDistortion(narrow, k_out_of_n(21, n), wide, cop)
     big = parallel(25)
     with pytest.raises(TermLimitExceeded, match="term budget"):
-        build_univariate(big, ProductCopula(25))
+        UnivariateDistortion(big, ProductCopula(25))
     # each expansion fits (2^11 - 1 and 2^10 - 1 merged terms), their product does not
     first = validate_structure(n, [[i] for i in range(1, 11)] + [list(range(11, n + 1))])
     system = validate_structure(n, [[i] for i in range(1, 10)] + [list(range(10, n + 1))])
     with pytest.raises(TermLimitExceeded, match=r"2094081 joint terms exceed the 2\^20"):
-        build_bivariate(first, system, cop)
+        BivariateDistortion(first, system, cop)

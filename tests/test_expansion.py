@@ -17,12 +17,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from syspredict import (
+    BivariateDistortion,
     EarlyFailurePredictor,
     ProductCopula,
+    TrivariateDistortion,
+    UnivariateDistortion,
     Weibull,
-    build_bivariate,
-    build_trivariate,
-    build_univariate,
     k_out_of_n,
     kofn_survival,
     series,
@@ -94,7 +94,7 @@ def _designs(draw, count, max_raw_bits):
 def test_univariate_terms_match_oracle(structures):
     (s,) = structures
     assert s.inclusion_exclusion().terms == oracle_univariate(s)
-    terms = build_univariate(s, ProductCopula(s.n)).terms
+    terms = UnivariateDistortion(s, ProductCopula(s.n)).terms
     assert terms == tuple((c, (_indices(m),)) for c, m in oracle_univariate(s))
 
 
@@ -102,7 +102,7 @@ def test_univariate_terms_match_oracle(structures):
 @settings(max_examples=60, deadline=None)
 def test_bivariate_terms_match_oracle(structures):
     first, system = structures
-    d = build_bivariate(first, system, ProductCopula(first.n))
+    d = BivariateDistortion(first, system, ProductCopula(first.n))
     assert d.terms == oracle_joint(first, system)
 
 
@@ -110,7 +110,7 @@ def test_bivariate_terms_match_oracle(structures):
 @settings(max_examples=60, deadline=None)
 def test_trivariate_terms_match_oracle(structures):
     first, second, system = structures
-    d = build_trivariate(first, second, system, ProductCopula(first.n))
+    d = TrivariateDistortion(first, second, system, ProductCopula(first.n))
     assert d.terms == oracle_joint(first, second, system)
 
 
@@ -118,7 +118,7 @@ def test_trivariate_terms_match_oracle(structures):
 def test_kofn_terms_match_oracle(k, n):
     s = k_out_of_n(k, n)
     assert s.inclusion_exclusion().terms == oracle_univariate(s)
-    d = build_bivariate(series(n), s, ProductCopula(n))
+    d = BivariateDistortion(series(n), s, ProductCopula(n))
     assert d.terms == oracle_joint(series(n), s)
 
 
@@ -128,7 +128,7 @@ def test_cancelled_union_is_dropped():
     terms = s.inclusion_exclusion().terms
     assert terms == oracle_univariate(s)
     assert 0b11111 not in [m for _, m in terms]
-    assert build_bivariate(series(5), s, ProductCopula(5)).terms == oracle_joint(series(5), s)
+    assert BivariateDistortion(series(5), s, ProductCopula(5)).terms == oracle_joint(series(5), s)
 
 
 @pytest.mark.parametrize("n, merged", [(7, 120), (10, 1013)])

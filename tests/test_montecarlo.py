@@ -119,8 +119,6 @@ def test_simulate_is_reproducible(first3, relay, clayton23, exp1):
 def test_simulate_errors(first3, relay, product3, exp1):
     with pytest.raises(OutOfRange):
         simulate(first3, relay, product3, exp1, size=0, seed=1)
-    with pytest.raises(OutOfRange):
-        simulate(first3, relay, product3, exp1, size=10, seed=1, method="magic")
 
 
 def test_verify_ordering(first3, relay, gate, product3, exp1):

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import beta as beta_dist
 
 from syspredict import (
+    ClaytonPairCopula,
     EarlyFailurePredictor,
     Exponential,
     FGMCopula,
@@ -10,7 +11,9 @@ from syspredict import (
     TwoFailurePredictor,
     Weibull,
     kofn_quantile_factor,
+    k_out_of_n,
     kofn_survival,
+    series,
     system_mean,
 )
 from syspredict.errors import (
@@ -162,6 +165,27 @@ def test_alive_equals_weak_over_alpha(gate_weak, gate_alive, gate_fgm_weak,
                 assert alive.survival(y, t) == pytest.approx(
                     weak.survival(y, t) / a, abs=1e-12
                 )
+
+
+@pytest.mark.parametrize("design", ["gate", "two_of_four", "clayton_gate"])
+def test_survival_at_the_horizon(design, first3, gate, product3, exp1):
+    """S(t | t) is alpha(t); alive renormalizes it to 1 but keeps alpha(t) the share."""
+    first, system, copula = {
+        "gate": (first3, gate, product3),
+        "two_of_four": (series(4), k_out_of_n(2, 4), FGMCopula(theta=-0.6, n=4)),
+        "clayton_gate": (first3, gate, ClaytonPairCopula(theta=2.5, n=3, pair=(1, 2))),
+    }[design]
+    preds = {mode: EarlyFailurePredictor(first, system, copula, exp1,
+                                         ordering="strict" if mode == "strict" else "weak",
+                                         require_alive=mode == "alive")
+             for mode in ("strict", "weak", "alive")}
+    for t in (0.0, 0.4, 1.3):
+        for mode in ("strict", "weak"):
+            assert preds[mode].survival(t, t) == preds[mode].alpha(t)
+        assert preds["alive"].survival(t, t) == 1.0
+        assert preds["alive"].alpha(t) == preds["weak"].alpha(t)
+        if design != "two_of_four":
+            assert preds["weak"].alpha(t) < 0.9, "the gate can fail at the first failure"
 
 
 def test_gate_fgm_alpha_is_theta_free(first3, gate, exp1):

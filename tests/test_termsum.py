@@ -233,44 +233,57 @@ def _count(monkeypatch, cls, name, counts):
     monkeypatch.setattr(cls, name, counted)
 
 
-@pytest.mark.parametrize("mode", ["one", "two"])
+@pytest.mark.parametrize("mode", ["one", "weak", "two"])
 def test_scalar_quantile_call_budget(monkeypatch, mode):
-    """One copula call per term sum, one term sum per law evaluation, z-free terms once."""
+    """One copula call per term sum, one term sum per law evaluation, z-free terms once.
+
+    A law's z-free sums are its denominator and its zero-plus term; a weak
+    law adds one evaluation at the horizon for alpha, which both the atom
+    mask and the law reuse.
+    """
     copula = FGMCopula(theta=0.5, n=4)
-    if mode == "one":
-        pred = EarlyFailurePredictor(series(4), k_out_of_n(2, 4), copula,
-                                     Exponential(1.0), ordering="strict")
-        cond = (0.3,)
-        # the denominator d1(u, 1) sums the ordered branch and the tail branch
-        once, z_free_sums = [(BivariateDistortion, "d1_at_zero_plus"),
-                             (UnivariateDistortion, "derivative")], 3
+    if mode == "two":
+        once = [(TrivariateDistortion, "d12_at_zero_plus"),
+                (TrivariateDistortion, "d12_boundary")]
     else:
-        pred = TwoFailurePredictor(series(4), k_out_of_n(3, 4), k_out_of_n(2, 4),
-                                   copula, Exponential(1.0))
-        cond = (0.3, 0.6)
-        once, z_free_sums = [(TrivariateDistortion, "d12_at_zero_plus"),
-                             (TrivariateDistortion, "d12_boundary")], 2
+        once = [(BivariateDistortion, "d1_at_zero_plus"), (UnivariateDistortion, "derivative")]
     counts = {}
     _count(monkeypatch, SurvivalCopula, "partial", counts)
     _count(monkeypatch, FGMCopula, "eval", counts)
     _count(monkeypatch, _TermSum, "_sum", counts)
     for cls, name in once:
         _count(monkeypatch, cls, name, counts)
-    law = pred._law
+    # a predictor binds its distortion callables when built: build it after the counters
+    if mode == "two":
+        pred = TwoFailurePredictor(series(4), k_out_of_n(3, 4), k_out_of_n(2, 4),
+                                   copula, Exponential(1.0))
+        cond = (0.3, 0.6)
+    elif mode == "one":
+        pred = EarlyFailurePredictor(series(4), k_out_of_n(2, 4), copula, Exponential(1.0),
+                                     ordering="strict")
+        cond = (0.3,)
+    else:
+        # component 1 in series with a 2-of-3 block: alpha = 3/4 at theta = 0
+        gate4 = validate_structure(4, [[1, 2], [1, 3], [1, 4]])
+        pred = EarlyFailurePredictor(series(4), gate4, copula, Exponential(1.0),
+                                     ordering="weak")
+        cond = (0.3,)
+    extra_sums = 3 if mode == "weak" else 2
+    build = pred._law
 
-    def counted_law(*args):
-        inner = law(*args)
+    def counted_build(*c):
+        inner, alpha = build(*c)
 
         def evaluate(z):
             counts["law"] = counts.get("law", 0) + 1
             return inner(z)
 
-        return evaluate
+        return evaluate, alpha
 
-    monkeypatch.setattr(pred, "_law", counted_law)
+    monkeypatch.setattr(pred, "_law", counted_build)
     pred.quantile(0.5, *cond)
     assert counts["law"] > 35  # the bracket check and every bisection step
-    assert counts["_sum"] == counts["law"] + z_free_sums
+    assert counts["_sum"] == counts["law"] + extra_sums
     assert counts["partial"] + counts.get("eval", 0) == counts["_sum"]
     for _, name in once:
         assert counts[name] == 1
