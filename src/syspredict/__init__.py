@@ -24,7 +24,6 @@ from .montecarlo import (
     sample_components,
     simulate,
     survival_uniforms,
-    survival_uniforms_numeric,
     verify_ordering,
 )
 from .predictor import (
@@ -82,7 +81,6 @@ __all__ = [
     "series",
     "simulate",
     "survival_uniforms",
-    "survival_uniforms_numeric",
     "system_mean",
     "validate_structure",
     "verify_ordering",

@@ -142,6 +142,9 @@ SCHEMA = {
     "additionalProperties": False,
 }
 
+# built once: jsonschema.validate would re-check SCHEMA itself on every load
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
 
 def load_config(path) -> dict:
     """Load and schema-validate a config document."""
@@ -155,11 +158,10 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(doc, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {error.message}") from error
     return doc
 
 

@@ -92,7 +92,7 @@ class NotInvertible(SysPredictError, ValueError):
 
 
 class QuadratureFailure(SysPredictError, ArithmeticError):
-    """Adaptive quadrature did not converge."""
+    """Mean quadrature missed its error tolerance, or F-bar(horizon) underflowed."""
 
 
 class InvalidOrder(SysPredictError, ValueError):

@@ -1,9 +1,9 @@
 """Common component-lifetime distributions.
 
 All identical components share one absolutely continuous marginal with
-support [0, inf).  Only the survival function, its inverse, and the density
-are needed; everything downstream works through F-bar, so any family with an
-exact inverse plugs in.
+support [0, inf).  Everything downstream works through the survival
+function and its inverse, so any family with an exact inverse plugs in; the
+density is offered for callers.
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 Sampling works in survival scale: draw V with the copula as its joint CDF
 (so V_i = F-bar(X_i) and smaller V means longer life), then push through the
 marginal inverse.  The FGM and Clayton-pair conditional inverses are closed
-form; a generic sequential conditional-inversion fallback (bisection on
-copula partials, n <= 4) cross-checks them.
+form.
 
 Reproducibility contract: every replication of the coverage experiment gets
 its own spawned child stream, so results do not depend on scheduling and any
@@ -75,45 +74,6 @@ def survival_uniforms(copula, U):
         )
         return V
     raise UnsupportedCopula(f"no sampler for {type(copula).__name__}")
-
-
-def survival_uniforms_numeric(copula, U):
-    """Generic fallback: sequential conditional inversion by bisection.
-
-    Coordinate i is inverted against its conditional CDF given coordinates
-    1..i-1, which needs copula partials of order i-1; hence n <= 4.
-    """
-    U = np.asarray(U, dtype=float)
-    if U.shape[-1:] != (copula.n,):
-        raise OutOfRange(f"uniform block must have {copula.n} columns")
-    n = copula.n
-    if n > 4 and not isinstance(copula, ProductCopula):
-        raise UnsupportedCopula("numeric conditional inversion supports n <= 4")
-    V = np.empty_like(U)
-    V[..., 0] = U[..., 0]
-    shape = U.shape[:-1]
-    for i in range(1, n):
-        given = tuple(range(1, i + 1))
-
-        def cond_cdf(q):
-            point = np.ones(shape + (n,))
-            point[..., :i] = V[..., :i]
-            point[..., i] = q
-            num = copula.partial(given, point)
-            point[..., i] = 1.0
-            den = copula.partial(given, point)
-            return num / den
-
-        lo = np.zeros(shape)
-        hi = np.ones(shape)
-        target = U[..., i]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            go_up = cond_cdf(mid) < target
-            lo = np.where(go_up, mid, lo)
-            hi = np.where(go_up, hi, mid)
-        V[..., i] = 0.5 * (lo + hi)
-    return V
 
 
 def components_from_uniforms(copula, marginal, U):

@@ -3,12 +3,14 @@ import json
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
 from syspredict import EarlyFailurePredictor, TwoFailurePredictor
 from syspredict.cli import main
 from syspredict.config import (
+    SCHEMA,
     grid_from,
     load_config,
     point_from,
@@ -51,6 +53,16 @@ def read_rows(path):
 
 # -- config loading ----------------------------------------------------------
 
+INVALID_DOCS = [
+    ({"mode": "sideways"}, "mode"),
+    ({"unknown_key": 1}, "<root>"),
+    ({"quantiles": [0.5, 1.5]}, "quantiles"),
+    ({"coverage": {"k": [], "replications": 5}}, "coverage"),
+    ({"grid": {"start": 0.0, "stop": 1.0}}, "grid"),
+    ({"marginal": {"family": "exponential", "mean": -1.0}}, "marginal"),
+]
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")
@@ -58,18 +70,21 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(bad)
-    for doc, where in [
-        ({"mode": "sideways"}, "mode"),
-        ({"unknown_key": 1}, "<root>"),
-        ({"quantiles": [0.5, 1.5]}, "quantiles"),
-        ({"coverage": {"k": [], "replications": 5}}, "coverage"),
-        ({"grid": {"start": 0.0, "stop": 1.0}}, "grid"),
-        ({"marginal": {"family": "exponential", "mean": -1.0}}, "marginal"),
-    ]:
+    for doc, where in INVALID_DOCS:
         p = tmp_path / "doc.json"
         p.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=f"config invalid at .*{where}"):
             load_config(p)
+
+
+def test_schema_is_valid_and_errors_match_jsonschema_validate(tmp_path):
+    jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+    for doc, _ in INVALID_DOCS:
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            load_config(write_cfg(tmp_path, doc))
+        assert str(got.value).endswith(f": {want.value.message}")
 
 
 def test_load_config_accepts_full_document(tmp_path):

@@ -1,5 +1,12 @@
+import math
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 from scipy.stats import beta as beta_dist
 
 from syspredict import (
@@ -13,13 +20,17 @@ from syspredict import (
     kofn_quantile_factor,
     k_out_of_n,
     kofn_survival,
+    parallel,
     series,
     system_mean,
+    validate_structure,
 )
 from syspredict.errors import (
     DegenerateDenominator,
     InvalidOrder,
+    NotInvertible,
     OutOfRange,
+    QuadratureFailure,
     ZeroAlpha,
 )
 
@@ -445,3 +456,98 @@ def test_weibull_marginal_relay(first3, relay, product3):
         y = p.quantile(w, t)
         assert y >= t
         assert p.survival(y, t) == pytest.approx(w, abs=1e-8)
+
+
+# -- large conditioning times and the mean rule ------------------------------
+
+@given(t=st.floats(0.0, 60.0))
+@settings(max_examples=60, deadline=None)
+def test_memoryless_relay_exponential(first3, relay, product3, exp1, t):
+    # exact offsets at any t: median -log(sqrt(2.5) - 1), mean 5/6
+    p = EarlyFailurePredictor(first3, relay, product3, exp1, ordering="strict")
+    assert p.median(t) - t == pytest.approx(-math.log(math.sqrt(2.5) - 1.0), abs=1e-9)
+    assert p.mean(t) - t == pytest.approx(5.0 / 6.0, abs=1e-9)
+
+
+@given(t=st.floats(0.0, 60.0), design=st.sampled_from([(4, 3), (5, 2), (6, 6), (10, 5)]),
+       w=st.floats(0.02, 0.98))
+@settings(max_examples=60, deadline=None)
+def test_memoryless_kofn_exponential(exp1, t, design, w):
+    # s-th failure of n IID Exp(1) from the first at t: the residual is the
+    # (s-1)-th order statistic of n-1 fresh lifetimes
+    n, s = design
+    p = EarlyFailurePredictor(series(n), k_out_of_n(n - s + 1, n), ProductCopula(n), exp1)
+    y = t + np.array([0.0, 0.3, 1.7])
+    np.testing.assert_allclose(p.survival(y, t), kofn_survival(n, 1, s, t, y, exp1),
+                               rtol=1e-9, atol=1e-12)
+    offset = -math.log(kofn_quantile_factor(n, 1, s, w))
+    assert p.quantile(w, t) - t == pytest.approx(offset, abs=1e-9)
+    harmonic = sum(1.0 / (n - 1 - i) for i in range(s - 1))
+    assert p.mean(t) - t == pytest.approx(harmonic, abs=1e-9)
+
+
+def _y_space_mean(p, *cond):
+    """Independent mean: adaptive quad_vec of the public survival over y."""
+    m = p.marginal
+    h = np.asarray(cond[-1], dtype=float)
+    # Weibull residual scale at h, so the relative tolerance means the same at any scale
+    sigma = m.scale * ((h / m.scale) ** m.shape + 1.0) ** (1.0 / m.shape) - h
+    total, err = integrate.quad_vec(lambda s: p.survival(h + sigma * s, *cond), 0.0, np.inf,
+                                    epsabs=0.0, epsrel=1e-12, norm="max", limit=2000)
+    assert err < 1e-11 * np.min(total)
+    return h + sigma * total
+
+
+@pytest.mark.parametrize("shape, scale", [(0.3, 1.0), (0.5, 1e4), (1.5, 1.0), (4.0, 1e-3)])
+@pytest.mark.parametrize("mode", ["strict", "weak", "alive", "two_failures"])
+def test_mean_matches_y_space_quadrature(shape, scale, mode, first3, relay, gate,
+                                         two_of_three, parallel3, fgm1):
+    m = Weibull(shape, scale)
+    if mode == "two_failures":
+        p = TwoFailurePredictor(first3, two_of_three, parallel3, fgm1, m)
+        cond = (m.inv_sf(np.array([1.0, 0.5, 1e-4, 1e-12])),
+                m.inv_sf(np.array([0.5, 0.4, 1e-5, 1e-20])))
+    else:
+        system = relay if mode == "strict" else gate
+        p = EarlyFailurePredictor(first3, system, fgm1, m, ordering=mode.replace("alive", "weak"),
+                                  require_alive=mode == "alive")
+        cond = (m.inv_sf(np.array([1.0, 0.3, 1e-4, 1e-12, 1e-40, 1e-100])),)
+    want = _y_space_mean(p, *cond)
+    got = p.mean(*cond)
+    np.testing.assert_allclose(got - cond[-1], want - cond[-1], rtol=1e-9, atol=0.0)
+
+
+def test_mean_quadrature_failure(first3, relay, product3):
+    # too steep a hazard for the fixed rule: the two levels disagree
+    p = EarlyFailurePredictor(first3, relay, product3, Weibull(30.0, 1.0))
+    with pytest.raises(QuadratureFailure, match="levels differ"):
+        p.mean(0.0)
+    with pytest.raises(QuadratureFailure):
+        system_mean(relay, product3, Weibull(30.0, 1.0))
+
+
+def test_mean_raises_when_the_horizon_survival_underflows(exp1):
+    # T1 = max(X1, min(X2, X3, X4)) keeps a nonzero density at F-bar = 0, so the
+    # law builds; the tail past an underflowed horizon has no scale
+    first = validate_structure(4, [[1], [2, 3, 4]])
+    p = EarlyFailurePredictor(first, parallel(4), ProductCopula(4), exp1, ordering="weak")
+    assert p.mean(1.0) > 1.0
+    with pytest.raises(QuadratureFailure, match="underflows"):
+        p.mean(800.0)
+
+
+def test_not_invertible_level(first3, gate, product3, exp1):
+    # strict ordering on a design whose first failure can be the system's:
+    # levels above alpha(t) = 2/3 have no root in (0, F-bar(t)]
+    p = EarlyFailurePredictor(first3, gate, product3, exp1, ordering="strict")
+    assert p.alpha(0.5) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    p.quantile(0.5, 0.5)
+    with pytest.raises(NotInvertible):
+        p.quantile(0.9, 0.5)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, syspredict; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
