@@ -517,13 +517,17 @@ def test_mean_matches_y_space_quadrature(shape, scale, mode, first3, relay, gate
     np.testing.assert_allclose(got - cond[-1], want - cond[-1], rtol=1e-9, atol=0.0)
 
 
-def test_mean_quadrature_failure(first3, relay, product3):
+def test_mean_quadrature_failure(first3, relay, parallel3, product3):
     # too steep a hazard for the fixed rule: the two levels disagree
     p = EarlyFailurePredictor(first3, relay, product3, Weibull(30.0, 1.0))
-    with pytest.raises(QuadratureFailure, match="levels differ"):
+    with pytest.raises(QuadratureFailure, match="error estimate"):
         p.mean(0.0)
     with pytest.raises(QuadratureFailure):
         system_mean(relay, product3, Weibull(30.0, 1.0))
+    # so heavy a tail that it outlasts the last node (levels agree to 1.4e-9,
+    # the cut-off tail is 1.2e-8 of the mean)
+    with pytest.raises(QuadratureFailure):
+        system_mean(parallel3, product3, Weibull(0.07, 1.0))
 
 
 def test_mean_raises_when_the_horizon_survival_underflows(exp1):
