@@ -99,10 +99,11 @@ class _TermSum:
     ``layout[k, i]``, or 1 where that entry is -1.  Each evaluation gathers
     the points of all its rows (one per term for `value`, one per term and
     differentiated coordinate or coordinate pair for the partials) into one
-    stacked array and makes one copula call, `eval` or a masked `partial`,
-    per chunk of at most CELLS cells (points x rows x n).  Rows are added in
-    term order by a running sum, so a total equals the term-by-term loop
-    bit for bit.
+    stacked array and makes one copula call, `eval` or the masked partial
+    kernel, per chunk of at most CELLS cells (points x rows x n).  A plan's
+    mask is validated once, when the plan is built.  Rows are added in term
+    order by a running sum, so a total equals the term-by-term loop bit for
+    bit.
     """
 
     def __init__(self, copula: SurvivalCopula, terms):
@@ -145,6 +146,7 @@ class _TermSum:
                 mask = np.zeros((len(rows), self.n), dtype=bool)
                 for r, (_, coords) in enumerate(rows):
                     mask[r, list(coords)] = True
+                self.copula._check_mask(mask)
             plan = (self._layout[terms], mask, self._coeffs[terms])
             self._plans[key] = plan
         return plan
@@ -166,7 +168,7 @@ class _TermSum:
             if mask is None:
                 part = self.copula.eval(points)
             else:
-                part = self.copula.partial(mask[rows], points)
+                part = self.copula._partial(mask[rows], self.copula._check_point(points))
             summands = coeffs[rows] * part
             summands[..., 0] += total
             total = np.cumsum(summands, axis=-1)[..., -1]

@@ -245,7 +245,7 @@ def _interval_offsets():
     Reference design: three independent exponential components, the system
     being the better of component 1 and the pair {2, 3} in series, predicted
     from its first failure (always strictly earlier).  Offsets are exact up
-    to the quantile bisection tolerance and scale linearly in the mean.
+    to the quantile solver tolerance and scale linearly in the mean.
     """
     from .predictor import EarlyFailurePredictor
 

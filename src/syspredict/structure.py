@@ -171,6 +171,13 @@ def _first_nested_pair(masks):
     return None
 
 
+def _check_n(n):
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise IndexOutOfRange(f"component count must be a positive integer, got {n!r}")
+    if n > MAX_COMPONENTS:
+        raise IndexOutOfRange(f"n={n} exceeds the {MAX_COMPONENTS}-component cap")
+
+
 def validate_structure(n, paths) -> SystemStructure:
     """Validate and normalize minimal path sets; raise on any defect.
 
@@ -179,10 +186,7 @@ def validate_structure(n, paths) -> SystemStructure:
     in another is an error (the family would not be minimal); so is a
     component that appears in no path set.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise IndexOutOfRange(f"component count must be a positive integer, got {n!r}")
-    if n > MAX_COMPONENTS:
-        raise IndexOutOfRange(f"n={n} exceeds the {MAX_COMPONENTS}-component cap")
+    _check_n(n)
     paths = list(paths)
     if not paths:
         raise EmptyPaths("at least one path set is required")
@@ -212,18 +216,25 @@ def validate_structure(n, paths) -> SystemStructure:
     return SystemStructure(n, tuple(sorted(masks)))
 
 
+# The builders below are minimal and cover every component by construction,
+# so they skip validate_structure's pairwise minimality scan.
+
 def series(n) -> SystemStructure:
     """All components in one path set: T = min of all lifetimes."""
-    return validate_structure(n, [list(range(1, n + 1))])
+    _check_n(n)
+    return SystemStructure(n, ((1 << n) - 1,))
 
 
 def parallel(n) -> SystemStructure:
     """Each component its own path set: T = max of all lifetimes."""
-    return validate_structure(n, [[j] for j in range(1, n + 1)])
+    _check_n(n)
+    return SystemStructure(n, tuple(1 << j for j in range(n)))
 
 
 def k_out_of_n(k, n) -> SystemStructure:
     """Works while at least k of n components work (path sets = k-subsets)."""
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
-    return validate_structure(n, [list(c) for c in combinations(range(1, n + 1), k)])
+    _check_n(n)
+    bits = [1 << j for j in range(n)]
+    return SystemStructure(n, tuple(sorted(sum(c) for c in combinations(bits, k))))

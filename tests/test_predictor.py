@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import beta as beta_dist
@@ -33,6 +33,7 @@ from syspredict.errors import (
     QuadratureFailure,
     ZeroAlpha,
 )
+from syspredict.predictor import BISECT_MAX, BISECT_TOL, _solve_increasing
 
 # closed-form offsets for IID exponentials, frozen from the analytic laws
 RELAY_MEDIAN = 0.5427656
@@ -548,6 +549,146 @@ def test_not_invertible_level(first3, gate, product3, exp1):
     p.quantile(0.5, 0.5)
     with pytest.raises(NotInvertible):
         p.quantile(0.9, 0.5)
+
+
+# -- the quantile solver against the bisection it replaced --------------------
+
+def oracle_bisect(f, hi, target, skip=None):
+    """Reference solver: vectorized bisection with the same bracket check and stop."""
+    hi = np.array(hi, dtype=float)
+    target = np.broadcast_to(np.asarray(target, dtype=float), hi.shape)
+    lo = np.zeros_like(hi)
+    active = np.ones(hi.shape, dtype=bool) if skip is None else ~skip
+    if np.any(f(hi)[active] < target[active]):
+        raise NotInvertible("survival level cannot be bracketed on (0, F-bar(t)]")
+    for _ in range(BISECT_MAX):
+        if np.all((hi - lo) <= BISECT_TOL * hi):
+            break
+        mid = 0.5 * (lo + hi)
+        go_up = f(mid) < target
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(go_up, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+SOLVER_COPULAS = {
+    "product": ProductCopula(3),
+    "fgm+": FGMCopula(theta=1.0, n=3),
+    "fgm-": FGMCopula(theta=-0.8, n=3),
+    "clayton": ClaytonPairCopula(pair=(2, 3), theta=2.5, n=3),
+}
+MODES = ("strict", "weak", "alive", "two")
+_copulas = st.sampled_from(sorted(SOLVER_COPULAS))
+_shapes = st.one_of(st.none(), st.floats(0.5, 4.0))  # None: Exp(1)
+_levels = st.floats(1e-6, 1.0 - 1e-6)
+
+
+def _marginal(shape):
+    """Exp(1), or a Weibull whose scale puts F-bar(60) at e^-40."""
+    return Exponential(1.0) if shape is None else Weibull(shape, 60.0 / 40.0 ** (1.0 / shape))
+
+
+def _solver_case(copula, shape, mode):
+    """Predictor of a reference design: relay (strict), gate (weak, alive) or two failures."""
+    m = _marginal(shape)
+    if mode == "two":
+        return TwoFailurePredictor(series(3), k_out_of_n(2, 3), parallel(3),
+                                   SOLVER_COPULAS[copula], m)
+    paths = [[1], [2, 3]] if mode == "strict" else [[1, 2], [1, 3]]
+    return EarlyFailurePredictor(series(3), validate_structure(3, paths), SOLVER_COPULAS[copula],
+                                 m, ordering="strict" if mode == "strict" else "weak",
+                                 require_alive=mode == "alive")
+
+
+def _cond(mode, t, frac=0.5):
+    return (frac * t, t) if mode == "two" else (t,)
+
+
+@given(copula=_copulas, shape=_shapes, mode=st.sampled_from(MODES), t=st.floats(0.0, 60.0),
+       frac=st.floats(0.0, 1.0), w=_levels)
+@settings(max_examples=300, deadline=None)
+def test_solver_matches_bisection(copula, shape, mode, t, frac, w):
+    p = _solver_case(copula, shape, mode)
+    _, c = p._point(*_cond(mode, t, frac))
+    try:
+        law, alpha = p._law(*c)
+    except DegenerateDenominator:
+        reject()  # the conditioning point has no law to invert
+    atom = None if p.require_alive or alpha is None else np.asarray(w >= alpha)
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return law(z)
+
+    got = _solve_increasing(counted, c[-1], w, skip=atom)
+    want = oracle_bisect(law, c[-1], w, skip=atom)
+    assert len(calls) <= BISECT_MAX + 1
+    if atom is not None and atom:
+        assert len(calls) == 1
+    assert abs(got - want) <= 2 * BISECT_TOL * want
+
+
+@given(copula=_copulas, shape=_shapes, mode=st.sampled_from(MODES), w=_levels)
+@settings(max_examples=40, deadline=None)
+def test_grid_quantiles_match_scalar_calls(copula, shape, mode, w):
+    p = _solver_case(copula, shape, mode)
+    cond = _cond(mode, np.linspace(0.0, 60.0, 13))
+    grid = p.quantile(w, *cond)
+    scalar = np.array([p.quantile(w, *(x[i] for x in cond)) for i in range(13)])
+    # the law's bits differ slightly between a grid and a scalar call, so the
+    # two solves agree to the stopping tolerance, not bit for bit
+    np.testing.assert_allclose(p.marginal.sf(grid), p.marginal.sf(scalar),
+                               rtol=2 * BISECT_TOL, atol=0.0)
+
+
+@given(copula=_copulas, shape=_shapes, t=st.floats(0.0, 60.0), frac=st.floats(0.01, 0.99))
+@settings(max_examples=60, deadline=None)
+def test_strict_gate_is_not_invertible_above_alpha(copula, shape, t, frac):
+    # strict ordering on the gate: the first failure can be the system's, so
+    # levels above alpha(t) < 1 have no root in (0, F-bar(t)]
+    gate = validate_structure(3, [[1, 2], [1, 3]])
+    p = EarlyFailurePredictor(series(3), gate, SOLVER_COPULAS[copula], _marginal(shape),
+                              ordering="strict")
+    a = p.alpha(t)
+    assert p.quantile(frac * a, t) >= t
+    with pytest.raises(NotInvertible):
+        p.quantile(a + (1.0 - a) * frac, t)
+
+
+@given(copula=_copulas, shape=_shapes, t=st.floats(0.0, 60.0), frac=st.floats(0.0, 0.99))
+@settings(max_examples=40, deadline=None)
+def test_atom_levels_return_the_horizon_after_one_law_call(copula, shape, t, frac):
+    p = _solver_case(copula, shape, "weak")
+    a = p.alpha(t)
+    w = a + (1.0 - a) * frac
+    calls = []
+    build = p._law
+
+    def counted_build(*c):
+        law, alpha = build(*c)
+
+        def counted(z):
+            calls.append(z)
+            return law(z)
+
+        return counted, alpha
+
+    p._law = counted_build
+    assert p.quantile(w, t) == t
+    assert len(calls) == 1
+
+
+@given(copula=_copulas, shape=st.floats(0.5, 4.0),
+       mode=st.sampled_from(["strict", "alive", "two"]), t=st.floats(0.0, 60.0),
+       level=st.sampled_from([0.5, 0.9]))
+@settings(max_examples=80, deadline=None)
+def test_centered_bands_are_ordered(copula, shape, mode, t, level):
+    p = _solver_case(copula, shape, mode)
+    cond = _cond(mode, t)
+    band = p.band("centered", level)
+    lower, median, upper = band.lower(*cond), p.median(*cond), band.upper(*cond)
+    assert t <= lower < median < upper
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +146,32 @@ def test_k_out_of_n_bounds():
         k_out_of_n(4, 3)
     assert k_out_of_n(1, 4).paths == parallel(4).paths
     assert k_out_of_n(4, 4).paths == series(4).paths
+    for build in (series, parallel, lambda n: k_out_of_n(1, n)):
+        with pytest.raises(IndexOutOfRange):
+            build(65)
+        with pytest.raises(IndexOutOfRange):
+            build(3.0)
+    with pytest.raises(IndexOutOfRange):
+        series(0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_builders_equal_validated_structures(n):
+    # the builders skip the minimality scan: they must build what it accepts
+    comps = range(1, n + 1)
+    assert series(n) == validate_structure(n, [comps])
+    assert parallel(n) == validate_structure(n, [[j] for j in comps])
+    for k in comps:
+        assert k_out_of_n(k, n) == validate_structure(n, itertools.combinations(comps, k))
+
+
+def test_wide_k_out_of_n_builds_without_the_scan():
+    start = time.perf_counter()
+    s = k_out_of_n(10, 20)  # 184,756 path sets: the scan alone took about 47 s
+    assert time.perf_counter() - start < 1.0
+    assert s.r == 184756
+    with pytest.raises(TermLimitExceeded):
+        s.inclusion_exclusion()
 
 
 def _oracle_nested_message(n, paths):

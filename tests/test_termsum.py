@@ -161,13 +161,13 @@ def test_large_grid_stays_within_cell_budget(monkeypatch):
     copula = ProductCopula(10)
     d = BivariateDistortion(first, system, copula)
     largest = []
-    original = SurvivalCopula.partial
+    original = ProductCopula._partial
 
-    def spy(self, indices, u):
-        largest.append(np.size(u))
-        return original(self, indices, u)
+    def spy(self, mask, arr):
+        largest.append(np.size(arr))
+        return original(self, mask, arr)
 
-    monkeypatch.setattr(SurvivalCopula, "partial", spy)
+    monkeypatch.setattr(ProductCopula, "_partial", spy)
     u = np.linspace(0.0, 1.0, 2000)
     got = d.d1(u, 0.5 * u)
     assert max(largest) <= distortion.CELLS
@@ -248,7 +248,7 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     else:
         once = [(BivariateDistortion, "d1_at_zero_plus"), (UnivariateDistortion, "derivative")]
     counts = {}
-    _count(monkeypatch, SurvivalCopula, "partial", counts)
+    _count(monkeypatch, FGMCopula, "_partial", counts)
     _count(monkeypatch, FGMCopula, "eval", counts)
     _count(monkeypatch, _TermSum, "_sum", counts)
     for cls, name in once:
@@ -282,11 +282,23 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
 
     monkeypatch.setattr(pred, "_law", counted_build)
     pred.quantile(0.5, *cond)
-    assert counts["law"] > 35  # the bracket check and every bisection step
+    assert counts["law"] <= 16  # the bracket check and every solver step
     assert counts["_sum"] == counts["law"] + extra_sums
-    assert counts["partial"] + counts.get("eval", 0) == counts["_sum"]
+    assert counts["_partial"] + counts.get("eval", 0) == counts["_sum"]
     for _, name in once:
         assert counts[name] == 1
+
+
+def test_plan_masks_are_validated_once(monkeypatch):
+    pred = EarlyFailurePredictor(series(4), k_out_of_n(2, 4), FGMCopula(theta=0.5, n=4),
+                                 Exponential(1.0))
+    pred.quantile(0.5, 0.3)  # builds every plan the solve uses
+    counts = {}
+    _count(monkeypatch, SurvivalCopula, "_check_mask", counts)
+    _count(monkeypatch, SurvivalCopula, "_check_point", counts)
+    pred.quantile(0.5, 0.3)
+    assert "_check_mask" not in counts
+    assert counts["_check_point"] > 0  # the points are still checked on every call
 
 
 def test_build_expands_each_structure_once(monkeypatch):
