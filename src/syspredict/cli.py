@@ -12,14 +12,13 @@ the command line; everything is deterministic given (config, seed).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from .config import grid_from, load_config, point_from, predictor_from, structure_from
 from .copula import copula_from_config
 from .errors import ConfigError, SysPredictError
 from .marginal import marginal_from_config
-from .montecarlo import coverage_table, simulate
+from .montecarlo import coverage_table, simulate, write_csv
 from .qr import detect_crossings, fit_lqr, fit_ols, load_xy
 
 CURVE_COLUMNS = ("t", "median", "mean", "lower_50", "upper_50", "lower_90", "upper_90")
@@ -29,15 +28,6 @@ FITQR_COLUMNS = ("tau", "intercept", "slope", "loss")
 
 def _fmt(value):
     return f"{float(value):.9g}"
-
-
-def _write_csv(path, header, rows):
-    # RFC 4180: csv defaults give CRLF line endings and minimal quoting
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
 
 
 def _resolve_out(args, cfg):
@@ -67,7 +57,7 @@ def cmd_curves(args, cfg):
     band90 = predictor.band(kind, 0.9)
     columns = [grid, predictor.median(grid), predictor.mean(grid),
                band50.lower(grid), band50.upper(grid), band90.lower(grid), band90.upper(grid)]
-    _write_csv(out, CURVE_COLUMNS, zip(*columns))
+    write_csv(out, CURVE_COLUMNS, columns)
     print("command: curves")
     print(f"mode: {mode}")
     print(f"band_kind: {kind}")
@@ -126,11 +116,9 @@ def cmd_coverage(args, cfg):
     if "eval_draws" in section:
         kwargs["eval_draws"] = section["eval_draws"]
     reports = coverage_table(section["k"], section["replications"], seed, **kwargs)
-    rows = [
-        (str(r.k), str(r.replications), r.coverage50, r.se50, r.coverage90, r.se90)
-        for r in reports
-    ]
-    _write_csv(out, COVERAGE_COLUMNS, rows)
+    columns = [[str(r.k) for r in reports], [str(r.replications) for r in reports]]
+    columns += [[getattr(r, name) for r in reports] for name in COVERAGE_COLUMNS[2:]]
+    write_csv(out, COVERAGE_COLUMNS, columns)
     print("command: coverage")
     print(f"seed: {seed}")
     print(f"k: {','.join(str(r.k) for r in reports)}")
@@ -148,11 +136,10 @@ def cmd_fitqr(args, cfg):
     y_col = section.get("y", "t")
     pairs = load_xy(section["sample"], x_col=x_col, y_col=y_col)
     fits = [fit_lqr(pairs, tau) for tau in section["taus"]]
-    rows = [(_fmt(f.tau), f.intercept, f.slope, f.loss) for f in fits]
-    if section.get("ols", False):
-        ols = fit_ols(pairs)
-        rows.append(("", ols.intercept, ols.slope, ols.loss))
-    _write_csv(out, FITQR_COLUMNS, rows)
+    lines = fits + ([fit_ols(pairs)] if section.get("ols", False) else [])
+    columns = [["" if f.tau is None else _fmt(f.tau) for f in lines]]
+    columns += [[getattr(f, name) for f in lines] for name in FITQR_COLUMNS[1:]]
+    write_csv(out, FITQR_COLUMNS, columns)
     crossings = detect_crossings(fits, float(pairs[:, 0].min()), float(pairs[:, 0].max()))
     print("command: fitqr")
     print(f"sample: {section['sample']}")

@@ -7,13 +7,17 @@ form.
 
 Reproducibility contract: every replication of the coverage experiment gets
 its own spawned child stream, so results do not depend on scheduling and any
-subset of replications can be reproduced in isolation.
+subset of replications can be reproduced in isolation.  The streams are drawn
+in order into stacked blocks of replications, and the statistics are axis-wise
+reductions over each block, equal bit for bit to one replication at a time.
+
+`write_csv` is the one CSV writer: the sample files here and every CLI table.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -30,6 +34,8 @@ from .marginal import Exponential
 from .structure import SystemStructure, series, validate_structure
 
 MIN_BIN_ROWS = 500
+CSV_BLOCK_ROWS = 1024  # rows formatted per write
+COVERAGE_CELLS = 1 << 16  # uniforms in each stacked block of replications
 
 
 def _seed_sequence(seed):
@@ -87,6 +93,26 @@ def sample_components(copula, marginal, rng, size):
     return components_from_uniforms(copula, marginal, U)
 
 
+# -- CSV output --------------------------------------------------------------
+
+def write_csv(path, header, columns):
+    """Write equal-length columns under `header` as CSV with CRLF row ends.
+
+    Numeric cells print as `%.9g`; string columns print as they are.  No
+    cell is quoted, so names and strings must hold no comma, quote or line
+    break (and a one-column table no empty string): the bytes then equal
+    `csv.writer`'s.  Rows are formatted CSV_BLOCK_ROWS at a time, with one
+    `%` on a repeated row template filled from column slices.
+    """
+    cols = [np.asarray(c) for c in columns]
+    row = ",".join("%s" if c.dtype.kind == "U" else "%.9g" for c in cols) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+            cells = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in cols]
+            fh.write(row * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
+
+
 # -- sample sets -------------------------------------------------------------
 
 @dataclass
@@ -113,12 +139,8 @@ class SampleSet:
         return cols
 
     def to_csv(self, path):
-        cols = self.columns()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([name for name, _ in cols])
-            for row in zip(*(vals for _, vals in cols)):
-                writer.writerow([f"{x:.9g}" for x in row])
+        names, values = zip(*self.columns())
+        write_csv(path, names, values)
 
 
 def simulate(first, system, copula, marginal, size, seed, second=None) -> SampleSet:
@@ -279,26 +301,28 @@ def _coverage(k, replications, seed, offs, *, score="same", eval_draws=None,
         raise InvalidK("need k >= 1 and replications >= 1")
     if score not in ("same", "fresh"):
         raise OutOfRange(f"score must be 'same' or 'fresh', got {score!r}")
-    root = _seed_sequence(seed)
+    m = (int(eval_draws) if eval_draws else k) if score == "fresh" else 0
+    scored = slice(k, None) if m else slice(None)
+    children = _seed_sequence(seed).spawn(replications)
+    step = max(1, COVERAGE_CELLS // (3 * (k + m)))
     cov50 = np.empty(replications)
     cov90 = np.empty(replications)
-    for i, child in enumerate(root.spawn(replications)):
-        rng = np.random.default_rng(child)
-        X = -np.log(rng.random((k, 3)))
-        t1 = X.min(axis=1)
-        mu_hat = 1.0 if exact_mu else 3.0 * t1.mean()
-        if score == "same":
-            st1, st = t1, np.maximum(X[:, 0], np.minimum(X[:, 1], X[:, 2]))
-        else:
-            m = int(eval_draws) if eval_draws else k
-            Y = -np.log(rng.random((m, 3)))
-            st1 = Y.min(axis=1)
-            st = np.maximum(Y[:, 0], np.minimum(Y[:, 1], Y[:, 2]))
-        cov50[i] = np.mean(
-            (st >= st1 + offs[0.75] * mu_hat) & (st <= st1 + offs[0.25] * mu_hat)
+    for start in range(0, replications, step):
+        # rows k.. of each replication's block are its fresh scoring draws
+        U = np.empty((min(step, replications - start), k + m, 3))
+        for u, child in zip(U, children[start:start + step]):
+            np.random.default_rng(child).random(out=u)
+        X = -np.log(U)
+        t1 = X.min(axis=2)
+        t = np.maximum(X[..., 0], np.minimum(X[..., 1], X[..., 2]))
+        mu_hat = 1.0 if exact_mu else 3.0 * t1[:, :k].mean(axis=1, keepdims=True)
+        st1, st = t1[:, scored], t[:, scored]
+        done = slice(start, start + U.shape[0])
+        cov50[done] = np.mean(
+            (st >= st1 + offs[0.75] * mu_hat) & (st <= st1 + offs[0.25] * mu_hat), axis=1
         )
-        cov90[i] = np.mean(
-            (st >= st1 + offs[0.95] * mu_hat) & (st <= st1 + offs[0.05] * mu_hat)
+        cov90[done] = np.mean(
+            (st >= st1 + offs[0.95] * mu_hat) & (st <= st1 + offs[0.05] * mu_hat), axis=1
         )
     dd = 1 if replications > 1 else 0
     return CoverageReport(

@@ -4,6 +4,7 @@ Each test exercises one acceptance criterion at its stated tolerance and
 prints one PASS/FAIL line on the real stdout (in addition to failing the
 normal pytest way), so a full run yields a one-line verdict per criterion.
 """
+import hashlib
 import json
 import sys
 from contextlib import contextmanager
@@ -398,23 +399,25 @@ def test_acceptance_7_qr_exactness(first3, relay, product3, exp1):
 
 # -- 8: CLI determinism ----------------------------------------------------------
 
+RELAY_DOC = {
+    "mode": "strict",
+    "structures": {"first": {"n": 3, "paths": [[1, 2, 3]]},
+                   "system": {"n": 3, "paths": [[1], [2, 3]]}},
+    "copula": {"family": "fgm", "n": 3, "theta": 1.0},
+    "marginal": {"family": "exponential", "mean": 1.0},
+    "grid": {"start": 0.0, "stop": 2.0, "count": 9},
+    "point": {"t1": 0.4},
+    "size": 400,
+    "seed": 11,
+}
+COVERAGE_DOC = {"coverage": {"k": [1, 4], "replications": 30}, "seed": 5}
+
+
 def test_acceptance_8_cli_determinism(tmp_path, capsys):
-    relay_doc = {
-        "mode": "strict",
-        "structures": {"first": {"n": 3, "paths": [[1, 2, 3]]},
-                       "system": {"n": 3, "paths": [[1], [2, 3]]}},
-        "copula": {"family": "fgm", "n": 3, "theta": 1.0},
-        "marginal": {"family": "exponential", "mean": 1.0},
-        "grid": {"start": 0.0, "stop": 2.0, "count": 9},
-        "point": {"t1": 0.4},
-        "size": 400,
-        "seed": 11,
-    }
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(relay_doc))
-    cov_doc = {"coverage": {"k": [1, 4], "replications": 30}, "seed": 5}
+    cfg.write_text(json.dumps(RELAY_DOC))
     cov_cfg = tmp_path / "cov.json"
-    cov_cfg.write_text(json.dumps(cov_doc))
+    cov_cfg.write_text(json.dumps(COVERAGE_DOC))
 
     def run(args):
         assert main(args) == 0
@@ -447,3 +450,43 @@ def test_acceptance_8_cli_determinism(tmp_path, capsys):
             assert outputs["a"][cmd] == outputs["b"][cmd], (
                 f"{cmd} output changed between identical runs")
             assert len(outputs["a"][cmd]) > 0
+
+
+# SHA-256 of every CSV the CLI writes for the acceptance-8 configs plus a
+# two-failure sample and a fresh-scored coverage table.  Acceptance 8 only
+# compares two runs of one build; these pin the bytes across builds, so a
+# change of number format, quoting or line ending fails here.
+GOLDEN_SHA256 = {
+    "simulate": "3948ba6876141a8067447ce237ce1ad325537865ae58e55562e79dda0aa9a284",
+    "simulate_two": "f3f67c9c03459b8b30b8e5564819c5e610e4015119a75675711fd3bad1185496",
+    "curves": "bb87bc4dee0ac8dc1e538faf307343c690986ca6fd68534e300c87bf69081a52",
+    "coverage": "9b18ea4df896b0e6c177a984d746fa49e7355f2e331cdd91e1e33297f02d8de4",
+    "coverage_fresh": "099b9bc76cc77735cfff49514fef1667cca6b0dca46023c7458a6dbd0ad1610b",
+    "fitqr": "290154b2ed3f055565981e22fb117014b7bd8c9b0861d12498076776f3fdc7ac",
+}
+
+
+def test_cli_output_digests(tmp_path, capsys):
+    second = {"n": 3, "paths": [[1, 2], [1, 3], [2, 3]]}
+    two_doc = dict(RELAY_DOC, size=150, seed=12,
+                   structures=dict(RELAY_DOC["structures"], second=second))
+    fresh_doc = {"coverage": {"k": [1, 3, 7], "replications": 25, "score": "fresh",
+                              "eval_draws": 6}, "seed": 8}
+    sim = tmp_path / "simulate.csv"
+    runs = {
+        "simulate": ("simulate", RELAY_DOC, sim),
+        "simulate_two": ("simulate", two_doc, tmp_path / "simulate_two.csv"),
+        "curves": ("curves", RELAY_DOC, tmp_path / "curves.csv"),
+        "coverage": ("coverage", COVERAGE_DOC, tmp_path / "coverage.csv"),
+        "coverage_fresh": ("coverage", fresh_doc, tmp_path / "coverage_fresh.csv"),
+        "fitqr": ("fitqr", {"fitqr": {"sample": str(sim), "taus": [0.25, 0.5, 0.75],
+                                      "ols": True}}, tmp_path / "fitqr.csv"),
+    }
+    digests = {}
+    for name, (command, doc, out) in runs.items():
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert digests == GOLDEN_SHA256

@@ -1,10 +1,15 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from syspredict import montecarlo
 from syspredict import (
     ClaytonPairCopula,
+    CoverageReport,
     EarlyFailurePredictor,
     FGMCopula,
     TwoFailurePredictor,
@@ -16,6 +21,7 @@ from syspredict import (
     survival_uniforms,
     verify_ordering,
 )
+from syspredict.montecarlo import CSV_BLOCK_ROWS, SampleSet, write_csv
 from syspredict.errors import (
     InsufficientBinCount,
     InvalidK,
@@ -270,3 +276,148 @@ def test_sampleset_csv_round_trip(tmp_path, first3, relay, fgm1, exp1):
     np.testing.assert_allclose(got[:, 4], s.t, rtol=1e-8)
     raw = open(path, "rb").read()
     assert b"\r\n" in raw, "output must use CRLF row endings"
+
+
+# -- the block CSV writer against the csv.writer loop it replaced -------------
+
+def oracle_write_csv(path, header, rows):
+    """Reference writer: csv.writer with each number formatted as `.9g`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell if isinstance(cell, str) else f"{float(cell):.9g}"
+                             for cell in row])
+
+
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 2.2e-308,
+                  1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 123456789.5]
+WORD = st.text(alphabet="abcXYZ019.+- e_", max_size=8)
+
+
+@st.composite
+def csv_tables(draw):
+    ncol = draw(st.integers(1, 8))
+    rows = draw(st.sampled_from([1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+                | st.integers(1, 3 * CSV_BLOCK_ROWS))
+    pool = np.array(draw(st.lists(st.floats(width=64), max_size=6)) + SPECIAL_FLOATS)
+    # a one-column table may not hold an empty string (csv.writer quotes it)
+    words = draw(st.lists(WORD.filter(bool) if ncol == 1 else WORD, min_size=1,
+                          max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for text in draw(st.lists(st.booleans(), min_size=ncol, max_size=ncol)):
+        if text:
+            col = [words[i] for i in rng.integers(len(words), size=rows)]
+            if ncol > 1:
+                col[0] = ""
+            columns.append(col)
+        else:
+            wide = rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 308, size=rows)
+            columns.append(np.where(rng.random(rows) < 0.3, rng.choice(pool, rows), wide))
+    return [f"c{j}" for j in range(ncol)], columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=csv_tables())
+def test_write_csv_matches_csv_writer(tmp_path_factory, table):
+    header, columns = table
+    d = tmp_path_factory.mktemp("csv")
+    write_csv(d / "block.csv", header, columns)
+    oracle_write_csv(d / "oracle.csv", header, zip(*columns))
+    assert (d / "block.csv").read_bytes() == (d / "oracle.csv").read_bytes()
+
+
+def test_write_csv_header_only(tmp_path):
+    write_csv(tmp_path / "a.csv", ["x", "y"], [np.array([]), np.array([])])
+    assert (tmp_path / "a.csv").read_bytes() == b"x,y\r\n"
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_to_csv_memory_is_bounded(tmp_path):
+    rng = np.random.default_rng(44)
+    size = 100_000
+    s = SampleSet(components=rng.random((size, 3)), t1=rng.random(size),
+                  t=rng.random(size))
+    # blocks of 65,536 rows peak at about 19 MB here, 1,024-row blocks at 0.3 MB
+    assert _traced_peak(s.to_csv, tmp_path / "big.csv") < 2_000_000
+    assert (tmp_path / "big.csv").read_bytes().count(b"\r\n") == size + 1
+
+
+# -- stacked coverage against the per-replication loop it replaced ------------
+
+def oracle_coverage(k, replications, seed, offs, *, score="same", eval_draws=None,
+                    exact_mu=False):
+    """Reference: one replication at a time, each from its own child stream."""
+    cov50 = np.empty(replications)
+    cov90 = np.empty(replications)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
+        rng = np.random.default_rng(child)
+        X = -np.log(rng.random((k, 3)))
+        t1 = X.min(axis=1)
+        mu_hat = 1.0 if exact_mu else 3.0 * t1.mean()
+        if score == "same":
+            st1, st = t1, np.maximum(X[:, 0], np.minimum(X[:, 1], X[:, 2]))
+        else:
+            m = int(eval_draws) if eval_draws else k
+            Y = -np.log(rng.random((m, 3)))
+            st1 = Y.min(axis=1)
+            st = np.maximum(Y[:, 0], np.minimum(Y[:, 1], Y[:, 2]))
+        cov50[i] = np.mean(
+            (st >= st1 + offs[0.75] * mu_hat) & (st <= st1 + offs[0.25] * mu_hat)
+        )
+        cov90[i] = np.mean(
+            (st >= st1 + offs[0.95] * mu_hat) & (st <= st1 + offs[0.05] * mu_hat)
+        )
+    dd = 1 if replications > 1 else 0
+    return CoverageReport(
+        k=k,
+        replications=replications,
+        coverage50=float(cov50.mean()),
+        se50=float(cov50.std(ddof=dd) / np.sqrt(replications)),
+        coverage90=float(cov90.mean()),
+        se90=float(cov90.std(ddof=dd) / np.sqrt(replications)),
+    )
+
+
+@pytest.fixture(scope="module")
+def offsets():
+    return montecarlo._interval_offsets()
+
+
+@pytest.mark.parametrize("cells", [1, 100, montecarlo.COVERAGE_CELLS])
+@pytest.mark.parametrize("k, replications, kwargs", [
+    (5, 50, {}),
+    (5, 50, {"score": "fresh"}),
+    (4, 40, {"score": "fresh", "eval_draws": 9}),
+    (9, 40, {"score": "fresh", "eval_draws": 2}),
+    (25, 30, {"exact_mu": True}),
+    (25, 30, {"score": "fresh", "eval_draws": 7, "exact_mu": True}),
+    (1, 60, {}),
+    (1, 60, {"score": "fresh", "eval_draws": 3}),
+    (6, 1, {}),
+    (6, 1, {"score": "fresh", "eval_draws": 4}),
+    (2500, 23, {}),
+])
+def test_coverage_matches_per_replication_loop(monkeypatch, offsets, cells, k,
+                                               replications, kwargs):
+    # `cells` sets how many replications share a stacked block: one each,
+    # a few, or as many as the shipped budget allows
+    monkeypatch.setattr(montecarlo, "COVERAGE_CELLS", cells)
+    got = montecarlo._coverage(k, replications, 61, offsets, **kwargs)
+    assert got == oracle_coverage(k, replications, 61, offsets, **kwargs)
+
+
+def test_coverage_memory_is_bounded(offsets):
+    # all 300 replications of k = 4000 in one block peak at about 89 MB,
+    # blocks under the shipped cell budget at about 2 MB
+    peak = _traced_peak(montecarlo._coverage, 4000, 300, 62, offsets)
+    assert peak < 4_000_000
