@@ -17,7 +17,6 @@ from .montecarlo import (
     CoverageReport,
     OrderingReport,
     SampleSet,
-    components_from_uniforms,
     coverage_experiment,
     coverage_table,
     empirical_conditional_check,
@@ -65,7 +64,6 @@ __all__ = [
     "TwoFailurePredictor",
     "UnivariateDistortion",
     "Weibull",
-    "components_from_uniforms",
     "coverage_experiment",
     "coverage_table",
     "detect_crossings",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import grid_from, load_config, point_from, predictor_from, structure_from
+from .config import _require, grid_from, load_config, point_from, predictor_from, structure_from
 from .copula import copula_from_config
 from .errors import ConfigError, SysPredictError
 from .marginal import marginal_from_config
@@ -86,8 +86,8 @@ def cmd_predict(args, cfg):
 
 
 def cmd_simulate(args, cfg):
-    copula = copula_from_config(cfg.get("copula") or _missing("copula"))
-    marginal = marginal_from_config(cfg.get("marginal") or _missing("marginal"))
+    copula = copula_from_config(_require(cfg, "copula"))
+    marginal = marginal_from_config(_require(cfg, "marginal"))
     first = structure_from(cfg, "first")
     system = structure_from(cfg, "system")
     second = (structure_from(cfg, "second")
@@ -151,10 +151,6 @@ def cmd_fitqr(args, cfg):
         print("crossings: none")
     print(f"out: {out}")
     return 0
-
-
-def _missing(name):
-    raise ConfigError(f"config section {name!r} is required for this command")
 
 
 _COMMANDS = {

@@ -69,45 +69,25 @@ class SurvivalCopula:
                 raise IndexOutOfRange(f"coordinate index {i} outside 1..{self.n}")
         return tuple(sorted(idx))
 
-    def _check_mask(self, mask):
-        if mask.ndim != 2 or mask.shape[1] != self.n:
-            raise LengthMismatch(
-                f"expected a (rows, {self.n}) coordinate mask, got shape {mask.shape}"
-            )
-        counts = mask.sum(axis=1)
-        if np.any(counts < 1) or np.any(counts > 3):
-            raise UnsupportedOrder(
-                "partials are supported for 1..3 distinct coordinates per mask row"
-            )
-        return mask
-
     # -- interface --------------------------------------------------------
 
     def eval(self, u):
         raise NotImplementedError
 
     def _partial(self, mask, arr):
-        """Partial kernel: mask (K, n) bool, arr (..., K, n) -> (..., K)."""
+        """Partial kernel: mask (K, n) bool, arr (..., K, n) -> (..., K).
+
+        Row k of arr is differentiated in the 1..3 coordinates marked in mask
+        row k; callers guarantee the mask's shape and counts.
+        """
         raise NotImplementedError
 
     def partial(self, indices, u):
         """Mixed partial derivative in 1..3 distinct coordinates.
 
-        ``indices`` is either a tuple of 1-based coordinate indices, applied
-        to every point of ``u[..., n]``, or a boolean ``(K, n)`` mask that
-        differentiates row k of a stacked ``u[..., K, n]`` in the coordinates
-        marked in mask row k (the result then has shape ``u.shape[:-1]``).
-        Both forms run the same kernel and give the same bits.
+        ``indices`` is a tuple of 1-based coordinate indices, applied to
+        every point of ``u[..., n]``.
         """
-        if isinstance(indices, np.ndarray) and indices.dtype == bool:
-            mask = self._check_mask(indices)
-            arr = self._check_point(u)
-            if arr.shape[-2:-1] != mask.shape[:1]:
-                raise LengthMismatch(
-                    f"a {mask.shape[0]}-row mask needs points of shape (..., "
-                    f"{mask.shape[0]}, {self.n}), got {arr.shape}"
-                )
-            return self._partial(mask, arr)
         mask = np.zeros((1, self.n), dtype=bool)
         mask[0, [i - 1 for i in self._check_indices(indices)]] = True
         arr = self._check_point(u)

@@ -14,17 +14,19 @@ x <= y) it expands over pairs of subfamilies: coordinates in P = union(S)
 carry v, coordinates in union(S*) \\ P carry u, the rest are pinned to 1.
 On v > u the joint event degenerates to {T1 > x}, so D-hat(u, v) =
 q-bar_T1(u), the distortion exposed as `tail`.  The first partial
-d1 = dD-hat/du feeds the conditional laws; its limit as v -> 0+ captures any
-defect mass, and its v > u branch is the density transform q-bar_T1'(u)
-(`tail.derivative`) that normalizes them.  d1 has a kink across u = v; at
-equality it takes the ordered branch, which `d1_ordered` evaluates alone.
+d1 = dD-hat/du feeds the conditional laws; its ordered-branch value at
+v = 0 captures any defect mass, and its v > u branch is the density
+transform q-bar_T1'(u) (`tail.derivative`) that normalizes them.  d1 has a
+kink across u = v; at equality it takes the ordered branch, which
+`d1_ordered` evaluates alone.
 
 With three ordered lifetimes T1 <= T2 <= T the same expansion runs over
 triples of subfamilies on the ordered region w <= v <= u; each coordinate
 takes the variable of the innermost union containing it (w for the system,
 then v, then u, else 1).  The mixed partial d12 drives conditioning on the
-first two failure times; its normalizing denominator is the mixed partial
-of the (T1, T2) bivariate distortion, exposed as `d12_boundary`.
+first two failure times, its value at w = 0 the defect mass; its
+normalizing denominator is the mixed partial of the (T1, T2) bivariate
+distortion, exposed as `pair` (the w -> 1 boundary).
 
 Every expansion is the product of the structures' merged univariate
 expansions (SystemStructure.inclusion_exclusion), merged again over equal
@@ -101,9 +103,9 @@ class _TermSum:
     differentiated coordinate or coordinate pair for the partials) into one
     stacked array and makes one copula call, `eval` or the masked partial
     kernel, per chunk of at most CELLS cells (points x rows x n).  A plan's
-    mask is validated once, when the plan is built.  Rows are added in term
-    order by a running sum, so a total equals the term-by-term loop bit for
-    bit.
+    mask rows hold one or two coordinates by construction.  Rows are added
+    in term order by a running sum, so a total equals the term-by-term loop
+    bit for bit.
     """
 
     def __init__(self, copula: SurvivalCopula, terms):
@@ -146,7 +148,6 @@ class _TermSum:
                 mask = np.zeros((len(rows), self.n), dtype=bool)
                 for r, (_, coords) in enumerate(rows):
                     mask[r, list(coords)] = True
-                self.copula._check_mask(mask)
             plan = (self._layout[terms], mask, self._coeffs[terms])
             self._plans[key] = plan
         return plan
@@ -250,11 +251,6 @@ class BivariateDistortion:
         """
         return self._ordered.d_var(0, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
-    def d1_at_zero_plus(self, u):
-        """Term-by-term limit of d1(u, v) as v -> 0+ (defect mass at infinity)."""
-        u = np.asarray(u, dtype=float)
-        return self._ordered.d_var(0, u, np.zeros_like(u))
-
     def d12(self, u, v):
         """Mixed partial on the ordered region (0 beyond it)."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
@@ -273,7 +269,7 @@ class TrivariateDistortion:
         self.n = copula.n
         self._ordered = _TermSum(copula, _joint_terms(first, second, system))
         # w -> 1 boundary: the (T1, T2) joint law
-        self._pair = BivariateDistortion(first, second, copula)
+        self.pair = BivariateDistortion(first, second, copula)
 
     @property
     def terms(self):
@@ -288,10 +284,6 @@ class TrivariateDistortion:
             raise RegionError("value requires the ordered region u >= v >= w")
         return self._ordered.value(u, v, w)
 
-    def boundary_value(self, u, v):
-        """D-hat(u, v, 1): the (T1, T2) bivariate distortion."""
-        return self._pair.value(u, v)
-
     def d12(self, u, v, w):
         """Mixed partial in (u, v) on the ordered region."""
         u = np.asarray(u, dtype=float)
@@ -300,12 +292,3 @@ class TrivariateDistortion:
         if np.any(v > u) or np.any(w > v):
             raise RegionError("d12 requires the ordered region u >= v >= w")
         return self._ordered.d_mixed(0, 1, u, v, w)
-
-    def d12_at_zero_plus(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return self._ordered.d_mixed(0, 1, u, v, np.zeros(np.broadcast_shapes(u.shape, v.shape)))
-
-    def d12_boundary(self, u, v):
-        """Mixed partial of the w -> 1 boundary slice (the (T1,T2) law)."""
-        return self._pair.d12(u, v)

@@ -82,15 +82,10 @@ def survival_uniforms(copula, U):
     raise UnsupportedCopula(f"no sampler for {type(copula).__name__}")
 
 
-def components_from_uniforms(copula, marginal, U):
-    """Component lifetimes from a block of independent uniforms."""
-    return marginal.inv_sf(survival_uniforms(copula, U))
-
-
 def sample_components(copula, marginal, rng, size):
     """Draw `size` joint component-lifetime rows."""
     U = rng.random((int(size), copula.n))
-    return components_from_uniforms(copula, marginal, U)
+    return marginal.inv_sf(survival_uniforms(copula, U))
 
 
 # -- CSV output --------------------------------------------------------------

@@ -5,7 +5,7 @@ the conditioning point in survival scale and z = F-bar(y); then
 
       S(z | c) = [num(c, z) - base(c)] / den(c),   z <= F-bar(horizon),
 
-where the horizon is the last observed time and base(c) = num(c, 0+)
+where the horizon is the last observed time and base(c) = num(c, 0)
 removes any defect mass.
 
 * one failure T1 = t, c = (u,) = (F-bar(t),): num is d1(u, z) on its
@@ -13,7 +13,7 @@ removes any defect mass.
   distortion (the v > u branch of d1).
 * two failures t1 <= t2, c = (u, v): num is the mixed partial d12(u, v, z)
   of the trivariate distortion, den the mixed partial of the (T1, T2)
-  boundary slice.
+  pair distortion.
 
 Strict ordering (the observed failure can never be the system failure)
 uses S as it is.  Weak ordering (the system may die exactly at the
@@ -23,9 +23,10 @@ system having survived and renormalizes the law by alpha(t).
 
 Each conditioning point's law is built once per solve: den, base and alpha
 depend only on c, so every solver step and quadrature node evaluates
-just the numerator.  Subclasses name the three distortion callables and map
+just the numerator.  Subclasses name the two distortion callables and map
 their conditioning times to (horizon, c); quantiles, means, survival,
-alpha and bands are shared.
+alpha and bands are shared.  The k-of-n shortcut `kofn_quantile_factor`
+inverts its binomial law with the same root solver.
 
 Quantiles invert the survival level in z space, where every law is
 monotone on (0, F-bar(horizon)], by Anderson-Bjorck regula falsi
@@ -61,7 +62,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .distortion import BivariateDistortion, TrivariateDistortion, UnivariateDistortion
 from .errors import (
@@ -182,8 +182,8 @@ class PredictionBand:
 class _PredictorCore:
     """Quantile, mean, survival, alpha and bands over one conditional law.
 
-    A subclass sets, in `__init__`, the distortion callables `_num(*c, z)`,
-    `_base(*c)` and `_den(*c)` and the `_degenerate` message, and defines
+    A subclass sets, in `__init__`, the distortion callables `_num(*c, z)`
+    and `_den(*c)` and the `_degenerate` message, and defines
     `_point(*cond) -> (horizon, c)`: the last observed time and the
     conditioning point in survival scale, whose last entry is F-bar(horizon).
     """
@@ -201,7 +201,7 @@ class _PredictorCore:
         den = self._den(*c)
         if np.any(den == 0.0) or np.any(~np.isfinite(den)):
             raise DegenerateDenominator(self._degenerate)
-        base = self._base(*c)
+        base = self._num(*c, 0.0)
 
         def law(z):
             return np.clip((self._num(*c, np.asarray(z, dtype=float)) - base) / den, 0.0, 1.0)
@@ -296,7 +296,6 @@ class EarlyFailurePredictor(_PredictorCore):
         self.ordering = ordering
         self.require_alive = bool(require_alive)
         self._num = self.dist.d1_ordered
-        self._base = self.dist.d1_at_zero_plus
         self._den = self.dist.tail.derivative
         self._degenerate = "marginal distortion derivative of the first failure vanished"
 
@@ -312,8 +311,7 @@ class TwoFailurePredictor(_PredictorCore):
         self.dist = TrivariateDistortion(first, second, system, copula)
         self.marginal = marginal
         self._num = self.dist.d12
-        self._base = self.dist.d12_at_zero_plus
-        self._den = self.dist.d12_boundary
+        self._den = self.dist.pair.d12
         self._degenerate = "mixed partial of the (T1, T2) law vanished at the conditioning point"
 
     def _point(self, t1, t2):
@@ -338,16 +336,30 @@ def _check_kofn(n, r, s):
         raise InvalidOrder(f"need 1 <= r < s <= n, got r={r}, s={s}, n={n}")
 
 
+def _fewer_than(m, k, rho):
+    """P(fewer than k of m lifetimes fail) when each survives with probability rho.
+
+    sum_{j<k} C(m, j) (1-rho)^j rho^(m-j): increasing in rho, 0 at rho = 0
+    and 1 at rho = 1.
+    """
+    total = np.zeros(np.shape(rho))
+    for j in range(k):
+        total = total + math.comb(m, j) * (1.0 - rho) ** j * rho ** (m - j)
+    return total
+
+
 def kofn_quantile_factor(n, r, s, w):
     """Survival-scale factor beta_w for predicting the s-th failure from the r-th.
 
-    For exchangeable-free residual lifetimes the conditional law of the s-th
-    ordered failure given the r-th at t satisfies F-bar(y)/F-bar(t) = rho with
-    survival I_rho(n-s+1, s-r); this solves I_rho = w for rho with the inverse
-    regularized incomplete beta function.
+    For IID components the conditional law of the s-th ordered failure given
+    the r-th at t satisfies F-bar(y)/F-bar(t) = rho with survival
+    P(fewer than s-r of the n-r survivors fail) (see `kofn_survival`); this
+    solves that survival = w for rho on (0, 1] with the predictors' root
+    solver.
     """
     _check_kofn(n, r, s)
-    return float(betaincinv(n - s + 1, s - r, float(_as_level(w))))
+    w = float(_as_level(w))
+    return float(_solve_increasing(lambda rho: _fewer_than(n - r, s - r, rho), 1.0, w))
 
 
 def kofn_survival(n, r, s, t, y, marginal):
@@ -366,8 +378,4 @@ def kofn_survival(n, r, s, t, y, marginal):
     if np.any(sft == 0.0):
         raise DegenerateDenominator("F-bar(t) = 0 at the conditioning time")
     rho = marginal.sf(y) / sft
-    m = n - r
-    total = np.zeros(np.broadcast_shapes(t.shape, y.shape))
-    for j in range(s - r):
-        total = total + math.comb(m, j) * (1.0 - rho) ** j * rho ** (m - j)
-    return _scalar_like(total, t, y)
+    return _scalar_like(_fewer_than(n - r, s - r, rho), t, y)

@@ -167,9 +167,9 @@ def test_trivariate_collapse(first3, two_of_three, parallel3, theta):
         want = 6 * chat(u, v, w) - 3 * chat(v, v, w) - 3 * chat(u, w, w) + chat(w, w, w)
         assert tri.value(u, v, w) == pytest.approx(want, abs=1e-12)
         assert tri.d12(u, v, w) == pytest.approx(6 * d12chat(u, v, w), abs=1e-12)
-        assert tri.d12_boundary(u, v) == pytest.approx(6 * d12chat(u, v, v), abs=1e-12)
+        assert tri.pair.d12(u, v) == pytest.approx(6 * d12chat(u, v, v), abs=1e-12)
         want_bnd = 3 * chat(u, v, v) - 2 * chat(v, v, v)
-        assert tri.boundary_value(u, v) == pytest.approx(want_bnd, abs=1e-12)
+        assert tri.pair.value(u, v) == pytest.approx(want_bnd, abs=1e-12)
     assert tri.value(1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -232,14 +232,14 @@ def test_zero_plus_limits(relay, gate, first3, two_of_three, parallel3,
     eps = 1e-8
     us = np.linspace(0.05, 0.95, 19)
     for d in _all_bivariate_designs(relay, gate, first3, product3, fgm1, clayton23):
-        limit = d.d1_at_zero_plus(us)
+        limit = d.d1_ordered(us, 0)
         np.testing.assert_allclose(limit, 0.0, atol=1e-15)
         np.testing.assert_allclose(limit, d.d1(us, eps), atol=1e-6)
 
     tri = TrivariateDistortion(first3, two_of_three, parallel3, fgm1)
     for u in us:
         v = 0.8 * u
-        limit = tri.d12_at_zero_plus(u, v)
+        limit = tri.d12(u, v, 0)
         assert limit == pytest.approx(0.0, abs=1e-15)
         assert limit == pytest.approx(tri.d12(u, v, eps), abs=1e-6)
 

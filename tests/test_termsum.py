@@ -31,7 +31,6 @@ from syspredict import (
 )
 from syspredict import distortion
 from syspredict.distortion import BivariateDistortion, _joint_terms, _TermSum
-from syspredict.errors import LengthMismatch, UnsupportedOrder
 from syspredict.structure import SystemStructure
 
 CLAYTON_RTOL = 1e-15
@@ -174,7 +173,7 @@ def test_large_grid_stays_within_cell_budget(monkeypatch):
     assert np.all(np.isfinite(got))
 
 
-# -- the mask form of SurvivalCopula.partial ---------------------------------
+# -- the mask kernel of SurvivalCopula.partial -------------------------------
 
 def _families(n):
     return [ProductCopula(n), FGMCopula(theta=0.7, n=n),
@@ -196,11 +195,11 @@ def test_mask_form_equals_index_form(n):
         mask[r, [i - 1 for i in idx]] = True
     stacked_points = np.broadcast_to(points[:, None, :], (6, len(index_sets), n))
     for cop in _families(n):
-        stacked = cop.partial(mask, stacked_points)
+        stacked = cop._partial(mask, stacked_points)
         assert stacked.shape == (6, len(index_sets))
         for r, idx in enumerate(index_sets):
             want = cop.partial(idx, points)
-            one_row = cop.partial(mask[r:r + 1], points[:, None, :])[:, 0]
+            one_row = cop._partial(mask[r:r + 1], points[:, None, :])[:, 0]
             assert one_row.tobytes() == want.tobytes(), (cop, idx)
             if isinstance(cop, ClaytonPairCopula) and cop.theta != 1.0:
                 np.testing.assert_allclose(stacked[:, r], want, rtol=CLAYTON_RTOL, atol=0)
@@ -208,26 +207,14 @@ def test_mask_form_equals_index_form(n):
                 assert stacked[:, r].tobytes() == want.tobytes(), (cop, idx)
 
 
-def test_mask_form_validation():
-    cop = FGMCopula(theta=0.5, n=4)
-    points = np.full((2, 4), 0.5)
-    for bad_row in ([False] * 4, [True] * 4):
-        mask = np.array([[True, False, False, False], bad_row])
-        with pytest.raises(UnsupportedOrder):
-            cop.partial(mask, points)
-    with pytest.raises(LengthMismatch):
-        cop.partial(np.ones((2, 3), dtype=bool), points)
-    with pytest.raises(LengthMismatch):
-        cop.partial(np.eye(4, dtype=bool)[:3], points)
-
-
 # -- call budget: one copula call per term sum, normalizers once per solve ---
 
-def _count(monkeypatch, cls, name, counts):
+def _count(monkeypatch, cls, name, counts, key=None):
     original = getattr(cls, name)
+    key = key or name
 
     def counted(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
+        counts[key] = counts.get(key, 0) + 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cls, name, counted)
@@ -237,22 +224,21 @@ def _count(monkeypatch, cls, name, counts):
 def test_scalar_quantile_call_budget(monkeypatch, mode):
     """One copula call per term sum, one term sum per law evaluation, z-free terms once.
 
-    A law's z-free sums are its denominator and its zero-plus term; a weak
-    law adds one evaluation at the horizon for alpha, which both the atom
-    mask and the law reuse.
+    A law's z-free sums are its denominator and its zero-plus term, the
+    numerator at z = 0; a weak law adds one numerator evaluation at the
+    horizon for alpha, which both the atom mask and the law reuse.
     """
     copula = FGMCopula(theta=0.5, n=4)
     if mode == "two":
-        once = [(TrivariateDistortion, "d12_at_zero_plus"),
-                (TrivariateDistortion, "d12_boundary")]
+        num, den = (TrivariateDistortion, "d12"), (BivariateDistortion, "d12")
     else:
-        once = [(BivariateDistortion, "d1_at_zero_plus"), (UnivariateDistortion, "derivative")]
+        num, den = (BivariateDistortion, "d1_ordered"), (UnivariateDistortion, "derivative")
     counts = {}
     _count(monkeypatch, FGMCopula, "_partial", counts)
     _count(monkeypatch, FGMCopula, "eval", counts)
     _count(monkeypatch, _TermSum, "_sum", counts)
-    for cls, name in once:
-        _count(monkeypatch, cls, name, counts)
+    _count(monkeypatch, *num, counts, key="num")
+    _count(monkeypatch, *den, counts, key="den")
     # a predictor binds its distortion callables when built: build it after the counters
     if mode == "two":
         pred = TwoFailurePredictor(series(4), k_out_of_n(3, 4), k_out_of_n(2, 4),
@@ -268,7 +254,7 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
         pred = EarlyFailurePredictor(series(4), gate4, copula, Exponential(1.0),
                                      ordering="weak")
         cond = (0.3,)
-    extra_sums = 3 if mode == "weak" else 2
+    extra_nums = 2 if mode == "weak" else 1
     build = pred._law
 
     def counted_build(*c):
@@ -283,10 +269,10 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     monkeypatch.setattr(pred, "_law", counted_build)
     pred.quantile(0.5, *cond)
     assert counts["law"] <= 16  # the bracket check and every solver step
-    assert counts["_sum"] == counts["law"] + extra_sums
+    assert counts["num"] == counts["law"] + extra_nums
+    assert counts["den"] == 1
+    assert counts["_sum"] == counts["num"] + counts["den"]
     assert counts["_partial"] + counts.get("eval", 0) == counts["_sum"]
-    for _, name in once:
-        assert counts[name] == 1
 
 
 def test_plan_masks_are_validated_once(monkeypatch):
@@ -294,10 +280,8 @@ def test_plan_masks_are_validated_once(monkeypatch):
                                  Exponential(1.0))
     pred.quantile(0.5, 0.3)  # builds every plan the solve uses
     counts = {}
-    _count(monkeypatch, SurvivalCopula, "_check_mask", counts)
     _count(monkeypatch, SurvivalCopula, "_check_point", counts)
     pred.quantile(0.5, 0.3)
-    assert "_check_mask" not in counts
     assert counts["_check_point"] > 0  # the points are still checked on every call
 
 
