@@ -45,6 +45,7 @@ def _resolve_seed(args, cfg):
 
 
 def cmd_curves(args, cfg):
+    """tabulate median/mean curves and prediction bands over a grid"""
     mode = cfg.get("mode", "strict")
     if mode == "two_failures":
         raise ConfigError("curves needs a single conditioning time; "
@@ -67,6 +68,7 @@ def cmd_curves(args, cfg):
 
 
 def cmd_predict(args, cfg):
+    """print quantiles and bands at one conditioning point"""
     predictor = predictor_from(cfg)
     mode = cfg["mode"]
     cond = point_from(cfg, mode)
@@ -86,6 +88,7 @@ def cmd_predict(args, cfg):
 
 
 def cmd_simulate(args, cfg):
+    """simulate component and system lifetimes to CSV"""
     copula = copula_from_config(_require(cfg, "copula"))
     marginal = marginal_from_config(_require(cfg, "marginal"))
     first = structure_from(cfg, "first")
@@ -106,6 +109,7 @@ def cmd_simulate(args, cfg):
 
 
 def cmd_coverage(args, cfg):
+    """run the plug-in prediction-interval coverage experiment"""
     section = cfg.get("coverage")
     if section is None:
         raise ConfigError("config section 'coverage' is required for coverage")
@@ -128,6 +132,7 @@ def cmd_coverage(args, cfg):
 
 
 def cmd_fitqr(args, cfg):
+    """fit exact linear quantile regressions to a sample CSV"""
     section = cfg.get("fitqr")
     if section is None:
         raise ConfigError("config section 'fitqr' is required for fitqr")
@@ -153,13 +158,9 @@ def cmd_fitqr(args, cfg):
     return 0
 
 
-_COMMANDS = {
-    "curves": cmd_curves,
-    "predict": cmd_predict,
-    "simulate": cmd_simulate,
-    "coverage": cmd_coverage,
-    "fitqr": cmd_fitqr,
-}
+# subcommand name -> handler, in `--help` order; each handler's docstring is its help
+_COMMANDS = {cmd.__name__.removeprefix("cmd_"): cmd
+             for cmd in (cmd_curves, cmd_predict, cmd_simulate, cmd_coverage, cmd_fitqr)}
 
 
 def _build_parser():
@@ -173,16 +174,8 @@ def _build_parser():
         description="Predict coherent-system failure times from early component failures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("curves", parents=[shared],
-                   help="tabulate median/mean curves and prediction bands over a grid")
-    sub.add_parser("predict", parents=[shared],
-                   help="print quantiles and bands at one conditioning point")
-    sub.add_parser("simulate", parents=[shared],
-                   help="simulate component and system lifetimes to CSV")
-    sub.add_parser("coverage", parents=[shared],
-                   help="run the plug-in prediction-interval coverage experiment")
-    sub.add_parser("fitqr", parents=[shared],
-                   help="fit exact linear quantile regressions to a sample CSV")
+    for name, command in _COMMANDS.items():
+        sub.add_parser(name, parents=[shared], help=command.__doc__)
     return parser
 
 

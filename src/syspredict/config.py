@@ -189,11 +189,7 @@ def predictor_from(cfg):
     if mode == "two_failures":
         second = structure_from(cfg, "second")
         return TwoFailurePredictor(first, second, system, copula, marginal)
-    ordering = "strict" if mode == "strict" else "weak"
-    return EarlyFailurePredictor(
-        first, system, copula, marginal,
-        ordering=ordering, require_alive=(mode == "alive"),
-    )
+    return EarlyFailurePredictor(first, system, copula, marginal, mode=mode)
 
 
 def grid_from(cfg):

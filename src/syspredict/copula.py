@@ -4,10 +4,12 @@ A survival copula C-hat couples the marginal survival functions:
 P(X_1 > x_1, ..., X_n > x_n) = C-hat(F-bar(x_1), ..., F-bar(x_n)).  The
 distortion machinery needs two things from a family: pointwise evaluation
 and mixed partial derivatives up to order three with respect to distinct
-coordinates.  Partials are derived by hand per family, as one kernel per
-family that takes a boolean coordinate mask, so a stack of points with a
-different differentiated set per row costs one call; a finite-difference
-oracle (computed in extended precision) cross-checks them in the tests.
+coordinates.  Each family states its law once, as one hand-derived kernel
+that takes a boolean coordinate mask: a row differentiates the coordinates
+its mask marks, so a stack of points with a different set per row costs one
+call, and an unmarked row is the value (`eval`).  A finite-difference oracle
+(computed in extended precision) cross-checks the partials in the tests.
+Each family also samples itself by closed-form conditional inversion.
 
 Families:
 
@@ -40,7 +42,7 @@ _FD_STEPS = {1: 1e-6, 2: 1e-5, 3: 1e-3}
 
 
 class SurvivalCopula:
-    """Shared validation and the finite-difference oracle."""
+    """Shared validation, `eval`/`partial` over the law kernel, and the FD oracle."""
 
     n: int
 
@@ -71,16 +73,23 @@ class SurvivalCopula:
 
     # -- interface --------------------------------------------------------
 
-    def eval(self, u):
-        raise NotImplementedError
-
     def _partial(self, mask, arr):
-        """Partial kernel: mask (K, n) bool, arr (..., K, n) -> (..., K).
+        """Law kernel: mask (K, n) bool, arr (..., K, n) -> (..., K).
 
-        Row k of arr is differentiated in the 1..3 coordinates marked in mask
-        row k; callers guarantee the mask's shape and counts.
+        Row k of arr is differentiated in the 0..3 coordinates marked in mask
+        row k (none: the copula's value); callers guarantee the mask's shape
+        and counts.
         """
         raise NotImplementedError
+
+    def _from_uniforms(self, V):
+        """Map independent uniforms V (..., n) in place to V ~ copula; return V."""
+        raise UnsupportedCopula(f"no sampler for {type(self).__name__}")
+
+    def eval(self, u):
+        """The copula's value at every point of ``u[..., n]``."""
+        mask = np.zeros((1, self.n), dtype=bool)
+        return self._partial(mask, self._check_point(u)[..., None, :])[..., 0]
 
     def partial(self, indices, u):
         """Mixed partial derivative in 1..3 distinct coordinates.
@@ -90,8 +99,7 @@ class SurvivalCopula:
         """
         mask = np.zeros((1, self.n), dtype=bool)
         mask[0, [i - 1 for i in self._check_indices(indices)]] = True
-        arr = self._check_point(u)
-        return self._partial(mask, arr[..., None, :])[..., 0]
+        return self._partial(mask, self._check_point(u)[..., None, :])[..., 0]
 
     def fd_partial(self, indices, u, h=None):
         """Central finite-difference oracle for :meth:`partial`.
@@ -135,12 +143,12 @@ class ProductCopula(SurvivalCopula):
         if self.n < 1:
             raise IndexOutOfRange("dimension must be >= 1")
 
-    def eval(self, u):
-        return np.prod(self._check_point(u), axis=-1)
-
     def _partial(self, mask, arr):
         # differentiated coordinates enter as exact 1.0 factors
         return np.prod(np.where(mask, 1.0, arr), axis=-1)
+
+    def _from_uniforms(self, V):
+        return V
 
 
 @dataclass(frozen=True)
@@ -156,11 +164,6 @@ class FGMCopula(SurvivalCopula):
         if self.n < 2:
             raise IndexOutOfRange("dimension must be >= 2")
 
-    def eval(self, u):
-        arr = self._check_point(u)
-        base = np.prod(arr, axis=-1)
-        return base + self.theta * np.prod(arr * (1.0 - arr), axis=-1)
-
     def _partial(self, mask, arr):
         # d/du_S [prod u + theta prod u(1-u)]
         #   = prod_{j not in S} u_j + theta prod_{i in S}(1-2u_i) prod_{j not in S} u_j(1-u_j)
@@ -168,6 +171,14 @@ class FGMCopula(SurvivalCopula):
         kept_fgm = np.prod(np.where(mask, 1.0, arr * (1.0 - arr)), axis=-1)
         bent = np.prod(np.where(mask, 1.0 - 2.0 * arr, 1.0), axis=-1)
         return kept + self.theta * bent * kept_fgm
+
+    def _from_uniforms(self, V):
+        # last coordinate: the root in [0, 1] of a v^2 - (1+a) v + w = 0, in the
+        # 2w/(...) form stable across a -> 0, where the equation degenerates to v = w
+        a = self.theta * np.prod(1.0 - 2.0 * V[..., :-1], axis=-1)
+        w = V[..., -1]
+        V[..., -1] = 2.0 * w / (1.0 + a + np.sqrt((1.0 + a) ** 2 - 4.0 * w * a))
+        return V
 
 
 def _pair_value(p, q, theta):
@@ -235,17 +246,6 @@ class ClaytonPairCopula(SurvivalCopula):
         if not self.theta > 0:
             raise OutOfRange(f"Clayton pair needs theta > 0, got {self.theta}")
 
-    def _split(self):
-        j, k = self.pair
-        others = [i for i in range(1, self.n + 1) if i not in (j, k)]
-        return j, k, others
-
-    def eval(self, u):
-        arr = self._check_point(u)
-        j, k, others = self._split()
-        indep = np.prod(arr[..., [i - 1 for i in others]], axis=-1) if others else 1.0
-        return indep * _pair_value(arr[..., j - 1], arr[..., k - 1], self.theta)
-
     def _partial(self, mask, arr):
         j, k = self.pair
         in_j, in_k = mask[:, j - 1], mask[:, k - 1]
@@ -253,7 +253,7 @@ class ClaytonPairCopula(SurvivalCopula):
         skip[:, [j - 1, k - 1]] = True
         indep = np.prod(np.where(skip, 1.0, arr), axis=-1)
         p, q = arr[..., j - 1], arr[..., k - 1]
-        pair = np.zeros(indep.shape)
+        pair = np.zeros(indep.shape, dtype=indep.dtype)
         # each row takes the pair factor's partial in the pair coordinates it differentiates
         for rows, fn, a, b in (
             (in_j & in_k, _pair_d12, p, q),
@@ -265,6 +265,15 @@ class ClaytonPairCopula(SurvivalCopula):
             if rows.size:
                 pair[..., rows] = fn(a[..., rows], b[..., rows], self.theta)
         return indep * pair
+
+    def _from_uniforms(self, V):
+        # the partner coordinate solves d/dp of the pair factor = w
+        j, k = self.pair
+        p, w = V[..., j - 1], V[..., k - 1]
+        with np.errstate(divide="ignore", over="ignore"):
+            inner = 1.0 + p ** (-self.theta) * (w ** (-self.theta / (1.0 + self.theta)) - 1.0)
+            V[..., k - 1] = inner ** (-1.0 / self.theta)
+        return V
 
 
 def copula_from_config(doc) -> SurvivalCopula:

@@ -101,11 +101,11 @@ class _TermSum:
     ``layout[k, i]``, or 1 where that entry is -1.  Each evaluation gathers
     the points of all its rows (one per term for `value`, one per term and
     differentiated coordinate or coordinate pair for the partials) into one
-    stacked array and makes one copula call, `eval` or the masked partial
-    kernel, per chunk of at most CELLS cells (points x rows x n).  A plan's
-    mask rows hold one or two coordinates by construction.  Rows are added
-    in term order by a running sum, so a total equals the term-by-term loop
-    bit for bit.
+    stacked array and makes one call of the copula's law kernel per chunk of
+    at most CELLS cells (points x rows x n); a row's mask marks the
+    coordinates it differentiates, none for `value`.  Rows are added in term
+    order by a running sum, so a total equals the term-by-term loop bit for
+    bit.
     """
 
     def __init__(self, copula: SurvivalCopula, terms):
@@ -123,33 +123,24 @@ class _TermSum:
                 self._layout[k, list(axis_ids)] = var
         self._plans = {}
 
-    def _plan(self, var_a=None, var_b=None):
+    def _plan(self, *variables):
         """(layout, mask, coeffs) of the rows of one sum, built on first use.
 
-        No variable: one row per term, no mask (`eval`).  One variable: a row
-        per term and coordinate carrying it.  Two: a row per term and
-        coordinate pair carrying them.  Rows follow term order, coordinates
-        ascending within a term.
+        A row per term and choice of one coordinate carrying each given
+        variable (a row per term when none is given), differentiated in the
+        chosen coordinates.  Rows follow term order, choices in
+        lexicographic order within a term.
         """
-        key = (var_a, var_b)
-        plan = self._plans.get(key)
+        plan = self._plans.get(variables)
         if plan is None:
-            if var_a is None:
-                rows = [(k, ()) for k in range(len(self._terms))]
-            elif var_b is None:
-                rows = [(k, (i,)) for k, (_, ids) in enumerate(self._terms)
-                        for i in ids[var_a]]
-            else:
-                rows = [(k, (i, j)) for k, (_, ids) in enumerate(self._terms)
-                        for i in ids[var_a] for j in ids[var_b]]
+            rows = [(k, coords) for k, (_, ids) in enumerate(self._terms)
+                    for coords in product(*(ids[var] for var in variables))]
             terms = np.array([k for k, _ in rows], dtype=np.intp)
-            mask = None
-            if var_a is not None:
-                mask = np.zeros((len(rows), self.n), dtype=bool)
-                for r, (_, coords) in enumerate(rows):
-                    mask[r, list(coords)] = True
+            mask = np.zeros((len(rows), self.n), dtype=bool)
+            for r, (_, coords) in enumerate(rows):
+                mask[r, list(coords)] = True
             plan = (self._layout[terms], mask, self._coeffs[terms])
-            self._plans[key] = plan
+            self._plans[variables] = plan
         return plan
 
     def _sum(self, plan, values):
@@ -165,12 +156,8 @@ class _TermSum:
         step = max(1, CELLS // (max(1, total.size) * self.n))
         for lo in range(0, len(coeffs), step):
             rows = slice(lo, lo + step)
-            points = table[..., layout[rows]]
-            if mask is None:
-                part = self.copula.eval(points)
-            else:
-                part = self.copula._partial(mask[rows], self.copula._check_point(points))
-            summands = coeffs[rows] * part
+            points = self.copula._check_point(table[..., layout[rows]])
+            summands = coeffs[rows] * self.copula._partial(mask[rows], points)
             summands[..., 0] += total
             total = np.cumsum(summands, axis=-1)[..., -1]
         return total

@@ -2,8 +2,9 @@
 
 Sampling works in survival scale: draw V with the copula as its joint CDF
 (so V_i = F-bar(X_i) and smaller V means longer life), then push through the
-marginal inverse.  The FGM and Clayton-pair conditional inverses are closed
-form.
+marginal inverse.  Each copula family maps the uniforms itself
+(`_from_uniforms`, next to its law kernel), by closed-form conditional
+inversion.
 
 Reproducibility contract: every replication of the coverage experiment gets
 its own spawned child stream, so results do not depend on scheduling and any
@@ -22,16 +23,15 @@ from typing import Optional
 
 import numpy as np
 
-from .copula import ClaytonPairCopula, FGMCopula, ProductCopula
+from .copula import ProductCopula
 from .errors import (
     InsufficientBinCount,
     InvalidK,
     OrderingViolation,
     OutOfRange,
-    UnsupportedCopula,
 )
 from .marginal import Exponential
-from .structure import SystemStructure, series, validate_structure
+from .structure import series, validate_structure
 
 MIN_BIN_ROWS = 500
 CSV_BLOCK_ROWS = 1024  # rows formatted per write
@@ -44,42 +44,14 @@ def _seed_sequence(seed):
     return np.random.SeedSequence(seed)
 
 
-# -- coordinate transforms ---------------------------------------------------
-
-def _fgm_conditional_inverse(a, w):
-    # root of a v^2 - (1+a) v + w = 0 in [0,1]; the 2w/(...) form is stable
-    # across a -> 0 where the equation degenerates to v = w
-    disc = (1.0 + a) ** 2 - 4.0 * w * a
-    return 2.0 * w / (1.0 + a + np.sqrt(disc))
-
-
-def _clayton_conditional_inverse(p, w, theta):
-    # solve d/dp of the pair factor = w for the partner coordinate
-    with np.errstate(divide="ignore", over="ignore"):
-        inner = 1.0 + p ** (-theta) * (w ** (-theta / (1.0 + theta)) - 1.0)
-        return inner ** (-1.0 / theta)
-
+# -- sampling ----------------------------------------------------------------
 
 def survival_uniforms(copula, U):
     """Map independent uniforms to survival-scale coordinates V ~ copula."""
     U = np.asarray(U, dtype=float)
     if U.shape[-1:] != (copula.n,):
         raise OutOfRange(f"uniform block must have {copula.n} columns")
-    if isinstance(copula, ProductCopula):
-        return U.copy()
-    if isinstance(copula, FGMCopula):
-        V = U.copy()
-        a = copula.theta * np.prod(1.0 - 2.0 * V[..., :-1], axis=-1)
-        V[..., -1] = _fgm_conditional_inverse(a, U[..., -1])
-        return V
-    if isinstance(copula, ClaytonPairCopula):
-        V = U.copy()
-        j, k = copula.pair
-        V[..., k - 1] = _clayton_conditional_inverse(
-            V[..., j - 1], U[..., k - 1], copula.theta
-        )
-        return V
-    raise UnsupportedCopula(f"no sampler for {type(copula).__name__}")
+    return copula._from_uniforms(U.copy())
 
 
 def sample_components(copula, marginal, rng, size):
@@ -230,7 +202,7 @@ def empirical_conditional_check(sample, predictor, t1_bin, y_grid,
         lo2, hi2 = float(t2_bin[0]), float(t2_bin[1])
         mask &= (sample.t2 >= lo2) & (sample.t2 < hi2)
         cond.append(0.5 * (lo2 + hi2))
-    if predictor.require_alive:
+    if predictor.mode == "alive":
         mask &= sample.t > sample.t1
     rows = int(np.sum(mask))
     if rows < MIN_BIN_ROWS:
@@ -269,7 +241,7 @@ def _interval_offsets():
     first = series(3)
     system = validate_structure(3, [[1], [2, 3]])
     pred = EarlyFailurePredictor(
-        first, system, ProductCopula(3), Exponential(1.0), ordering="strict"
+        first, system, ProductCopula(3), Exponential(1.0), mode="strict"
     )
     return {w: float(pred.quantile(w, 0.0)) for w in (0.75, 0.25, 0.95, 0.05)}
 

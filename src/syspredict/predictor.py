@@ -15,11 +15,11 @@ removes any defect mass.
   of the trivariate distortion, den the mixed partial of the (T1, T2)
   pair distortion.
 
-Strict ordering (the observed failure can never be the system failure)
-uses S as it is.  Weak ordering (the system may die exactly at the
-observed failure) starts from S(F-bar(t) | c) = alpha(t) < 1, leaving an
-atom of size 1 - alpha(t) at y = t; `require_alive=True` conditions on the
-system having survived and renormalizes the law by alpha(t).
+Mode "strict" (the observed failure can never be the system failure)
+uses S as it is.  Mode "weak" (the system may die exactly at the observed
+failure) starts from S(F-bar(t) | c) = alpha(t) < 1, leaving an atom of
+size 1 - alpha(t) at y = t; mode "alive" conditions on the system having
+survived and renormalizes the law by alpha(t).
 
 Each conditioning point's law is built once per solve: den, base and alpha
 depend only on c, so every solver step and quadrature node evaluates
@@ -189,14 +189,13 @@ class _PredictorCore:
     """
 
     marginal = None
-    ordering = "strict"
-    require_alive = False
+    mode = "strict"
 
     def _law(self, *c):
         """z -> S(z | c) with the normalizers of c computed once, and alpha.
 
         alpha = S(F-bar(horizon) | c) before any renormalization; it is None
-        when neither an atom nor the alive condition needs it.
+        in strict mode, where neither an atom nor the alive condition needs it.
         """
         den = self._den(*c)
         if np.any(den == 0.0) or np.any(~np.isfinite(den)):
@@ -206,10 +205,10 @@ class _PredictorCore:
         def law(z):
             return np.clip((self._num(*c, np.asarray(z, dtype=float)) - base) / den, 0.0, 1.0)
 
-        if self.ordering == "strict" and not self.require_alive:
+        if self.mode == "strict":
             return law, None
         alpha = law(c[-1])
-        if not self.require_alive:
+        if self.mode == "weak":
             return law, alpha
         void = np.any(alpha == 0.0)
 
@@ -244,7 +243,7 @@ class _PredictorCore:
         shape = np.broadcast_shapes(np.shape(w), np.shape(c[-1]))
         w_b = np.broadcast_to(w, shape)
         # levels at or above alpha sit in the atom at the horizon
-        atom = None if self.require_alive or alpha is None else w_b >= alpha
+        atom = w_b >= alpha if self.mode == "weak" else None
         root = _solve_increasing(law, np.broadcast_to(c[-1], shape), w_b, skip=atom)
         y = self.marginal.inv_sf(root)
         if atom is not None:
@@ -282,19 +281,17 @@ class _PredictorCore:
 class EarlyFailurePredictor(_PredictorCore):
     """Predict T from one observed early failure time.
 
-    ordering="strict": the observed failure can never be the system failure.
-    ordering="weak": it can; the law keeps an atom at the observed time
-    unless ``require_alive=True`` conditions on the system having survived.
+    mode="strict": the observed failure can never be the system failure.
+    mode="weak": it can; the law keeps an atom at the observed time.
+    mode="alive": as weak, conditioned on the system having survived it.
     """
 
-    def __init__(self, first, system, copula, marginal, *, ordering="strict",
-                 require_alive=False):
-        if ordering not in ("strict", "weak"):
-            raise OutOfRange(f"ordering must be 'strict' or 'weak', got {ordering!r}")
+    def __init__(self, first, system, copula, marginal, *, mode="strict"):
+        if mode not in ("strict", "weak", "alive"):
+            raise OutOfRange(f"mode must be 'strict', 'weak' or 'alive', got {mode!r}")
         self.dist = BivariateDistortion(first, system, copula)
         self.marginal = marginal
-        self.ordering = ordering
-        self.require_alive = bool(require_alive)
+        self.mode = mode
         self._num = self.dist.d1_ordered
         self._den = self.dist.tail.derivative
         self._degenerate = "marginal distortion derivative of the first failure vanished"

@@ -26,7 +26,7 @@ by the horizontal line through each point.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -198,17 +198,32 @@ def detect_crossings(fits, x_lo, x_hi):
 
 
 def load_xy(path, x_col="t1", y_col="t"):
-    """Read (x, y) pairs from a CSV file with named columns."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or x_col not in reader.fieldnames or y_col not in reader.fieldnames:
+    """Read (x, y) pairs from a CSV file with named columns.
+
+    Cells are split at commas (no quoting) and read by `float`; empty lines
+    are skipped.  A short row or a non-numeric cell names its line.
+    """
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if x_col not in header or y_col not in header:
             raise DegenerateDesign(
-                f"CSV must provide columns {x_col!r} and {y_col!r}, got {reader.fieldnames}"
+                f"CSV must provide columns {x_col!r} and {y_col!r}, got {header}"
             )
+        usecols = (header.index(x_col), header.index(y_col))
         try:
-            rows = [(float(row[x_col]), float(row[y_col])) for row in reader]
-        except (TypeError, ValueError):  # a non-numeric cell, or a short row
-            raise DegenerateDesign(
-                f"line {reader.line_num}: columns {x_col!r} and {y_col!r} must hold numbers"
-            ) from None
-    return np.asarray(rows, dtype=float)
+            with warnings.catch_warnings():
+                # a header-only file reads as no rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                return np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2,
+                                  converters=float, comments=None)
+        except ValueError:  # find the line by the same rules
+            fh.seek(0)
+            for num, line in enumerate(fh, 1):
+                try:
+                    if num > 1 and line != "\n":
+                        [float(line.split(",")[i]) for i in usecols]
+                except (IndexError, ValueError):
+                    raise DegenerateDesign(
+                        f"line {num}: columns {x_col!r} and {y_col!r} must hold numbers"
+                    ) from None
+            raise

@@ -142,13 +142,13 @@ def test_acceptance_2_golden_constants(
             assert got == pytest.approx(want, abs=tol), f"E(T) for {name}"
 
         relay_strict = EarlyFailurePredictor(
-            first3, relay, product3, exp1, ordering="strict")
+            first3, relay, product3, exp1, mode="strict")
         gate_weak = EarlyFailurePredictor(
-            first3, gate, product3, exp1, ordering="weak")
+            first3, gate, product3, exp1, mode="weak")
         gate_alive = EarlyFailurePredictor(
-            first3, gate, product3, exp1, ordering="weak", require_alive=True)
+            first3, gate, product3, exp1, mode="alive")
         gate_fgm = EarlyFailurePredictor(
-            first3, gate, fgm1, exp1, ordering="weak")
+            first3, gate, fgm1, exp1, mode="weak")
 
         assert relay_strict.median(0.0) == pytest.approx(0.5427656, abs=tol)
         assert gate_weak.median(0.0) == pytest.approx(0.143841, abs=tol)
@@ -172,7 +172,7 @@ def test_acceptance_2_golden_constants(
         assert b90.upper(t1, t2) == pytest.approx(3.686103, abs=1e-3)
 
         par_strict = EarlyFailurePredictor(
-            first3, parallel3, fgm1, exp1, ordering="strict")
+            first3, parallel3, fgm1, exp1, mode="strict")
         assert par_strict.median(t1) == pytest.approx(1.6585, abs=1e-3)
         p90 = par_strict.band("centered", 0.90)
         assert p90.lower(t1) == pytest.approx(0.7117, abs=1e-3)
@@ -269,7 +269,7 @@ def test_acceptance_5_monte_carlo_laws(
         for seed, cop in ((101, product3), (102, clayton23)):
             s = simulate(first3, relay, cop, exp1, size=n, seed=seed)
             pred = EarlyFailurePredictor(first3, relay, cop, exp1,
-                                         ordering="strict")
+                                         mode="strict")
             chk = empirical_conditional_check(s, pred, bin1, y1)
             print(f"relay {type(cop).__name__}: rows={chk.rows} "
                   f"deviation={chk.deviation:.4f}")
@@ -281,8 +281,7 @@ def test_acceptance_5_monte_carlo_laws(
             s = simulate(first3, gate, cop, exp1, size=n, seed=seed)
             for alive in (False, True):
                 pred = EarlyFailurePredictor(first3, gate, cop, exp1,
-                                             ordering="weak",
-                                             require_alive=alive)
+                                             mode="alive" if alive else "weak")
                 chk = empirical_conditional_check(s, pred, bin1, y1)
                 print(f"gate {type(cop).__name__} alive={alive}: "
                       f"rows={chk.rows} deviation={chk.deviation:.4f}")
@@ -313,11 +312,11 @@ def test_acceptance_6_structural_properties(
 
     with criterion(6, "structural properties"):
         relay_strict = EarlyFailurePredictor(
-            first3, relay, product3, exp1, ordering="strict")
+            first3, relay, product3, exp1, mode="strict")
         gate_weak = EarlyFailurePredictor(
-            first3, gate, product3, exp1, ordering="weak")
+            first3, gate, product3, exp1, mode="weak")
         gate_alive = EarlyFailurePredictor(
-            first3, gate, product3, exp1, ordering="weak", require_alive=True)
+            first3, gate, product3, exp1, mode="alive")
         two_fgm = TwoFailurePredictor(
             first3, two_of_three, parallel3, fgm1, exp1)
 
@@ -340,7 +339,7 @@ def test_acceptance_6_structural_properties(
         U, V = np.meshgrid(g, g, indexing="ij")
         pts = np.stack([U.ravel(), V.ravel(), np.full(U.size, 0.5)], axis=-1)
         assert np.max(np.abs(fgm0.eval(pts) - product3.eval(pts))) < 1e-12
-        gw0 = EarlyFailurePredictor(first3, gate, fgm0, exp1, ordering="weak")
+        gw0 = EarlyFailurePredictor(first3, gate, fgm0, exp1, mode="weak")
         y = np.linspace(0.5, 3.0, 9)
         assert np.max(np.abs(gw0.survival(y, t) - gate_weak.survival(y, t))) < 1e-12
         two0 = TwoFailurePredictor(

@@ -106,21 +106,21 @@ def test_load_config_accepts_full_document(tmp_path):
 def test_predictor_from_modes():
     p = predictor_from(relay_cfg())
     assert isinstance(p, EarlyFailurePredictor)
-    assert p.ordering == "strict" and not p.require_alive
+    assert p.mode == "strict"
 
     weak = predictor_from({
         "mode": "weak",
         "structures": {"first": SERIES3, "system": GATE},
         "copula": PRODUCT3, "marginal": EXP1,
     })
-    assert weak.ordering == "weak" and not weak.require_alive
+    assert weak.mode == "weak"
 
     alive = predictor_from({
         "mode": "alive",
         "structures": {"first": SERIES3, "system": GATE},
         "copula": PRODUCT3, "marginal": EXP1,
     })
-    assert alive.ordering == "weak" and alive.require_alive
+    assert alive.mode == "alive"
 
     two = predictor_from({
         "mode": "two_failures",

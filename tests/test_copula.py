@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syspredict import ClaytonPairCopula, FGMCopula, ProductCopula
-from syspredict.copula import copula_from_config
+from syspredict.copula import _pair_value, copula_from_config
 from syspredict.errors import (
     BoundaryTooClose,
     IndexOutOfRange,
@@ -79,6 +79,61 @@ def test_clayton_pair_closed_form():
     gen = ClaytonPairCopula(pair=(2, 3), theta=1.0 + 1e-12, n=3)
     for u1, u2, u3 in pts:
         assert gen.eval([u1, u2, u3]) == pytest.approx(cop.eval([u1, u2, u3]), abs=1e-9)
+
+
+def oracle_eval(cop, u):
+    """Each family's value formula written out on its own: the oracle for `eval`,
+    which is the family's law kernel on an empty mask row."""
+    arr = np.asarray(u)
+    if isinstance(cop, ProductCopula):
+        return np.prod(arr, axis=-1)
+    if isinstance(cop, FGMCopula):
+        base = np.prod(arr, axis=-1)
+        return base + cop.theta * np.prod(arr * (1.0 - arr), axis=-1)
+    j, k = cop.pair
+    others = [i for i in range(1, cop.n + 1) if i not in (j, k)]
+    indep = np.prod(arr[..., [i - 1 for i in others]], axis=-1) if others else 1.0
+    return indep * _pair_value(arr[..., j - 1], arr[..., k - 1], cop.theta)
+
+
+ORACLE_FAMILIES = [
+    ProductCopula(3),
+    ProductCopula(5),
+    FGMCopula(theta=1.0, n=3),
+    FGMCopula(theta=-0.6, n=4),
+    ClaytonPairCopula(pair=(2, 3), theta=1.0, n=3),
+    ClaytonPairCopula(pair=(1, 4), theta=2.5, n=5),
+    ClaytonPairCopula(pair=(1, 2), theta=0.7, n=2),
+]
+
+
+def _unit_points(rng, shape, n):
+    # random points with coordinates exactly 0 and 1 mixed in
+    pts = rng.uniform(0.0, 1.0, shape + (n,))
+    pts[rng.random(pts.shape) < 0.15] = 0.0
+    pts[rng.random(pts.shape) < 0.15] = 1.0
+    return pts
+
+
+@pytest.mark.parametrize("cop", ORACLE_FAMILIES, ids=lambda c: repr(c))
+def test_eval_matches_family_formula_bitwise(cop):
+    rng = np.random.default_rng(12)
+    for shape in ((300,), (4, 25)):
+        pts = _unit_points(rng, shape, cop.n)
+        assert np.array_equal(cop.eval(pts), oracle_eval(cop, pts))
+        # the finite-difference oracle's extended precision is kept
+        ext = pts.astype(np.longdouble)
+        got = cop.eval(ext)
+        assert got.dtype == np.longdouble
+        assert np.array_equal(got, oracle_eval(cop, ext))
+    # one point gives the bits it gets in a stack (a 0-d Clayton `**` with
+    # theta != 1 may round differently from numpy's array loop, so the
+    # single-point oracle is only compared where no `**` is taken)
+    for u, want in zip(pts[0], cop.eval(pts[0])):
+        got = cop.eval(u)
+        assert np.ndim(got) == 0 and got == want
+        if not (isinstance(cop, ClaytonPairCopula) and cop.theta != 1.0):
+            assert got == oracle_eval(cop, u)
 
 
 def test_fgm_zero_theta_is_product():

@@ -138,7 +138,7 @@ def test_strict_two_of_n_matches_kofn_survival(n, merged):
     system = k_out_of_n(2, n)
     assert len(system.inclusion_exclusion().terms) == merged
     pred = EarlyFailurePredictor(series(n), system, ProductCopula(n), marginal,
-                                 ordering="strict")
+                                 mode="strict")
     for t in (0.0, 0.3, 0.9):
         y = t + np.linspace(0.0, 2.0, 11)
         # the system fails at the (n-1)-th of n IID failures

@@ -11,7 +11,11 @@ from syspredict import (
     ClaytonPairCopula,
     CoverageReport,
     EarlyFailurePredictor,
+    Exponential,
     FGMCopula,
+    ProductCopula,
+    SurvivalCopula,
+    Weibull,
     TwoFailurePredictor,
     coverage_experiment,
     coverage_table,
@@ -27,6 +31,8 @@ from syspredict.errors import (
     InvalidK,
     OrderingViolation,
     OutOfRange,
+    SysPredictError,
+    UnsupportedCopula,
 )
 
 
@@ -62,6 +68,71 @@ def survival_uniforms_numeric(copula, U):
             hi = np.where(go_up, hi, mid)
         V[..., i] = 0.5 * (lo + hi)
     return V
+
+
+def _fgm_conditional_inverse(a, w):
+    # root of a v^2 - (1+a) v + w = 0 in [0,1]; the 2w/(...) form is stable
+    # across a -> 0 where the equation degenerates to v = w
+    disc = (1.0 + a) ** 2 - 4.0 * w * a
+    return 2.0 * w / (1.0 + a + np.sqrt(disc))
+
+
+def _clayton_conditional_inverse(p, w, theta):
+    # solve d/dp of the pair factor = w for the partner coordinate
+    with np.errstate(divide="ignore", over="ignore"):
+        inner = 1.0 + p ** (-theta) * (w ** (-theta / (1.0 + theta)) - 1.0)
+        return inner ** (-1.0 / theta)
+
+
+def oracle_uniforms(copula, U):
+    """Each family's closed-form conditional inversion written out on its own:
+    the oracle for the families' `_from_uniforms`."""
+    V = U.copy()
+    if isinstance(copula, FGMCopula):
+        a = copula.theta * np.prod(1.0 - 2.0 * V[..., :-1], axis=-1)
+        V[..., -1] = _fgm_conditional_inverse(a, U[..., -1])
+    elif isinstance(copula, ClaytonPairCopula):
+        j, k = copula.pair
+        V[..., k - 1] = _clayton_conditional_inverse(
+            V[..., j - 1], U[..., k - 1], copula.theta
+        )
+    return V
+
+
+SAMPLER_FAMILIES = [
+    ProductCopula(3),
+    FGMCopula(theta=1.0, n=3),
+    FGMCopula(theta=-0.6, n=4),
+    ClaytonPairCopula(pair=(2, 3), theta=1.0, n=3),
+    ClaytonPairCopula(pair=(1, 4), theta=2.5, n=5),
+    ClaytonPairCopula(pair=(1, 2), theta=0.7, n=2),
+]
+
+
+@pytest.mark.parametrize("copula", SAMPLER_FAMILIES, ids=lambda c: repr(c))
+def test_sampler_matches_family_inverse_bitwise(copula):
+    rng = np.random.default_rng(13)
+    U = rng.random((400, copula.n))
+    # uniforms exactly 0 and 1 included; p = 0, w = 1 makes a Clayton nan in both
+    U[rng.random(U.shape) < 0.1] = 0.0
+    U[rng.random(U.shape) < 0.1] = 1.0
+    with np.errstate(invalid="ignore"):
+        got = survival_uniforms(copula, U)
+        want = oracle_uniforms(copula, U)
+    assert np.array_equal(got, want, equal_nan=True)
+    for marginal in (Exponential(1.0), Weibull(shape=2.0, scale=1.5)):
+        draws = sample_components(copula, marginal, np.random.default_rng(5), 300)
+        U = np.random.default_rng(5).random((300, copula.n))
+        assert np.array_equal(draws, marginal.inv_sf(oracle_uniforms(copula, U)))
+
+
+def test_sampler_needs_a_family_inverse():
+    class Bare(SurvivalCopula):
+        n = 2
+
+    with pytest.raises(UnsupportedCopula) as err:
+        survival_uniforms(Bare(), np.zeros((1, 2)))
+    assert isinstance(err.value, SysPredictError)
 
 
 def test_survival_uniforms_product(product3):
@@ -180,7 +251,7 @@ def test_verify_ordering(first3, relay, gate, product3, exp1):
 
 
 def test_empirical_conditional_check(first3, relay, product3, exp1):
-    pred = EarlyFailurePredictor(first3, relay, product3, exp1, ordering="strict")
+    pred = EarlyFailurePredictor(first3, relay, product3, exp1, mode="strict")
     sample = simulate(first3, relay, product3, exp1, size=200000, seed=31)
     y = np.linspace(0.31, 3.5, 25)
     check = empirical_conditional_check(sample, pred, (0.28, 0.34), y)
@@ -192,7 +263,7 @@ def test_empirical_conditional_check(first3, relay, product3, exp1):
 
 def test_empirical_check_alive_filter(first3, gate, product3, exp1):
     alive = EarlyFailurePredictor(
-        first3, gate, product3, exp1, ordering="weak", require_alive=True
+        first3, gate, product3, exp1, mode="alive"
     )
     sample = simulate(first3, gate, product3, exp1, size=200000, seed=32)
     y = np.linspace(0.31, 3.0, 20)

@@ -47,29 +47,29 @@ GATE_WEAK_BOTTOM90 = 0.9485600
 
 @pytest.fixture
 def relay_strict(first3, relay, product3, exp1):
-    return EarlyFailurePredictor(first3, relay, product3, exp1, ordering="strict")
+    return EarlyFailurePredictor(first3, relay, product3, exp1, mode="strict")
 
 
 @pytest.fixture
 def clayton_strict(first3, relay, clayton23, exp1):
-    return EarlyFailurePredictor(first3, relay, clayton23, exp1, ordering="strict")
+    return EarlyFailurePredictor(first3, relay, clayton23, exp1, mode="strict")
 
 
 @pytest.fixture
 def gate_weak(first3, gate, product3, exp1):
-    return EarlyFailurePredictor(first3, gate, product3, exp1, ordering="weak")
+    return EarlyFailurePredictor(first3, gate, product3, exp1, mode="weak")
 
 
 @pytest.fixture
 def gate_alive(first3, gate, product3, exp1):
     return EarlyFailurePredictor(
-        first3, gate, product3, exp1, ordering="weak", require_alive=True
+        first3, gate, product3, exp1, mode="alive"
     )
 
 
 @pytest.fixture
 def gate_fgm_weak(first3, gate, fgm1, exp1):
-    return EarlyFailurePredictor(first3, gate, fgm1, exp1, ordering="weak")
+    return EarlyFailurePredictor(first3, gate, fgm1, exp1, mode="weak")
 
 
 @pytest.fixture
@@ -124,7 +124,7 @@ def test_relay_analytic_inverse(first3, relay, product3, exp1):
         u = exp1.sf(np.asarray(t, dtype=float))
         return exp1.inv_sf(u * (np.sqrt(1.0 + 3.0 * np.asarray(w)) - 1.0))
 
-    pred = EarlyFailurePredictor(first3, relay, product3, exp1, ordering="strict")
+    pred = EarlyFailurePredictor(first3, relay, product3, exp1, mode="strict")
     for w in (0.05, 0.25, 0.5, 0.9):
         for t in (0.0, 0.8):
             assert pred.quantile(w, t) == pytest.approx(inverse(w, t), abs=1e-9)
@@ -168,7 +168,7 @@ def test_gate_alive_renormalizes(gate_weak, gate_alive):
 def test_alive_equals_weak_over_alpha(gate_weak, gate_alive, gate_fgm_weak,
                                       first3, gate, fgm1, exp1):
     fgm_alive = EarlyFailurePredictor(
-        first3, gate, fgm1, exp1, ordering="weak", require_alive=True
+        first3, gate, fgm1, exp1, mode="alive"
     )
     for weak, alive in ((gate_weak, gate_alive), (gate_fgm_weak, fgm_alive)):
         for t in (0.1, 0.8):
@@ -188,8 +188,7 @@ def test_survival_at_the_horizon(design, first3, gate, product3, exp1):
         "clayton_gate": (first3, gate, ClaytonPairCopula(theta=2.5, n=3, pair=(1, 2))),
     }[design]
     preds = {mode: EarlyFailurePredictor(first, system, copula, exp1,
-                                         ordering="strict" if mode == "strict" else "weak",
-                                         require_alive=mode == "alive")
+                                         mode=mode)
              for mode in ("strict", "weak", "alive")}
     for t in (0.0, 0.4, 1.3):
         for mode in ("strict", "weak"):
@@ -203,16 +202,16 @@ def test_survival_at_the_horizon(design, first3, gate, product3, exp1):
 def test_gate_fgm_alpha_is_theta_free(first3, gate, exp1):
     for theta in (-1.0, -0.3, 0.0, 0.6, 1.0):
         p = EarlyFailurePredictor(
-            first3, gate, FGMCopula(theta=theta, n=3), exp1, ordering="weak"
+            first3, gate, FGMCopula(theta=theta, n=3), exp1, mode="weak"
         )
         for t in (0.0, 0.5, 1.7):
             assert p.alpha(t) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_fgm_theta_zero_matches_product(first3, gate, product3, exp1):
-    base = EarlyFailurePredictor(first3, gate, product3, exp1, ordering="weak")
+    base = EarlyFailurePredictor(first3, gate, product3, exp1, mode="weak")
     zero = EarlyFailurePredictor(
-        first3, gate, FGMCopula(theta=0.0, n=3), exp1, ordering="weak"
+        first3, gate, FGMCopula(theta=0.0, n=3), exp1, mode="weak"
     )
     for t in (0.0, 0.6):
         for y in np.linspace(t, t + 3.0, 11):
@@ -272,8 +271,8 @@ def test_band_argument_errors(relay_strict):
 
 
 def test_ordering_validation(first3, relay, product3, exp1):
-    with pytest.raises(OutOfRange, match="ordering"):
-        EarlyFailurePredictor(first3, relay, product3, exp1, ordering="loose")
+    with pytest.raises(OutOfRange, match="mode"):
+        EarlyFailurePredictor(first3, relay, product3, exp1, mode="loose")
 
 
 def test_system_means(relay, gate, parallel3, first3, product3, fgm1, clayton23, exp1):
@@ -377,7 +376,7 @@ def test_two_failure_errors(twofail_fgm):
 
 def test_single_failure_case1_for_parallel(first3, parallel3, fgm1, exp1):
     # one observed failure, system is the last survivor
-    p = EarlyFailurePredictor(first3, parallel3, fgm1, exp1, ordering="strict")
+    p = EarlyFailurePredictor(first3, parallel3, fgm1, exp1, mode="strict")
     t = 0.4632196
     assert p.median(t) == pytest.approx(1.6584549, abs=1e-6)
     band = p.band("centered", 0.90)
@@ -434,7 +433,7 @@ def test_kofn_errors(exp1):
 
 def test_degenerate_denominator(first3, relay, product3):
     heavy = Weibull(shape=2.0, scale=1.0)
-    p = EarlyFailurePredictor(first3, relay, product3, heavy, ordering="strict")
+    p = EarlyFailurePredictor(first3, relay, product3, heavy, mode="strict")
     with pytest.raises(DegenerateDenominator):
         p.survival(41.0, 40.0)  # survival underflows to an exact zero
     with pytest.raises(DegenerateDenominator):
@@ -444,10 +443,10 @@ def test_degenerate_denominator(first3, relay, product3):
 def test_zero_alpha(first3, product3, exp1):
     # observed failure IS the system failure: conditioning on survival is void
     p = EarlyFailurePredictor(
-        first3, first3, product3, exp1, ordering="weak", require_alive=True
+        first3, first3, product3, exp1, mode="alive"
     )
     assert EarlyFailurePredictor(
-        first3, first3, product3, exp1, ordering="weak"
+        first3, first3, product3, exp1, mode="weak"
     ).alpha(0.5) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ZeroAlpha):
         p.survival(1.0, 0.5)
@@ -455,7 +454,7 @@ def test_zero_alpha(first3, product3, exp1):
 
 def test_weibull_marginal_relay(first3, relay, product3):
     wb = Weibull(shape=1.5, scale=2.0)
-    p = EarlyFailurePredictor(first3, relay, product3, wb, ordering="strict")
+    p = EarlyFailurePredictor(first3, relay, product3, wb, mode="strict")
     t = 0.8
     u = wb.sf(t)
     for y in (0.8, 1.5, 3.0):
@@ -474,7 +473,7 @@ def test_weibull_marginal_relay(first3, relay, product3):
 @settings(max_examples=60, deadline=None)
 def test_memoryless_relay_exponential(first3, relay, product3, exp1, t):
     # exact offsets at any t: median -log(sqrt(2.5) - 1), mean 5/6
-    p = EarlyFailurePredictor(first3, relay, product3, exp1, ordering="strict")
+    p = EarlyFailurePredictor(first3, relay, product3, exp1, mode="strict")
     assert p.median(t) - t == pytest.approx(-math.log(math.sqrt(2.5) - 1.0), abs=1e-9)
     assert p.mean(t) - t == pytest.approx(5.0 / 6.0, abs=1e-9)
 
@@ -519,8 +518,7 @@ def test_mean_matches_y_space_quadrature(shape, scale, mode, first3, relay, gate
                 m.inv_sf(np.array([0.5, 0.4, 1e-5, 1e-20])))
     else:
         system = relay if mode == "strict" else gate
-        p = EarlyFailurePredictor(first3, system, fgm1, m, ordering=mode.replace("alive", "weak"),
-                                  require_alive=mode == "alive")
+        p = EarlyFailurePredictor(first3, system, fgm1, m, mode=mode)
         cond = (m.inv_sf(np.array([1.0, 0.3, 1e-4, 1e-12, 1e-40, 1e-100])),)
     want = _y_space_mean(p, *cond)
     got = p.mean(*cond)
@@ -544,7 +542,7 @@ def test_mean_raises_when_the_horizon_survival_underflows(exp1):
     # T1 = max(X1, min(X2, X3, X4)) keeps a nonzero density at F-bar = 0, so the
     # law builds; the tail past an underflowed horizon has no scale
     first = validate_structure(4, [[1], [2, 3, 4]])
-    p = EarlyFailurePredictor(first, parallel(4), ProductCopula(4), exp1, ordering="weak")
+    p = EarlyFailurePredictor(first, parallel(4), ProductCopula(4), exp1, mode="weak")
     assert p.mean(1.0) > 1.0
     with pytest.raises(QuadratureFailure, match="underflows"):
         p.mean(800.0)
@@ -553,7 +551,7 @@ def test_mean_raises_when_the_horizon_survival_underflows(exp1):
 def test_not_invertible_level(first3, gate, product3, exp1):
     # strict ordering on a design whose first failure can be the system's:
     # levels above alpha(t) = 2/3 have no root in (0, F-bar(t)]
-    p = EarlyFailurePredictor(first3, gate, product3, exp1, ordering="strict")
+    p = EarlyFailurePredictor(first3, gate, product3, exp1, mode="strict")
     assert p.alpha(0.5) == pytest.approx(2.0 / 3.0, abs=1e-12)
     p.quantile(0.5, 0.5)
     with pytest.raises(NotInvertible):
@@ -605,8 +603,7 @@ def _solver_case(copula, shape, mode):
                                    SOLVER_COPULAS[copula], m)
     paths = [[1], [2, 3]] if mode == "strict" else [[1, 2], [1, 3]]
     return EarlyFailurePredictor(series(3), validate_structure(3, paths), SOLVER_COPULAS[copula],
-                                 m, ordering="strict" if mode == "strict" else "weak",
-                                 require_alive=mode == "alive")
+                                 m, mode=mode)
 
 
 def _cond(mode, t, frac=0.5):
@@ -623,7 +620,7 @@ def test_solver_matches_bisection(copula, shape, mode, t, frac, w):
         law, alpha = p._law(*c)
     except DegenerateDenominator:
         reject()  # the conditioning point has no law to invert
-    atom = None if p.require_alive or alpha is None else np.asarray(w >= alpha)
+    atom = None if p.mode == "alive" or alpha is None else np.asarray(w >= alpha)
     calls = []
 
     def counted(z):
@@ -658,7 +655,7 @@ def test_strict_gate_is_not_invertible_above_alpha(copula, shape, t, frac):
     # levels above alpha(t) < 1 have no root in (0, F-bar(t)]
     gate = validate_structure(3, [[1, 2], [1, 3]])
     p = EarlyFailurePredictor(series(3), gate, SOLVER_COPULAS[copula], _marginal(shape),
-                              ordering="strict")
+                              mode="strict")
     a = p.alpha(t)
     assert p.quantile(frac * a, t) >= t
     with pytest.raises(NotInvertible):

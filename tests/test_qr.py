@@ -222,3 +222,25 @@ def test_load_xy(tmp_path, first3, relay, product3, exp1):
     np.testing.assert_allclose(x1[:, 0], s.components[:, 0], rtol=1e-8)
     with pytest.raises(DegenerateDesign):
         load_xy(path, x_col="t9")
+
+
+def test_load_xy_reads_named_columns(tmp_path):
+    # columns in any order, extra columns, CRLF row ends and an empty line
+    path = tmp_path / "sample.csv"
+    path.write_bytes(b"t,x1,t1\r\n1.5,9,0.5\r\n\r\n2.5,8,1e-3\r\n")
+    np.testing.assert_array_equal(load_xy(path), [[0.5, 1.5], [1e-3, 2.5]])
+    path.write_text("t1,t\n")
+    assert load_xy(path).shape == (0, 2)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("t1,t\n0.1,0.6\n0.2,abc\n", 3),  # non-numeric cell
+    ("t1,t\n0.1,0.6\n\n0.2,0.7\n0.3\n", 5),  # short row after an empty line
+    ("x,t1,t\n1,0.1,0.6\n2,0.2,\n", 3),  # empty cell
+    ("t1,t,x\n0.1,0.6,a\n0.2,0.7\n 0.3 ,#\n", 4),  # a comment sign is no number
+])
+def test_load_xy_rejects_bad_rows(tmp_path, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DegenerateDesign, match=f"^line {line}: columns 't1' and 't' must hold numbers$"):
+        load_xy(path)

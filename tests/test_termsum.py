@@ -246,13 +246,13 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
         cond = (0.3, 0.6)
     elif mode == "one":
         pred = EarlyFailurePredictor(series(4), k_out_of_n(2, 4), copula, Exponential(1.0),
-                                     ordering="strict")
+                                     mode="strict")
         cond = (0.3,)
     else:
         # component 1 in series with a 2-of-3 block: alpha = 3/4 at theta = 0
         gate4 = validate_structure(4, [[1, 2], [1, 3], [1, 4]])
         pred = EarlyFailurePredictor(series(4), gate4, copula, Exponential(1.0),
-                                     ordering="weak")
+                                     mode="weak")
         cond = (0.3,)
     extra_nums = 2 if mode == "weak" else 1
     build = pred._law
