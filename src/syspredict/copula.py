@@ -7,9 +7,8 @@ and mixed partial derivatives up to order three with respect to distinct
 coordinates.  Each family states its law once, as one hand-derived kernel
 that takes a boolean coordinate mask: a row differentiates the coordinates
 its mask marks, so a stack of points with a different set per row costs one
-call, and an unmarked row is the value (`eval`).  A finite-difference oracle
-(computed in extended precision) cross-checks the partials in the tests.
-Each family also samples itself by closed-form conditional inversion.
+call, and an unmarked row is the value (`eval`).  Each family also samples
+itself by closed-form conditional inversion.
 
 Families:
 
@@ -24,12 +23,10 @@ Families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iterproduct
 
 import numpy as np
 
 from .errors import (
-    BoundaryTooClose,
     IndexOutOfRange,
     LengthMismatch,
     OutOfRange,
@@ -38,11 +35,9 @@ from .errors import (
     UnsupportedOrder,
 )
 
-_FD_STEPS = {1: 1e-6, 2: 1e-5, 3: 1e-3}
-
 
 class SurvivalCopula:
-    """Shared validation, `eval`/`partial` over the law kernel, and the FD oracle."""
+    """Shared validation and `eval`/`partial` over the law kernel."""
 
     n: int
 
@@ -100,37 +95,6 @@ class SurvivalCopula:
         mask = np.zeros((1, self.n), dtype=bool)
         mask[0, [i - 1 for i in self._check_indices(indices)]] = True
         return self._partial(mask, self._check_point(u)[..., None, :])[..., 0]
-
-    def fd_partial(self, indices, u, h=None):
-        """Central finite-difference oracle for :meth:`partial`.
-
-        Evaluates the 2^k stencil in extended precision so the order-3
-        stencil stays accurate at small steps.  Raises if any differentiated
-        coordinate sits within h of the unit-cube boundary.
-        """
-        idx = self._check_indices(indices)
-        k = len(idx)
-        if h is None:
-            h = _FD_STEPS[k]
-        base = np.asarray(self._check_point(u), dtype=np.longdouble)
-        for i in idx:
-            xi = base[..., i - 1]
-            if np.any(xi < h) or np.any(xi > 1 - h):
-                raise BoundaryTooClose(
-                    f"coordinate {i} within {h} of the boundary"
-                )
-        total = 0.0
-        for signs in _iterproduct((1.0, -1.0), repeat=k):
-            point = base.copy()
-            weight = 1.0
-            for s, i in zip(signs, idx):
-                point[..., i - 1] = base[..., i - 1] + s * h
-                weight *= s
-            total = total + weight * self.eval(point)
-        spacing = 1.0
-        for i in idx:
-            spacing = spacing * ((base[..., i - 1] + h) - (base[..., i - 1] - h))
-        return np.asarray(total / spacing, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -267,12 +231,13 @@ class ClaytonPairCopula(SurvivalCopula):
         return indep * pair
 
     def _from_uniforms(self, V):
-        # the partner coordinate solves d/dp of the pair factor = w
+        # the partner coordinate solves d/dp of the pair factor = w; at w = 1
+        # the generalized inverse is 1, or 0 where p = 0 (a point mass at 0)
         j, k = self.pair
         p, w = V[..., j - 1], V[..., k - 1]
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inner = 1.0 + p ** (-self.theta) * (w ** (-self.theta / (1.0 + self.theta)) - 1.0)
-            V[..., k - 1] = inner ** (-1.0 / self.theta)
+            V[..., k - 1] = np.where(w == 1.0, p > 0.0, inner ** (-1.0 / self.theta))
         return V
 
 

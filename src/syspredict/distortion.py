@@ -14,19 +14,17 @@ x <= y) it expands over pairs of subfamilies: coordinates in P = union(S)
 carry v, coordinates in union(S*) \\ P carry u, the rest are pinned to 1.
 On v > u the joint event degenerates to {T1 > x}, so D-hat(u, v) =
 q-bar_T1(u), the distortion exposed as `tail`.  The first partial
-d1 = dD-hat/du feeds the conditional laws; its ordered-branch value at
-v = 0 captures any defect mass, and its v > u branch is the density
-transform q-bar_T1'(u) (`tail.derivative`) that normalizes them.  d1 has a
-kink across u = v; at equality it takes the ordered branch, which
-`d1_ordered` evaluates alone.
+d1 = dD-hat/du has a kink across u = v; at equality it takes the ordered
+branch.  With three ordered lifetimes T1 <= T2 <= T the same expansion
+runs over triples of subfamilies on the ordered region w <= v <= u; each
+coordinate takes the variable of the innermost union containing it (w for
+the system, then v, then u, else 1).
 
-With three ordered lifetimes T1 <= T2 <= T the same expansion runs over
-triples of subfamilies on the ordered region w <= v <= u; each coordinate
-takes the variable of the innermost union containing it (w for the system,
-then v, then u, else 1).  The mixed partial d12 drives conditioning on the
-first two failure times, its value at w = 0 the defect mass; its
-normalizing denominator is the mixed partial of the (T1, T2) bivariate
-distortion, exposed as `pair` (the w -> 1 boundary).
+All of these are one object, `_TermSum`: the signed sum over the joint
+expansion of k structures, whose `partial(*variables)` evaluates any mixed
+partial in distinct variables (none: the value).  The three distortion
+classes share one constructor and differ only in their region rules; the
+predictors read their conditional laws from `_TermSum` directly.
 
 Every expansion is the product of the structures' merged univariate
 expansions (SystemStructure.inclusion_exclusion), merged again over equal
@@ -36,6 +34,7 @@ than TERM_BUDGET = 2^20 merged terms is refused.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from math import prod
 
@@ -61,13 +60,6 @@ def _check_same_n(copula, *structures):
             )
 
 
-def _merge(acc):
-    # deterministic order: coordinate pattern sorted, zero coefficients dropped
-    return tuple(
-        (coeff, key) for key, coeff in sorted(acc.items()) if coeff != 0
-    )
-
-
 def _joint_terms(*structures):
     """Merged joint expansion of structures given in variable order, system last.
 
@@ -75,8 +67,10 @@ def _joint_terms(*structures):
     variable: a coordinate in the system's union carries the system's
     variable, else one in the union before it carries that variable, and so
     on back to the first structure (the innermost union containing it).
+    Joint terms are sorted by their masks, zero coefficients dropped; one
+    structure keeps its expansion's own term order.
     """
-    expansions = [s.inclusion_exclusion().terms for s in structures]
+    expansions = [s.inclusion_exclusion() for s in structures]
     size = prod(len(e) for e in expansions)
     if size > TERM_BUDGET:
         raise TermLimitExceeded(
@@ -91,30 +85,31 @@ def _joint_terms(*structures):
             taken |= m
         key = tuple(reversed(masks))
         acc[key] = acc.get(key, 0) + coeff
-    return _merge(acc)
+    items = sorted(acc.items()) if len(structures) > 1 else acc.items()
+    return tuple((coeff, key) for key, coeff in items if coeff != 0)
 
 
 class _TermSum:
-    """Signed sum of copula slices sharing a variable layout.
+    """Signed sum of copula slices over the joint expansion of some structures.
 
     Term k is the copula at the point whose coordinate i carries variable
-    ``layout[k, i]``, or 1 where that entry is -1.  Each evaluation gathers
-    the points of all its rows (one per term for `value`, one per term and
-    differentiated coordinate or coordinate pair for the partials) into one
+    ``layout[k, i]``, or 1 where that entry is -1; the variables follow the
+    structures' order.  Each evaluation gathers the points of all its rows
+    (one per term and choice of differentiated coordinates) into one
     stacked array and makes one call of the copula's law kernel per chunk of
     at most CELLS cells (points x rows x n); a row's mask marks the
-    coordinates it differentiates, none for `value`.  Rows are added in term
-    order by a running sum, so a total equals the term-by-term loop bit for
-    bit.
+    coordinates it differentiates, none for the value.  Rows are added in
+    term order by a running sum, so a total equals the term-by-term loop bit
+    for bit.
     """
 
-    def __init__(self, copula: SurvivalCopula, terms):
-        # terms: ((coeff, (mask_per_variable, ...)), ...); variables ordered
-        # innermost-first when evaluating
+    def __init__(self, copula: SurvivalCopula, *structures: SystemStructure):
+        _check_same_n(copula, *structures)
         self.copula = copula
         self.n = copula.n
         self._terms = tuple(
-            (coeff, tuple(_ids(m) for m in masks)) for coeff, masks in terms
+            (coeff, tuple(_ids(m) for m in masks))
+            for coeff, masks in _joint_terms(*structures)
         )
         self._coeffs = np.array([c for c, _ in self._terms], dtype=float)
         self._layout = np.full((len(self._terms), self.n), -1, dtype=np.intp)
@@ -162,16 +157,14 @@ class _TermSum:
             total = np.cumsum(summands, axis=-1)[..., -1]
         return total
 
-    def value(self, *values):
-        return self._sum(self._plan(), values)
+    def partial(self, *variables):
+        """Evaluator ``(*values) -> sum`` of the mixed partial in `variables`.
 
-    def d_var(self, var, *values):
-        """Sum of first partials over the coordinates carrying variable `var`."""
-        return self._sum(self._plan(var), values)
-
-    def d_mixed(self, var_a, var_b, *values):
-        """Sum of mixed partials over coordinate pairs carrying two variables."""
-        return self._sum(self._plan(var_a, var_b), values)
+        Each term contributes its copula partials over every choice of one
+        coordinate carrying each given variable; with no variable the
+        evaluator gives the sum's value.
+        """
+        return lambda *values: self._sum(self._plan(*variables), values)
 
     @property
     def terms(self):
@@ -182,100 +175,90 @@ class _TermSum:
         )
 
 
-class UnivariateDistortion:
-    """q-bar for one system lifetime: P(T > t) = q-bar(F-bar(t))."""
+class _Distortion:
+    """The structures under the names in `roles`, the copula, and their term sum.
 
-    def __init__(self, structure: SystemStructure, copula: SurvivalCopula):
-        _check_same_n(copula, structure)
-        self.structure = structure
-        self.copula = copula
-        expansion = structure.inclusion_exclusion()
-        self._sum = _TermSum(copula, tuple((c, (m,)) for c, m in expansion.terms))
+    Built as ``cls(*structures, copula)`` with the structures in variable
+    order, the system last; the term sum is the law on the ordered region.
+    """
 
-    @property
-    def terms(self):
-        return self._sum.terms
+    roles = ()
 
-    def value(self, u):
-        return self._sum.value(u)
-
-    def derivative(self, u):
-        return self._sum.d_var(0, u)
-
-
-class BivariateDistortion:
-    """D-hat(u, v) for an ordered pair T1 <= T of system lifetimes."""
-
-    def __init__(self, first, system, copula):
-        _check_same_n(copula, first, system)
-        self.first = first
-        self.system = system
+    def __init__(self, *structures_and_copula):
+        *structures, copula = structures_and_copula
+        self._ordered = _TermSum(copula, *structures)
+        for role, structure in zip(self.roles, structures, strict=True):
+            setattr(self, role, structure)
         self.copula = copula
         self.n = copula.n
-        self._ordered = _TermSum(copula, _joint_terms(first, system))
-        # v > u branch: the T1 distortion
-        self.tail = UnivariateDistortion(first, copula)
 
     @property
     def terms(self):
-        """Ordered-region terms as (coeff, (u indices, v indices))."""
+        """Ordered-region terms as (coeff, per-variable 1-based indices)."""
         return self._ordered.terms
+
+
+class UnivariateDistortion(_Distortion):
+    """q-bar for one system lifetime: P(T > t) = q-bar(F-bar(t)).
+
+    UnivariateDistortion(structure, copula).
+    """
+
+    roles = ("structure",)
+
+    def value(self, u):
+        return self._ordered.partial()(u)
+
+    def derivative(self, u):
+        return self._ordered.partial(0)(u)
+
+
+class BivariateDistortion(_Distortion):
+    """D-hat(u, v) for an ordered pair T1 <= T of system lifetimes.
+
+    BivariateDistortion(first, system, copula).
+    """
+
+    roles = ("first", "system")
+
+    @cached_property
+    def tail(self):
+        """The v > u branch: the T1 distortion."""
+        return UnivariateDistortion(self.first, self.copula)
 
     def value(self, u, v):
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        return np.where(v <= u, self._ordered.value(u, v), self.tail.value(u))
+        return np.where(v <= u, self._ordered.partial()(u, v), self.tail.value(u))
 
     def d1(self, u, v):
         """dD-hat/du, on the ordered branch at the kink u == v."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        return np.where(v <= u, self.d1_ordered(u, v), self.tail.derivative(u))
-
-    def d1_ordered(self, u, v):
-        """The ordered-region branch of d1, evaluated at every (u, v) given.
-
-        Equal to d1 wherever v <= u; beyond that, d1 is the tail branch,
-        which depends on u alone.
-        """
-        return self._ordered.d_var(0, np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        return np.where(v <= u, self._ordered.partial(0)(u, v), self.tail.derivative(u))
 
     def d12(self, u, v):
         """Mixed partial on the ordered region (0 beyond it)."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        return np.where(v <= u, self._ordered.d_mixed(0, 1, u, v), 0.0)
+        return np.where(v <= u, self._ordered.partial(0, 1)(u, v), 0.0)
 
 
-class TrivariateDistortion:
-    """D-hat(u, v, w) for ordered lifetimes T1 <= T2 <= T."""
+class TrivariateDistortion(_Distortion):
+    """D-hat(u, v, w) for ordered lifetimes T1 <= T2 <= T.
 
-    def __init__(self, first, second, system, copula):
-        _check_same_n(copula, first, second, system)
-        self.first = first
-        self.second = second
-        self.system = system
-        self.copula = copula
-        self.n = copula.n
-        self._ordered = _TermSum(copula, _joint_terms(first, second, system))
-        # w -> 1 boundary: the (T1, T2) joint law
-        self.pair = BivariateDistortion(first, second, copula)
+    TrivariateDistortion(first, second, system, copula); defined on the
+    ordered region u >= v >= w only.
+    """
 
-    @property
-    def terms(self):
-        """Ordered-region terms as (coeff, (u indices, v indices, w indices))."""
-        return self._ordered.terms
+    roles = ("first", "second", "system")
+
+    def _ordered_point(self, name, *values):
+        u, v, w = (np.asarray(x, dtype=float) for x in values)
+        if np.any(v > u) or np.any(w > v):
+            raise RegionError(f"{name} requires the ordered region u >= v >= w")
+        return u, v, w
 
     def value(self, u, v, w):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if np.any(v > u) or np.any(w > v):
-            raise RegionError("value requires the ordered region u >= v >= w")
-        return self._ordered.value(u, v, w)
+        return self._ordered.partial()(*self._ordered_point("value", u, v, w))
 
     def d12(self, u, v, w):
         """Mixed partial in (u, v) on the ordered region."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if np.any(v > u) or np.any(w > v):
-            raise RegionError("d12 requires the ordered region u >= v >= w")
-        return self._ordered.d_mixed(0, 1, u, v, w)
+        return self._ordered.partial(0, 1)(*self._ordered_point("d12", u, v, w))

@@ -41,10 +41,6 @@ class UnsupportedOrder(SysPredictError, ValueError):
     """Partial derivative order outside 1..3 or repeated indices."""
 
 
-class BoundaryTooClose(SysPredictError, ValueError):
-    """Finite-difference stencil would leave the unit cube."""
-
-
 class UnsupportedCopula(SysPredictError, ValueError):
     """Requested operation is not available for this copula family."""
 

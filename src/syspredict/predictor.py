@@ -1,19 +1,19 @@
 """Conditional prediction of a system failure time from early failures.
 
-Every conditioning case is one ratio of distortion partials.  Write c for
-the conditioning point in survival scale and z = F-bar(y); then
+Every conditioning case is one ratio of term-sum partials.  Given the
+first k failures (k = 1 or 2) of structures O_1..O_k at t_1 <= .. <= t_k,
+write c = (F-bar(t_1), .., F-bar(t_k)) for the conditioning point in
+survival scale and z = F-bar(y); then
 
       S(z | c) = [num(c, z) - base(c)] / den(c),   z <= F-bar(horizon),
 
-where the horizon is the last observed time and base(c) = num(c, 0)
-removes any defect mass.
-
-* one failure T1 = t, c = (u,) = (F-bar(t),): num is d1(u, z) on its
-  ordered branch, den = q-bar_T1'(u) is the derivative of the T1 marginal
-  distortion (the v > u branch of d1).
-* two failures t1 <= t2, c = (u, v): num is the mixed partial d12(u, v, z)
-  of the trivariate distortion, den the mixed partial of the (T1, T2)
-  pair distortion.
+where the horizon t_k is the last observed time, num is the k-th mixed
+partial, in the k observed variables, of the (k+1)-variate ordered
+distortion of (O_1, .., O_k, system), den the same partial of the k-variate
+ordered distortion of the observed failures alone, and base(c) = num(c, 0)
+removes any defect mass.  For one failure den = q-bar_T1'(u) is the
+derivative of the first failure's distortion; for two, the mixed partial
+of the (T1, T2) distortion.
 
 Mode "strict" (the observed failure can never be the system failure)
 uses S as it is.  Mode "weak" (the system may die exactly at the observed
@@ -23,7 +23,7 @@ survived and renormalizes the law by alpha(t).
 
 Each conditioning point's law is built once per solve: den, base and alpha
 depend only on c, so every solver step and quadrature node evaluates
-just the numerator.  Subclasses name the two distortion callables and map
+just the numerator.  Subclasses name their observed structures and map
 their conditioning times to (horizon, c); quantiles, means, survival,
 alpha and bands are shared.  The k-of-n shortcut `kofn_quantile_factor`
 inverts its binomial law with the same root solver.
@@ -63,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distortion import BivariateDistortion, TrivariateDistortion, UnivariateDistortion
+from .distortion import UnivariateDistortion, _TermSum
 from .errors import (
     DegenerateDenominator,
     InvalidOrder,
@@ -182,14 +182,21 @@ class PredictionBand:
 class _PredictorCore:
     """Quantile, mean, survival, alpha and bands over one conditional law.
 
-    A subclass sets, in `__init__`, the distortion callables `_num(*c, z)`
-    and `_den(*c)` and the `_degenerate` message, and defines
-    `_point(*cond) -> (horizon, c)`: the last observed time and the
-    conditioning point in survival scale, whose last entry is F-bar(horizon).
+    A subclass passes the structures of its k observed failures and sets the
+    `_degenerate` message, and defines `_point(*cond) -> (horizon, c)`: the
+    last observed time and the conditioning point in survival scale, whose
+    last entry is F-bar(horizon).
     """
 
-    marginal = None
     mode = "strict"
+
+    def __init__(self, observed, system, copula, marginal):
+        # num(*c, z), den(*c): the mixed partial in the k observed variables
+        # of the ordered sum with the system, and of the observed sum alone
+        variables = range(len(observed))
+        self._num = _TermSum(copula, *observed, system).partial(*variables)
+        self._den = _TermSum(copula, *observed).partial(*variables)
+        self.marginal = marginal
 
     def _law(self, *c):
         """z -> S(z | c) with the normalizers of c computed once, and alpha.
@@ -286,15 +293,13 @@ class EarlyFailurePredictor(_PredictorCore):
     mode="alive": as weak, conditioned on the system having survived it.
     """
 
+    _degenerate = "marginal distortion derivative of the first failure vanished"
+
     def __init__(self, first, system, copula, marginal, *, mode="strict"):
         if mode not in ("strict", "weak", "alive"):
             raise OutOfRange(f"mode must be 'strict', 'weak' or 'alive', got {mode!r}")
-        self.dist = BivariateDistortion(first, system, copula)
-        self.marginal = marginal
+        super().__init__((first,), system, copula, marginal)
         self.mode = mode
-        self._num = self.dist.d1_ordered
-        self._den = self.dist.tail.derivative
-        self._degenerate = "marginal distortion derivative of the first failure vanished"
 
     def _point(self, t):
         t = np.asarray(t, dtype=float)
@@ -304,12 +309,10 @@ class EarlyFailurePredictor(_PredictorCore):
 class TwoFailurePredictor(_PredictorCore):
     """Predict T from the first two observed failure times t1 <= t2."""
 
+    _degenerate = "mixed partial of the (T1, T2) law vanished at the conditioning point"
+
     def __init__(self, first, second, system, copula, marginal):
-        self.dist = TrivariateDistortion(first, second, system, copula)
-        self.marginal = marginal
-        self._num = self.dist.d12
-        self._den = self.dist.pair.d12
-        self._degenerate = "mixed partial of the (T1, T2) law vanished at the conditioning point"
+        super().__init__((first, second), system, copula, marginal)
 
     def _point(self, t1, t2):
         t1 = np.asarray(t1, dtype=float)

@@ -58,24 +58,6 @@ def _indices(mask):
 
 
 @dataclass(frozen=True)
-class SignedTermList:
-    """Merged inclusion-exclusion expansion: sum of coeff * P(all of mask work).
-
-    ``terms`` holds ``(coeff, mask)`` pairs with integer coefficients (signs
-    merged over identical unions, zero coefficients dropped), in deterministic
-    order (set size, then mask value).
-    """
-
-    n: int
-    terms: tuple[tuple[int, int], ...]
-
-    @property
-    def term_sets(self):
-        """Terms with the component sets spelled out as index tuples."""
-        return tuple((c, _indices(m)) for c, m in self.terms)
-
-
-@dataclass(frozen=True)
 class SystemStructure:
     """A validated coherent structure: component count and minimal path sets."""
 
@@ -105,14 +87,15 @@ class SystemStructure:
                 for m in self.path_masks]
         return np.max(np.stack(mins, axis=0), axis=0)
 
-    def inclusion_exclusion(self) -> SignedTermList:
+    def inclusion_exclusion(self) -> tuple[tuple[int, int], ...]:
         """Signed expansion of P(T > t) over unions of path sets.
 
         P(T > t) = sum over nonempty subfamilies S of (-1)^(|S|+1)
         P(all components in union(S) survive t), with identical unions
-        merged.  The expansion is computed on the first call and kept on
-        the instance, so every distortion built from this structure shares
-        it.
+        merged: ``(coeff, mask)`` pairs with nonzero integer coefficients,
+        ordered by set size, then mask value.  The expansion is computed on
+        the first call and kept on the instance, so every term sum built
+        from this structure shares it.
         """
         cached = self.__dict__.get("_expansion")
         if cached is None:
@@ -120,7 +103,7 @@ class SystemStructure:
             object.__setattr__(self, "_expansion", cached)
         return cached
 
-    def _expand(self) -> SignedTermList:
+    def _expand(self):
         # Path sets join one at a time: each merged union U with coefficient
         # c gains the union U | m with coefficient -c, m itself gains +1, and
         # zero coefficients are dropped as they appear.
@@ -141,11 +124,10 @@ class SystemStructure:
                     acc[key] = c
                 else:
                     del acc[key]
-        terms = tuple(
+        return tuple(
             (c, m)
             for m, c in sorted(acc.items(), key=lambda kv: (bin(kv[0]).count("1"), kv[0]))
         )
-        return SignedTermList(self.n, terms)
 
 
 def _first_nested_pair(masks):

@@ -28,6 +28,8 @@ from syspredict import (
 )
 from syspredict.cli import main
 
+from fd_oracle import fd_partial
+
 
 @contextmanager
 def criterion(num, name):
@@ -218,7 +220,7 @@ def test_acceptance_4_derivative_oracles(
             for p in pts:
                 for order in orders:
                     got = cop.partial(order, p)
-                    ref = cop.fd_partial(order, p)
+                    ref = fd_partial(cop, order, p)
                     assert got == pytest.approx(ref, rel=rtol, abs=1e-9), (
                         f"{type(cop).__name__} order {order} at {p}")
 

@@ -154,6 +154,7 @@ def test_trivariate_collapse(first3, two_of_three, parallel3, theta):
     """Order-statistic triple under an exchangeable copula: collapsed form."""
     cop = FGMCopula(theta=theta, n=3)
     tri = TrivariateDistortion(first3, two_of_three, parallel3, cop)
+    pair = BivariateDistortion(first3, two_of_three, cop)  # the w -> 1 boundary
 
     def chat(a, b, c):
         return a * b * c * (1 + theta * (1 - a) * (1 - b) * (1 - c))
@@ -167,9 +168,9 @@ def test_trivariate_collapse(first3, two_of_three, parallel3, theta):
         want = 6 * chat(u, v, w) - 3 * chat(v, v, w) - 3 * chat(u, w, w) + chat(w, w, w)
         assert tri.value(u, v, w) == pytest.approx(want, abs=1e-12)
         assert tri.d12(u, v, w) == pytest.approx(6 * d12chat(u, v, w), abs=1e-12)
-        assert tri.pair.d12(u, v) == pytest.approx(6 * d12chat(u, v, v), abs=1e-12)
+        assert pair.d12(u, v) == pytest.approx(6 * d12chat(u, v, v), abs=1e-12)
         want_bnd = 3 * chat(u, v, v) - 2 * chat(v, v, v)
-        assert tri.pair.value(u, v) == pytest.approx(want_bnd, abs=1e-12)
+        assert pair.value(u, v) == pytest.approx(want_bnd, abs=1e-12)
     assert tri.value(1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -232,7 +233,7 @@ def test_zero_plus_limits(relay, gate, first3, two_of_three, parallel3,
     eps = 1e-8
     us = np.linspace(0.05, 0.95, 19)
     for d in _all_bivariate_designs(relay, gate, first3, product3, fgm1, clayton23):
-        limit = d.d1_ordered(us, 0)
+        limit = d.d1(us, 0.0)
         np.testing.assert_allclose(limit, 0.0, atol=1e-15)
         np.testing.assert_allclose(limit, d.d1(us, eps), atol=1e-6)
 
@@ -249,7 +250,6 @@ def test_d1_side_convention(relay, first3, product3):
     u = 0.6
     # at the kink the two one-sided derivatives differ; d1 takes the ordered one
     assert d.d1(u, u) == pytest.approx(2 * u * u + u * u, abs=1e-14)
-    assert d.d1_ordered(u, u) == d.d1(u, u)
     # the tail side is the derivative of the first failure's distortion
     assert d.tail.derivative(u) == pytest.approx(3 * u * u, abs=1e-14)
     assert d.d1(u, 0.9) == d.tail.derivative(u)

@@ -113,17 +113,34 @@ SAMPLER_FAMILIES = [
 def test_sampler_matches_family_inverse_bitwise(copula):
     rng = np.random.default_rng(13)
     U = rng.random((400, copula.n))
-    # uniforms exactly 0 and 1 included; p = 0, w = 1 makes a Clayton nan in both
+    # uniforms exactly 0 and 1 included; p = 0, w = 1 makes the Clayton closed form nan
     U[rng.random(U.shape) < 0.1] = 0.0
     U[rng.random(U.shape) < 0.1] = 1.0
     with np.errstate(invalid="ignore"):
         got = survival_uniforms(copula, U)
         want = oracle_uniforms(copula, U)
-    assert np.array_equal(got, want, equal_nan=True)
+    finite = ~np.isnan(want)
+    assert np.array_equal(got[finite], want[finite])
+    if isinstance(copula, ClaytonPairCopula):
+        # there the generalized inverse: a point mass at 0 given p = 0
+        _, k = copula.pair
+        rows = ~finite[:, k - 1]
+        assert rows.any() and np.all(finite[:, [i for i in range(copula.n) if i != k - 1]])
+        assert np.array_equal(got[rows, k - 1], np.zeros(rows.sum()))
+    else:
+        # FGM's closed form is 0/0 at w = 0 with a = -1, and so is its sampler
+        assert np.array_equal(got, want, equal_nan=True)
     for marginal in (Exponential(1.0), Weibull(shape=2.0, scale=1.5)):
         draws = sample_components(copula, marginal, np.random.default_rng(5), 300)
         U = np.random.default_rng(5).random((300, copula.n))
         assert np.array_equal(draws, marginal.inv_sf(oracle_uniforms(copula, U)))
+
+
+def test_clayton_sampler_takes_the_generalized_inverse_at_w_one():
+    # p^-theta overflows at p = 1e-200: the closed form would be inf * 0
+    V = survival_uniforms(ClaytonPairCopula(pair=(1, 2), theta=2.5, n=2),
+                          [[0.0, 1.0], [1e-200, 1.0], [0.3, 1.0]])
+    assert np.array_equal(V, [[0.0, 0.0], [1e-200, 1.0], [0.3, 1.0]])
 
 
 def test_sampler_needs_a_family_inverse():

@@ -635,6 +635,34 @@ def test_solver_matches_bisection(copula, shape, mode, t, frac, w):
     assert abs(got - want) <= 2 * BISECT_TOL * want
 
 
+@given(copula=_copulas, shape=_shapes, mode=st.sampled_from(MODES), t=st.floats(0.0, 60.0),
+       frac=st.floats(0.0, 1.0), level=_levels)
+@settings(max_examples=300, deadline=None)
+def test_survival_inverts_quantile_at_extreme_t(copula, shape, mode, t, frac, level):
+    p = _solver_case(copula, shape, mode)
+    if (copula, mode) == ("fgm+", "two") and p.marginal.sf(t) < 1e-4:
+        reject()  # the law's known cancellation: test_two_failure_fgm_law_loses_its_inverse
+    cond = _cond(mode, t, frac)
+    try:
+        alpha = p.alpha(*cond)
+    except DegenerateDenominator:
+        reject()  # the conditioning point has no law to invert
+    # weak levels at or above alpha sit in the atom at the horizon
+    w = level * alpha if mode == "weak" else level
+    assert p.survival(p.quantile(w, *cond), *cond) == pytest.approx(w, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FGM(theta=1) two-failure law: num - base and den cancel as F-bar(t2) -> 0")
+@pytest.mark.parametrize("t2", [25.0, 38.0])
+def test_two_failure_fgm_law_loses_its_inverse(t2):
+    # relative errors 1.6e-6 at t2 = 25 and 0.56 at t2 = 38 (level 0.01);
+    # within 1.6e-12 while F-bar(t2) >= 1e-4
+    p = _solver_case("fgm+", None, "two")
+    for w in (0.01, 0.5, 0.99):
+        assert p.survival(p.quantile(w, 0.0, t2), 0.0, t2) == pytest.approx(w, rel=1e-10, abs=0.0)
+
+
 @given(copula=_copulas, shape=_shapes, mode=st.sampled_from(MODES), w=_levels)
 @settings(max_examples=40, deadline=None)
 def test_grid_quantiles_match_scalar_calls(copula, shape, mode, w):

@@ -22,9 +22,7 @@ from syspredict import (
     FGMCopula,
     ProductCopula,
     SurvivalCopula,
-    TrivariateDistortion,
     TwoFailurePredictor,
-    UnivariateDistortion,
     k_out_of_n,
     series,
     validate_structure,
@@ -41,7 +39,7 @@ def _ids(mask):
 
 
 def oracle_sum(copula, terms, values, var_a=None, var_b=None):
-    """The per-term loop: `value` with no variable, `d_var` with one, `d_mixed` with two.
+    """The per-term loop: the value with no variable, a partial in one or two.
 
     Also returns the sum of |coeff * part| over the summands, the scale of
     the rounding the Clayton tolerance is relative to.
@@ -121,36 +119,35 @@ def _assert_matches(copula, got, want, scale):
 def test_stacked_sum_matches_per_term_loop(case):
     structures, copula, values = case
     terms = _joint_terms(*structures)
-    stacked = _TermSum(copula, terms)
+    stacked = _TermSum(copula, *structures)
     nvars = len(structures)
-    got = stacked.value(*values)
+    got = stacked.partial()(*values)
     want, scale = oracle_sum(copula, terms, values)
     assert got.shape == want.shape
     _assert_matches(copula, got, want, scale)
     for var in range(nvars):
         want, scale = oracle_sum(copula, terms, values, var)
-        _assert_matches(copula, stacked.d_var(var, *values), want, scale)
+        _assert_matches(copula, stacked.partial(var)(*values), want, scale)
     for a, b in combinations(range(nvars), 2):
         want, scale = oracle_sum(copula, terms, values, a, b)
-        _assert_matches(copula, stacked.d_mixed(a, b, *values), want, scale)
+        _assert_matches(copula, stacked.partial(a, b)(*values), want, scale)
 
 
 def test_chunked_sum_matches_one_call(monkeypatch):
     """Row chunks add in the same order as one stacked call."""
     system = k_out_of_n(2, 5)
     copula = FGMCopula(theta=0.7, n=5)
-    terms = _joint_terms(series(5), k_out_of_n(3, 5), system)
+    structures = (series(5), k_out_of_n(3, 5), system)
     u = np.linspace(0.05, 1.0, 9)
     values = (u, 0.6 * u, 0.2 * u)
-    whole = _TermSum(copula, terms)
-    before = [whole.value(*values), whole.d_var(0, *values), whole.d_mixed(0, 1, *values)]
+    whole = _TermSum(copula, *structures)
+    before = [whole.partial(*variables)(*values) for variables in ((), (0,), (0, 1))]
     monkeypatch.setattr(distortion, "CELLS", 5 * 9 * 3)  # three rows per chunk
-    chunked = _TermSum(copula, terms)
-    after = [chunked.value(*values), chunked.d_var(0, *values),
-             chunked.d_mixed(0, 1, *values)]
+    chunked = _TermSum(copula, *structures)
+    after = [chunked.partial(*variables)(*values) for variables in ((), (0,), (0, 1))]
     for x, y in zip(before, after):
         assert x.tobytes() == y.tobytes()
-    want, _ = oracle_sum(copula, terms, values, 0, 1)
+    want, _ = oracle_sum(copula, _joint_terms(*structures), values, 0, 1)
     assert after[2].tobytes() == want.tobytes()
 
 
@@ -230,17 +227,6 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     """
     copula = FGMCopula(theta=0.5, n=4)
     if mode == "two":
-        num, den = (TrivariateDistortion, "d12"), (BivariateDistortion, "d12")
-    else:
-        num, den = (BivariateDistortion, "d1_ordered"), (UnivariateDistortion, "derivative")
-    counts = {}
-    _count(monkeypatch, FGMCopula, "_partial", counts)
-    _count(monkeypatch, FGMCopula, "eval", counts)
-    _count(monkeypatch, _TermSum, "_sum", counts)
-    _count(monkeypatch, *num, counts, key="num")
-    _count(monkeypatch, *den, counts, key="den")
-    # a predictor binds its distortion callables when built: build it after the counters
-    if mode == "two":
         pred = TwoFailurePredictor(series(4), k_out_of_n(3, 4), k_out_of_n(2, 4),
                                    copula, Exponential(1.0))
         cond = (0.3, 0.6)
@@ -254,6 +240,12 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
         pred = EarlyFailurePredictor(series(4), gate4, copula, Exponential(1.0),
                                      mode="weak")
         cond = (0.3,)
+    counts = {}
+    _count(monkeypatch, FGMCopula, "_partial", counts)
+    _count(monkeypatch, FGMCopula, "eval", counts)
+    _count(monkeypatch, _TermSum, "_sum", counts)
+    _count(monkeypatch, pred, "_num", counts, key="num")
+    _count(monkeypatch, pred, "_den", counts, key="den")
     extra_nums = 2 if mode == "weak" else 1
     build = pred._law
 
@@ -294,8 +286,15 @@ def test_build_expands_each_structure_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(SystemStructure, "_expand", counted)
+    # each predictor builds its two term sums and no distortion
+    counts = {}
+    _count(monkeypatch, _TermSum, "__init__", counts, key="term sums")
+    _count(monkeypatch, distortion._Distortion, "__init__", counts, key="distortions")
     first, second, system = series(4), k_out_of_n(3, 4), k_out_of_n(2, 4)
     TwoFailurePredictor(first, second, system, ProductCopula(4), Exponential(1.0))
     assert sorted(calls) == sorted([first.path_masks, second.path_masks, system.path_masks])
+    assert counts == {"term sums": 2}
     EarlyFailurePredictor(first, system, ProductCopula(4), Exponential(1.0))
     assert len(calls) == 3
+    assert counts == {"term sums": 4}
+
