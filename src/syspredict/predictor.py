@@ -26,7 +26,9 @@ depend only on c, so every solver step and quadrature node evaluates
 just the numerator.  Subclasses name their observed structures and map
 their conditioning times to (horizon, c); quantiles, means, survival,
 alpha and bands are shared.  The k-of-n shortcut `kofn_quantile_factor`
-inverts its binomial law with the same root solver.
+inverts its scalar binomial law by safeguarded Newton steps in Python
+floats, where a 0-d pass through the array solver costs far more than the
+law.
 
 Quantiles invert the survival level in z space, where every law is
 monotone on (0, F-bar(horizon)], by Anderson-Bjorck regula falsi
@@ -354,12 +356,49 @@ def kofn_quantile_factor(n, r, s, w):
     For IID components the conditional law of the s-th ordered failure given
     the r-th at t satisfies F-bar(y)/F-bar(t) = rho with survival
     P(fewer than s-r of the n-r survivors fail) (see `kofn_survival`); this
-    solves that survival = w for rho on (0, 1] with the predictors' root
-    solver.
+    solves that survival = w for rho on (0, 1].
     """
     _check_kofn(n, r, s)
-    w = float(_as_level(w))
-    return float(_solve_increasing(lambda rho: _fewer_than(n - r, s - r, rho), 1.0, w))
+    return _binomial_root(n - r, s - r, float(_as_level(w)))
+
+
+def _binomial_root(m, k, w):
+    """rho in (0, 1) with P(fewer than k of m lifetimes fail) = w, 0 < w < 1.
+
+    Newton steps on the log of the smaller tail, log P(fewer than k) - log w
+    for w <= 1/2 and log(1 - w) - log P(at least k) above: both increase in
+    rho, and where a tail behaves like a power of rho or of 1 - rho its log
+    is far closer to linear than the tail.  Each step keeps a bracket and
+    bisects it when Newton leaves it; it starts at rho's mean
+    (m - k + 1) / (m + 1), the law being Beta(m - k + 1, k).
+    """
+    lower_tail = w <= 0.5
+    level = math.log(w) if lower_tail else math.log1p(-w)
+    coeffs = [math.comb(m, j) for j in range(m + 1)]
+    density = m * math.comb(m - 1, k - 1)
+    lo, hi, rho = 0.0, 1.0, (m - k + 1) / (m + 1)
+    for _ in range(BISECT_MAX):
+        terms = [c * (1.0 - rho) ** j * rho ** (m - j) for j, c in enumerate(coeffs)]
+        tail = math.fsum(terms[:k] if lower_tail else terms[k:])
+        if tail == 0.0:  # underflow: the root lies toward the other end
+            gap, step = (-math.inf if lower_tail else math.inf), math.inf
+        else:
+            gap = math.log(tail) - level if lower_tail else level - math.log(tail)
+            slope = density * rho ** (m - k) * (1.0 - rho) ** (k - 1) / tail
+            step = gap / slope if slope > 0.0 else math.inf
+        if gap > 0.0:
+            hi = rho
+        elif gap < 0.0:
+            lo = rho
+        else:
+            return rho
+        new = rho - step
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - rho) <= 4.0 * math.ulp(rho) or new == lo or new == hi:
+            return new
+        rho = new
+    return rho
 
 
 def kofn_survival(n, r, s, t, y, marginal):

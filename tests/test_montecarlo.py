@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -128,12 +129,23 @@ def test_sampler_matches_family_inverse_bitwise(copula):
         assert rows.any() and np.all(finite[:, [i for i in range(copula.n) if i != k - 1]])
         assert np.array_equal(got[rows, k - 1], np.zeros(rows.sum()))
     else:
-        # FGM's closed form is 0/0 at w = 0 with a = -1, and so is its sampler
-        assert np.array_equal(got, want, equal_nan=True)
+        # FGM's closed form is 0/0 at w = 0 with a = -1; the sampler takes the
+        # generalized inverse, 0, there
+        rows = ~finite[:, -1]
+        assert np.all(finite[:, :-1])
+        assert np.array_equal(got[rows, -1], np.zeros(rows.sum()))
     for marginal in (Exponential(1.0), Weibull(shape=2.0, scale=1.5)):
         draws = sample_components(copula, marginal, np.random.default_rng(5), 300)
         U = np.random.default_rng(5).random((300, copula.n))
         assert np.array_equal(draws, marginal.inv_sf(oracle_uniforms(copula, U)))
+
+
+def test_fgm_sampler_takes_the_generalized_inverse_at_w_zero():
+    # a = theta (1 - 2 * 0) (1 - 2 * 1) = -1 and w = 0: the closed form is 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        V = survival_uniforms(FGMCopula(theta=1.0, n=3), [[0.0, 1.0, 0.0]])
+    assert np.array_equal(V, [[0.0, 1.0, 0.0]])
 
 
 def test_clayton_sampler_takes_the_generalized_inverse_at_w_one():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,35 +11,14 @@ from syspredict import (
     pinball_loss,
     simulate,
 )
+from syspredict import qr
 from syspredict.errors import DegenerateDesign, OutOfRange
 from syspredict.qr import load_xy
 
+from qr_oracle import oracle_scan, scan
+
 RELAY_MEDIAN = 0.5427656
 RELAY_Q95 = 2.6258179  # offset of the 0.95 conditional quantile
-
-
-def oracle_scan(x, y, tau):
-    """Reference O(n^3) scan: every candidate line, its loss summed directly.
-
-    Candidates are the lines through (x_i, y_i), (x_j, y_j) for i < j in
-    lexicographic order, then the horizontal line through each point; the
-    winner is the first in (loss, |slope|, intercept) order.
-    """
-    n = x.size
-    ii, jj = np.triu_indices(n, k=1)
-    dx = x[jj] - x[ii]
-    keep = dx != 0.0
-    ii, jj, dx = ii[keep], jj[keep], dx[keep]
-    pair_b = (y[jj] - y[ii]) / dx
-    a = np.concatenate([y[ii] - pair_b * x[ii], y])
-    b = np.concatenate([pair_b, np.zeros(n)])
-    loss = np.empty(a.size)
-    for start in range(0, a.size, 2048):
-        blk = slice(start, start + 2048)
-        resid = y[None, :] - a[blk, None] - b[blk, None] * x[None, :]
-        loss[blk] = np.sum(resid * (tau - (resid < 0.0)), axis=1)
-    k = np.lexsort((a, np.abs(b), loss))[0]
-    return a[k], b[k], loss[k]
 
 
 def oracle_designs():
@@ -83,13 +64,124 @@ def test_tie_break_rule():
     assert fit.loss == pytest.approx(1.0, abs=1e-12)
 
 
+def wide_designs():
+    """(name, x, y, taus) beyond `oracle_designs`: tau n an integer at n = 400,
+    scaled data, larger tied grids and lines collinear only to within rounding."""
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0.0, 3.0, 400)
+    yield "tau n integer, n=400", x, x + rng.exponential(1.0, 400), (0.25, 0.5, 0.75)
+    for trial in range(12):
+        x_scale, y_scale = 10.0 ** rng.uniform(-6.0, 6.0, 2)
+        n = int(rng.integers(5, 60))
+        x = rng.uniform(0.0, 3.0, n)
+        y = (x + rng.exponential(1.0, n)) * y_scale
+        yield f"scaled {trial}", x * x_scale, y, (0.25, 0.5, 0.9)
+    for trial in range(4):
+        x = rng.integers(-4, 5, 150).astype(float)
+        y = np.where(rng.random(150) < 0.5, x, rng.integers(-4, 5, 150).astype(float))
+        yield f"integer grid on y = x {trial}", x, y, (0.2, 0.5, 0.8)
+    x = rng.integers(-3, 4, 100).astype(float)
+    yield "ties on y = -x", x, -x + rng.integers(0, 2, 100), (0.3, 0.5)
+    x = rng.choice(rng.uniform(0.0, 2.0, 20), 120)
+    yield "duplicated x and y", x, rng.choice(rng.normal(0.0, 1.0, 15), 120), (0.25, 0.75)
+    # equal losses on a whole face of lines: the tie-break picks the winner
+    x = np.array([-0.5483848277695222, -0.5483848277695222, -0.5483848277695222,
+                  -1.8161007476605722, 0.3153022177026181, -1.8161007476605722,
+                  -0.5483848277695222, -0.5483848277695222, -1.8161007476605722,
+                  -0.5483848277695222])
+    y = np.array([-2.1667118419051206, 0.6030596795563314, 0.15546790250020248,
+                  -1.2777842857736703, 0.10289648048905045, -3.593997535390608,
+                  0.2311726469412081, -0.4267268542266885, -1.1586397989208508,
+                  -1.7940660724423227])
+    yield "flat optimal face", x, y, (1.0 / 3.0,)
+    # y = x and y = -x tie in loss, |slope| and intercept: the earlier wins
+    x = np.array([0.0, 0.0, 4.0, -4.0, 3.0, -3.0])
+    yield "slopes 1 and -1 tie", x, np.array([0.0, 0.0, 4.0, 4.0, 4.0, 3.0]), (0.2,)
+    for trial in range(3):
+        # on y = x / 3 + 0.1 up to a few ulps: the pair slopes differ by ulps
+        x = rng.uniform(1.0, 2.0, 80)
+        y = x / 3.0 + 0.1
+        y += rng.integers(-2, 3, 80) * np.spacing(y)
+        yield f"collinear to within ulps {trial}", x, y, (0.25, 0.5)
+
+
+def gate_design_sample(first3, gate, fgm1, exp1, size):
+    # weak ordering: a third of the rows fail with component 1, so T1 = T
+    s = simulate(first3, gate, fgm1, exp1, size=size, seed=42)
+    return s.t1, s.t
+
+
+def hex_fit(x, y, tau):
+    fit = fit_lqr(np.column_stack([x, y]), tau)
+    return [v.hex() for v in (fit.intercept, fit.slope, fit.loss)]
+
+
 @pytest.mark.parametrize("tau", [0.1, 0.25, 0.5, 0.9])
 def test_scan_matches_oracle_bitwise(tau):
     for name, x, y in oracle_designs():
-        fit = fit_lqr(np.column_stack([x, y]), tau)
-        got = [v.hex() for v in (fit.intercept, fit.slope, fit.loss)]
         want = [float(v).hex() for v in oracle_scan(x, y, tau)]
-        assert got == want, f"{name}, tau={tau}"
+        assert hex_fit(x, y, tau) == want, f"{name}, tau={tau}"
+        assert [v.hex() for v in scan(x, y, tau)] == want, f"{name}, tau={tau}"
+
+
+def test_fit_matches_both_oracles_on_wide_designs(first3, gate, fgm1, exp1):
+    designs = list(wide_designs())
+    t1, t = gate_design_sample(first3, gate, fgm1, exp1, 400)
+    assert np.sum(t1 == t) > 100
+    designs.append(("gate design, n=400", t1, t, (0.25, 0.5, 0.75)))
+    for name, x, y, taus in designs:
+        for tau in taus:
+            want = [float(v).hex() for v in oracle_scan(x, y, tau)]
+            assert [v.hex() for v in scan(x, y, tau)] == want, f"{name}, tau={tau}"
+            assert hex_fit(x, y, tau) == want, f"{name}, tau={tau}"
+
+
+def test_fit_matches_scan_on_relay_sample(relay_sample):
+    x, y = relay_sample[:, 0], relay_sample[:, 1]
+    assert hex_fit(x, y, 0.5) == [v.hex() for v in scan(x, y, 0.5)]
+
+
+def tied_design(kind):
+    rng = np.random.default_rng(8)
+    if kind == "y = x":
+        # 400 of 1000 points exactly on y = x, the 0.25 line: the old scan
+        # summed all C(400, 2) pair lines through them directly
+        x = rng.uniform(0.0, 3.0, 1000)
+        return x, x + np.where(np.arange(1000) % 5 < 2, 0.0, rng.exponential(1.0, 1000)), 0.25
+    # y in {0, 1, 2}: the median line is y = 1, and every step of the slope
+    # bisection is a tiny slope, none far enough out to bound the window
+    x = rng.uniform(0.0, 3.0, 600)
+    return x, rng.choice([0.0, 1.0, 2.0], 600, p=[0.3, 0.4, 0.3]), 0.5
+
+
+@pytest.mark.parametrize("kind, line", [("y = x", (0.0, 1.0)), ("discrete y", (1.0, 0.0))])
+def test_exact_ties_are_summed_once(monkeypatch, kind, line):
+    x, y, tau = tied_design(kind)
+    summed = []
+
+    def counting(x, y, tau, a_blk, b_blk):
+        summed.append(a_blk.size)
+        return best_in_block(x, y, tau, a_blk, b_blk)
+
+    best_in_block = qr._best_in_block
+    monkeypatch.setattr(qr, "_best_in_block", counting)
+    fit = fit_lqr(np.column_stack([x, y]), tau)
+    assert (fit.intercept, abs(fit.slope)) == line
+    assert sum(summed) <= 5
+    monkeypatch.undo()
+    assert hex_fit(x, y, tau) == [v.hex() for v in scan(x, y, tau)]
+
+
+@pytest.mark.parametrize("n", [100, 5_000, 300_000])
+def test_row_sums_meet_the_depth_bound(n):
+    # the error window assumes numpy sums a row pairwise: a sum that added
+    # these terms one by one would lose every u after the leading 1
+    u = np.finfo(float).eps / 2
+    row = np.full(n, u)
+    row[0] = 1.0
+    exact = math.fsum(row)
+    for total in (row.sum(), np.sum(np.vstack([row, row]), axis=1)[1]):
+        assert abs(total - exact) <= qr._depth(n) * u * exact
 
 
 def test_tau_validation():
@@ -162,6 +254,20 @@ def test_optimality_count_condition():
             on = int(np.sum(np.abs(resid) <= 1e-9))
             assert below <= tau * n + 1e-9, f"below={below}, tau*n={tau * n}"
             assert tau * n <= below + on + 1e-9, f"below+on={below + on}"
+
+
+def test_optimality_count_condition_at_large_n():
+    n = 100_000
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0.0, 3.0, n)
+    y = rng.normal(1.0 + x, 1.0)
+    for tau in (0.25, 0.5):
+        fit = fit_lqr(np.column_stack([x, y]), tau)
+        resid = y - fit.intercept - fit.slope * x
+        below = int(np.sum(resid < -1e-9))
+        on = int(np.sum(np.abs(resid) <= 1e-9))
+        assert on >= 2
+        assert below <= tau * n <= below + on
 
 
 def test_relay_sample_recovers_median_line(relay_sample):
