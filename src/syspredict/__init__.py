@@ -9,7 +9,7 @@ from the same copulas to validate the laws and to run coverage experiments.
 """
 
 from .copula import ClaytonPairCopula, FGMCopula, ProductCopula, SurvivalCopula
-from .distortion import BivariateDistortion, TrivariateDistortion, UnivariateDistortion
+from .distortion import UnivariateDistortion
 from .errors import SysPredictError
 from .marginal import Exponential, Weibull
 from .montecarlo import (
@@ -45,7 +45,6 @@ from .structure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivariateDistortion",
     "ClaytonPairCopula",
     "ConditionalCheck",
     "CoverageReport",
@@ -60,7 +59,6 @@ __all__ = [
     "SurvivalCopula",
     "SysPredictError",
     "SystemStructure",
-    "TrivariateDistortion",
     "TwoFailurePredictor",
     "UnivariateDistortion",
     "Weibull",

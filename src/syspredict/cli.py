@@ -12,6 +12,7 @@ the command line; everything is deterministic given (config, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import _require, grid_from, load_config, point_from, predictor_from, structure_from
@@ -163,6 +164,7 @@ _COMMANDS = {cmd.__name__.removeprefix("cmd_"): cmd
              for cmd in (cmd_curves, cmd_predict, cmd_simulate, cmd_coverage, cmd_fitqr)}
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", required=True, help="path to the JSON run config")

@@ -4,13 +4,16 @@ The same document drives every subcommand; each command reads the sections
 it needs and rejects missing ones with a ConfigError.  Structures, copula,
 and marginal are built through the module factories so their own validation
 applies on top of the schema.
+
+`SCHEMA` is a JSON Schema (Draft 2020-12) document, checked by a small
+walker in this module that implements exactly the keywords it uses, with
+their Draft 2020-12 meaning and the jsonschema library's message text.
 """
 
 from __future__ import annotations
 
 import json
 
-import jsonschema
 import numpy as np
 
 from .copula import copula_from_config
@@ -142,12 +145,122 @@ SCHEMA = {
     "additionalProperties": False,
 }
 
-# built once: jsonschema.validate would re-check SCHEMA itself on every load
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": (int, float), "integer": int}
+
+
+def _is_type(doc, name):
+    if isinstance(doc, bool):  # a JSON boolean is neither an integer nor a number
+        return name == "boolean"
+    if name == "integer" and isinstance(doc, float):
+        return doc.is_integer()
+    return isinstance(doc, _TYPES[name])
+
+
+def _first(errors):
+    """The shallowest of some (path, message) errors, the earliest among equals."""
+    return min(errors, key=lambda error: len(error[0]), default=None)
+
+
+def _errors(doc, schema, path=()):
+    """Yield (path, message) for each violation of `schema` by `doc`, in schema order."""
+    for keyword, arg in schema.items():
+        kind, check = _KEYWORDS[keyword]
+        if kind is None or _is_type(doc, kind):
+            yield from check(doc, arg, schema, path)
+
+
+def _type(doc, name, schema, path):
+    if not _is_type(doc, name):
+        yield path, f"{doc!r} is not of type {name!r}"
+
+
+def _enum(doc, values, schema, path):
+    if doc not in values:  # SCHEMA's enums list strings, where `in` is JSON equality
+        yield path, f"{doc!r} is not one of {values!r}"
+
+
+def _one_of(doc, branches, schema, path):
+    # SCHEMA's branches differ in `type`, so at most one holds; when none
+    # does, the branch of the document's type tells what is wrong with it
+    failures = [list(_errors(doc, branch, path)) for branch in branches]
+    if all(failures):
+        typed = [f for b, f in zip(branches, failures) if _is_type(doc, b["type"])]
+        if typed:
+            yield _first(typed[0])
+        else:
+            yield path, f"{doc!r} is not valid under any of the given schemas"
+
+
+def _required(doc, keys, schema, path):
+    for key in keys:
+        if key not in doc:
+            yield path, f"{key!r} is a required property"
+
+
+def _properties(doc, subschemas, schema, path):
+    for key, subschema in subschemas.items():
+        if key in doc:
+            yield from _errors(doc[key], subschema, path + (key,))
+
+
+def _no_additional(doc, allowed, schema, path):
+    known = schema.get("properties", {})
+    extras = sorted((key for key in doc if key not in known), key=str)
+    if extras:
+        verb = "was" if len(extras) == 1 else "were"
+        names = ", ".join(repr(key) for key in extras)
+        yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+def _items(doc, subschema, schema, path):
+    for index, item in enumerate(doc):
+        yield from _errors(item, subschema, path + (index,))
+
+
+def _min_items(doc, count, schema, path):
+    if len(doc) < count:
+        yield path, f"{doc!r} " + ("should be non-empty" if count == 1 else "is too short")
+
+
+def _max_items(doc, count, schema, path):
+    if len(doc) > count:
+        yield path, f"{doc!r} is too long"
+
+
+def _bound(fails, text):
+    def check(doc, limit, schema, path):
+        if fails(doc, limit):
+            yield path, f"{doc!r} is {text} {limit!r}"
+    return check
+
+
+# keyword -> (JSON type it constrains, or None for every type; its check)
+_KEYWORDS = {
+    "type": (None, _type),
+    "enum": (None, _enum),
+    "oneOf": (None, _one_of),
+    "required": ("object", _required),
+    "properties": ("object", _properties),
+    "additionalProperties": ("object", _no_additional),
+    "items": ("array", _items),
+    "minItems": ("array", _min_items),
+    "maxItems": ("array", _max_items),
+    "minimum": ("number", _bound(lambda x, m: x < m, "less than the minimum of")),
+    "exclusiveMinimum": ("number", _bound(lambda x, m: x <= m,
+                                          "less than or equal to the minimum of")),
+    "exclusiveMaximum": ("number", _bound(lambda x, m: x >= m,
+                                          "greater than or equal to the maximum of")),
+}
 
 
 def load_config(path) -> dict:
-    """Load and schema-validate a config document."""
+    """Load and schema-validate a config document.
+
+    A document with several violations is reported by its shallowest one
+    (the first in schema order among equally deep ones), the first rule of
+    jsonschema's `best_match`; one violation reads as jsonschema reports it.
+    """
     def reject(literal):
         raise ConfigError(f"config {path!r} uses {literal}, which is not valid JSON")
 
@@ -158,10 +271,10 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    error = _first(_errors(doc, SCHEMA))
     if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {error.message}") from error
+        where = "/".join(str(p) for p in error[0]) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {error[1]}")
     return doc
 
 

@@ -13,18 +13,17 @@ survival P(T1 > x, T > y) is a bivariate distortion D-hat(u, v) of
 x <= y) it expands over pairs of subfamilies: coordinates in P = union(S)
 carry v, coordinates in union(S*) \\ P carry u, the rest are pinned to 1.
 On v > u the joint event degenerates to {T1 > x}, so D-hat(u, v) =
-q-bar_T1(u), the distortion exposed as `tail`.  The first partial
-d1 = dD-hat/du has a kink across u = v; at equality it takes the ordered
-branch.  With three ordered lifetimes T1 <= T2 <= T the same expansion
-runs over triples of subfamilies on the ordered region w <= v <= u; each
-coordinate takes the variable of the innermost union containing it (w for
-the system, then v, then u, else 1).
+q-bar_T1(u).  The first partial d1 = dD-hat/du has a kink across u = v;
+at equality it takes the ordered branch.  With three ordered lifetimes
+T1 <= T2 <= T the same expansion runs over triples of subfamilies on the
+ordered region w <= v <= u; each coordinate takes the variable of the
+innermost union containing it (w for the system, then v, then u, else 1).
 
 All of these are one object, `_TermSum`: the signed sum over the joint
 expansion of k structures, whose `partial(*variables)` evaluates any mixed
-partial in distinct variables (none: the value).  The three distortion
-classes share one constructor and differ only in their region rules; the
-predictors read their conditional laws from `_TermSum` directly.
+partial in distinct variables (none: the value).  The predictors read their
+conditional laws from `_TermSum` directly; `UnivariateDistortion` names
+q-bar for one system lifetime.
 
 Every expansion is the product of the structures' merged univariate
 expansions (SystemStructure.inclusion_exclusion), merged again over equal
@@ -34,14 +33,13 @@ than TERM_BUDGET = 2^20 merged terms is refused.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import product
 from math import prod
 
 import numpy as np
 
 from .copula import SurvivalCopula
-from .errors import DimensionMismatch, RegionError, TermLimitExceeded
+from .errors import DimensionMismatch, TermLimitExceeded
 from .structure import TERM_BUDGET, SystemStructure
 
 CELLS = 1 << 16  # copula-argument cells (points x rows x n) per stacked call
@@ -175,90 +173,25 @@ class _TermSum:
         )
 
 
-class _Distortion:
-    """The structures under the names in `roles`, the copula, and their term sum.
-
-    Built as ``cls(*structures, copula)`` with the structures in variable
-    order, the system last; the term sum is the law on the ordered region.
-    """
-
-    roles = ()
-
-    def __init__(self, *structures_and_copula):
-        *structures, copula = structures_and_copula
-        self._ordered = _TermSum(copula, *structures)
-        for role, structure in zip(self.roles, structures, strict=True):
-            setattr(self, role, structure)
-        self.copula = copula
-        self.n = copula.n
-
-    @property
-    def terms(self):
-        """Ordered-region terms as (coeff, per-variable 1-based indices)."""
-        return self._ordered.terms
-
-
-class UnivariateDistortion(_Distortion):
+class UnivariateDistortion:
     """q-bar for one system lifetime: P(T > t) = q-bar(F-bar(t)).
 
     UnivariateDistortion(structure, copula).
     """
 
-    roles = ("structure",)
+    def __init__(self, structure: SystemStructure, copula: SurvivalCopula):
+        self._ordered = _TermSum(copula, structure)
+        self.structure = structure
+        self.copula = copula
+        self.n = copula.n
+
+    @property
+    def terms(self):
+        """Expansion terms as (coeff, per-variable 1-based indices)."""
+        return self._ordered.terms
 
     def value(self, u):
         return self._ordered.partial()(u)
 
     def derivative(self, u):
         return self._ordered.partial(0)(u)
-
-
-class BivariateDistortion(_Distortion):
-    """D-hat(u, v) for an ordered pair T1 <= T of system lifetimes.
-
-    BivariateDistortion(first, system, copula).
-    """
-
-    roles = ("first", "system")
-
-    @cached_property
-    def tail(self):
-        """The v > u branch: the T1 distortion."""
-        return UnivariateDistortion(self.first, self.copula)
-
-    def value(self, u, v):
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        return np.where(v <= u, self._ordered.partial()(u, v), self.tail.value(u))
-
-    def d1(self, u, v):
-        """dD-hat/du, on the ordered branch at the kink u == v."""
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        return np.where(v <= u, self._ordered.partial(0)(u, v), self.tail.derivative(u))
-
-    def d12(self, u, v):
-        """Mixed partial on the ordered region (0 beyond it)."""
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        return np.where(v <= u, self._ordered.partial(0, 1)(u, v), 0.0)
-
-
-class TrivariateDistortion(_Distortion):
-    """D-hat(u, v, w) for ordered lifetimes T1 <= T2 <= T.
-
-    TrivariateDistortion(first, second, system, copula); defined on the
-    ordered region u >= v >= w only.
-    """
-
-    roles = ("first", "second", "system")
-
-    def _ordered_point(self, name, *values):
-        u, v, w = (np.asarray(x, dtype=float) for x in values)
-        if np.any(v > u) or np.any(w > v):
-            raise RegionError(f"{name} requires the ordered region u >= v >= w")
-        return u, v, w
-
-    def value(self, u, v, w):
-        return self._ordered.partial()(*self._ordered_point("value", u, v, w))
-
-    def d12(self, u, v, w):
-        """Mixed partial in (u, v) on the ordered region."""
-        return self._ordered.partial(0, 1)(*self._ordered_point("d12", u, v, w))

@@ -61,10 +61,6 @@ class DimensionMismatch(SysPredictError, ValueError):
     """Structures and copula disagree on the number of components."""
 
 
-class RegionError(SysPredictError, ValueError):
-    """Evaluation point outside the supported region."""
-
-
 class TermLimitExceeded(SysPredictError, ValueError):
     """Inclusion-exclusion expansion exceeds the term budget."""
 

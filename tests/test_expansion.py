@@ -17,10 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from syspredict import (
-    BivariateDistortion,
     EarlyFailurePredictor,
     ProductCopula,
-    TrivariateDistortion,
     UnivariateDistortion,
     Weibull,
     k_out_of_n,
@@ -28,6 +26,8 @@ from syspredict import (
     series,
     validate_structure,
 )
+
+from law_oracle import BivariateDistortion, TrivariateDistortion
 
 
 def _indices(mask):

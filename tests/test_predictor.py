@@ -725,9 +725,18 @@ def test_centered_bands_are_ordered(copula, shape, mode, t, level):
     assert t <= lower < median < upper
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def _loaded_by_fresh_import(package):
+    """Modules of `package` that importing syspredict and its CLI loads."""
     code = ("import sys, syspredict, syspredict.config, syspredict.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    assert _loaded_by_fresh_import("scipy") == "[]"
+
+
+def test_import_leaves_jsonschema_unloaded():
+    assert _loaded_by_fresh_import("jsonschema") == "[]"

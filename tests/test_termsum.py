@@ -28,8 +28,10 @@ from syspredict import (
     validate_structure,
 )
 from syspredict import distortion
-from syspredict.distortion import BivariateDistortion, _joint_terms, _TermSum
+from syspredict.distortion import _joint_terms, _TermSum
 from syspredict.structure import SystemStructure
+
+from law_oracle import BivariateDistortion
 
 CLAYTON_RTOL = 1e-15
 
@@ -289,7 +291,7 @@ def test_build_expands_each_structure_once(monkeypatch):
     # each predictor builds its two term sums and no distortion
     counts = {}
     _count(monkeypatch, _TermSum, "__init__", counts, key="term sums")
-    _count(monkeypatch, distortion._Distortion, "__init__", counts, key="distortions")
+    _count(monkeypatch, distortion.UnivariateDistortion, "__init__", counts, key="distortions")
     first, second, system = series(4), k_out_of_n(3, 4), k_out_of_n(2, 4)
     TwoFailurePredictor(first, second, system, ProductCopula(4), Exponential(1.0))
     assert sorted(calls) == sorted([first.path_masks, second.path_masks, system.path_masks])
