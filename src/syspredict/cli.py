@@ -31,30 +31,26 @@ def _fmt(value):
     return f"{float(value):.9g}"
 
 
-def _resolve_out(args, cfg):
-    out = args.out if args.out is not None else cfg.get("out")
-    if out is None:
-        raise ConfigError("an output path is required (give --out or config 'out')")
-    return out
-
-
-def _resolve_seed(args, cfg):
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
-        raise ConfigError("a seed is required (give --seed or config 'seed')")
-    return int(seed)
+def _resolve(args, cfg, key, what):
+    """The command-line value of `key`, else the config's; `what` names it in the error."""
+    value = getattr(args, key)
+    if value is None:
+        value = cfg.get(key)
+    if value is None:
+        raise ConfigError(f"{what} is required (give --{key} or config '{key}')")
+    return value
 
 
 def cmd_curves(args, cfg):
     """tabulate median/mean curves and prediction bands over a grid"""
-    mode = cfg.get("mode", "strict")
+    mode = _require(cfg, "mode")
     if mode == "two_failures":
         raise ConfigError("curves needs a single conditioning time; "
                           "use predict for two_failures mode")
     predictor = predictor_from(cfg)
     grid = grid_from(cfg)
     kind = cfg.get("band_kind", "centered")
-    out = _resolve_out(args, cfg)
+    out = _resolve(args, cfg, "out", "an output path")
     band50 = predictor.band(kind, 0.5)
     band90 = predictor.band(kind, 0.9)
     columns = [grid, predictor.median(grid), predictor.mean(grid),
@@ -98,8 +94,8 @@ def cmd_simulate(args, cfg):
               if "second" in cfg.get("structures", {}) else None)
     if "size" not in cfg:
         raise ConfigError("config 'size' is required for simulate")
-    seed = _resolve_seed(args, cfg)
-    out = _resolve_out(args, cfg)
+    seed = int(_resolve(args, cfg, "seed", "a seed"))
+    out = _resolve(args, cfg, "out", "an output path")
     sample = simulate(first, system, copula, marginal, cfg["size"], seed, second=second)
     sample.to_csv(out)
     print("command: simulate")
@@ -114,8 +110,8 @@ def cmd_coverage(args, cfg):
     section = cfg.get("coverage")
     if section is None:
         raise ConfigError("config section 'coverage' is required for coverage")
-    seed = _resolve_seed(args, cfg)
-    out = _resolve_out(args, cfg)
+    seed = int(_resolve(args, cfg, "seed", "a seed"))
+    out = _resolve(args, cfg, "out", "an output path")
     kwargs = {"score": section.get("score", "same"),
               "exact_mu": section.get("exact_mu", False)}
     if "eval_draws" in section:
@@ -137,7 +133,7 @@ def cmd_fitqr(args, cfg):
     section = cfg.get("fitqr")
     if section is None:
         raise ConfigError("config section 'fitqr' is required for fitqr")
-    out = _resolve_out(args, cfg)
+    out = _resolve(args, cfg, "out", "an output path")
     x_col = section.get("x", "t1")
     y_col = section.get("y", "t")
     pairs = load_xy(section["sample"], x_col=x_col, y_col=y_col)

@@ -36,6 +36,12 @@ from .errors import (
 )
 
 
+def _check_unit(arr):
+    if np.any(arr < 0) or np.any(arr > 1):
+        raise OutOfUnitInterval("copula arguments must lie in [0, 1]")
+    return arr
+
+
 class SurvivalCopula:
     """Shared validation and `eval`/`partial` over the law kernel."""
 
@@ -49,9 +55,7 @@ class SurvivalCopula:
             raise LengthMismatch(
                 f"expected {self.n} coordinates, got shape {arr.shape}"
             )
-        if np.any(arr < 0) or np.any(arr > 1):
-            raise OutOfUnitInterval("copula arguments must lie in [0, 1]")
-        return arr
+        return _check_unit(arr)
 
     def _check_indices(self, indices):
         idx = tuple(indices)

@@ -7,17 +7,14 @@ minimal path sets P_1..P_r under survival copula C-hat:
     q-bar(u) = sum over nonempty subfamilies S of (-1)^(|S|+1)
                C-hat(u at union(S), 1 elsewhere).
 
-For two ordered lifetimes T1 <= T built on the same components, the joint
-survival P(T1 > x, T > y) is a bivariate distortion D-hat(u, v) of
-(u, v) = (F-bar(x), F-bar(y)).  On the ordered region v <= u (that is,
-x <= y) it expands over pairs of subfamilies: coordinates in P = union(S)
-carry v, coordinates in union(S*) \\ P carry u, the rest are pinned to 1.
-On v > u the joint event degenerates to {T1 > x}, so D-hat(u, v) =
-q-bar_T1(u).  The first partial d1 = dD-hat/du has a kink across u = v;
-at equality it takes the ordered branch.  With three ordered lifetimes
-T1 <= T2 <= T the same expansion runs over triples of subfamilies on the
-ordered region w <= v <= u; each coordinate takes the variable of the
-innermost union containing it (w for the system, then v, then u, else 1).
+For k ordered lifetimes T_1 <= ... <= T_k built on the same components,
+with T_k the system, the joint survival P(T_1 > x_1, ..., T_k > x_k) is a
+k-variate distortion of the survival values u_1 >= ... >= u_k of the
+x_i.  On this ordered region it expands over k-tuples of subfamilies, one
+per structure: each coordinate carries the variable of the innermost union
+containing it (u_k for the system's union, else u_(k-1), and so on), and
+the coordinates in no union are pinned to 1.  The package evaluates only
+this region; the region rules beyond it live with the test oracles.
 
 All of these are one object, `_TermSum`: the signed sum over the joint
 expansion of k structures, whose `partial(*variables)` evaluates any mixed
@@ -38,24 +35,11 @@ from math import prod
 
 import numpy as np
 
-from .copula import SurvivalCopula
+from .copula import SurvivalCopula, _check_unit
 from .errors import DimensionMismatch, TermLimitExceeded
-from .structure import TERM_BUDGET, SystemStructure
+from .structure import TERM_BUDGET, SystemStructure, _indices
 
 CELLS = 1 << 16  # copula-argument cells (points x rows x n) per stacked call
-
-
-def _ids(mask):
-    return tuple(i for i in range(64) if mask >> i & 1)
-
-
-def _check_same_n(copula, *structures):
-    n = copula.n
-    for s in structures:
-        if s.n != n:
-            raise DimensionMismatch(
-                f"structure has {s.n} components but the copula has {n}"
-            )
 
 
 def _joint_terms(*structures):
@@ -92,64 +76,38 @@ class _TermSum:
 
     Term k is the copula at the point whose coordinate i carries variable
     ``layout[k, i]``, or 1 where that entry is -1; the variables follow the
-    structures' order.  Each evaluation gathers the points of all its rows
-    (one per term and choice of differentiated coordinates) into one
-    stacked array and makes one call of the copula's law kernel per chunk of
-    at most CELLS cells (points x rows x n); a row's mask marks the
-    coordinates it differentiates, none for the value.  Rows are added in
-    term order by a running sum, so a total equals the term-by-term loop bit
-    for bit.
+    structures' order.  Each evaluation checks its values once, gathers the
+    points of all its rows (one per term and choice of differentiated
+    coordinates) into one stacked array and makes one call of the copula's
+    law kernel per chunk of at most CELLS cells (points x rows x n); a row's
+    mask marks the coordinates it differentiates, none for the value.  Rows
+    are added in term order by a running sum, so a total equals the
+    term-by-term loop bit for bit.
     """
 
     def __init__(self, copula: SurvivalCopula, *structures: SystemStructure):
-        _check_same_n(copula, *structures)
+        for s in structures:
+            if s.n != copula.n:
+                raise DimensionMismatch(
+                    f"structure has {s.n} components but the copula has {copula.n}"
+                )
         self.copula = copula
-        self.n = copula.n
-        self._terms = tuple(
-            (coeff, tuple(_ids(m) for m in masks))
-            for coeff, masks in _joint_terms(*structures)
-        )
-        self._coeffs = np.array([c for c, _ in self._terms], dtype=float)
-        self._layout = np.full((len(self._terms), self.n), -1, dtype=np.intp)
-        for k, (_, ids) in enumerate(self._terms):
-            for var, axis_ids in enumerate(ids):
-                self._layout[k, list(axis_ids)] = var
-        self._plans = {}
+        self._nvars = len(structures)
+        terms = _joint_terms(*structures)
+        self._coeffs = np.array([c for c, _ in terms], dtype=float)
+        self._layout = np.full((len(terms), copula.n), -1, dtype=np.intp)
+        for row, (_, masks) in zip(self._layout, terms):
+            for var, m in enumerate(masks):
+                row[[i - 1 for i in _indices(m)]] = var
 
-    def _plan(self, *variables):
-        """(layout, mask, coeffs) of the rows of one sum, built on first use.
-
-        A row per term and choice of one coordinate carrying each given
-        variable (a row per term when none is given), differentiated in the
-        chosen coordinates.  Rows follow term order, choices in
-        lexicographic order within a term.
-        """
-        plan = self._plans.get(variables)
-        if plan is None:
-            rows = [(k, coords) for k, (_, ids) in enumerate(self._terms)
-                    for coords in product(*(ids[var] for var in variables))]
-            terms = np.array([k for k, _ in rows], dtype=np.intp)
-            mask = np.zeros((len(rows), self.n), dtype=bool)
-            for r, (_, coords) in enumerate(rows):
-                mask[r, list(coords)] = True
-            plan = (self._layout[terms], mask, self._coeffs[terms])
-            self._plans[variables] = plan
-        return plan
-
-    def _sum(self, plan, values):
-        layout, mask, coeffs = plan
-        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+    def _sum(self, layout, mask, coeffs, values):
         # slot -1 holds the 1 that pinned coordinates take
-        table = np.stack(
-            [np.broadcast_to(np.asarray(v, dtype=float), shape) for v in values]
-            + [np.ones(shape)],
-            axis=-1,
-        )
-        total = np.zeros(shape)
-        step = max(1, CELLS // (max(1, total.size) * self.n))
+        table = _check_unit(np.stack(np.broadcast_arrays(*values, 1.0), axis=-1, dtype=float))
+        total = np.zeros(table.shape[:-1])
+        step = max(1, CELLS // (max(1, total.size) * self.copula.n))
         for lo in range(0, len(coeffs), step):
             rows = slice(lo, lo + step)
-            points = self.copula._check_point(table[..., layout[rows]])
+            points = table[..., layout[rows]]
             summands = coeffs[rows] * self.copula._partial(mask[rows], points)
             summands[..., 0] += total
             total = np.cumsum(summands, axis=-1)[..., -1]
@@ -158,18 +116,28 @@ class _TermSum:
     def partial(self, *variables):
         """Evaluator ``(*values) -> sum`` of the mixed partial in `variables`.
 
-        Each term contributes its copula partials over every choice of one
-        coordinate carrying each given variable; with no variable the
-        evaluator gives the sum's value.
+        Its rows are built here, once: a row per term and choice of one
+        coordinate carrying each given variable (a row per term when none is
+        given), differentiated in the chosen coordinates, in term order and
+        lexicographic order within a term.  With no variable the evaluator
+        gives the sum's value.
         """
-        return lambda *values: self._sum(self._plan(*variables), values)
+        # row r is (term, its coordinate carrying each variable in turn)
+        choices = [(k, *coords) for k, term in enumerate(self._layout)
+                   for coords in product(*(np.flatnonzero(term == v) for v in variables))]
+        rows = np.array(choices, dtype=np.intp).reshape(-1, 1 + len(variables))
+        mask = np.zeros((len(rows), self.copula.n), dtype=bool)
+        np.put_along_axis(mask, rows[:, 1:], True, axis=1)
+        layout, coeffs = self._layout[rows[:, 0]], self._coeffs[rows[:, 0]]
+        return lambda *values: self._sum(layout, mask, coeffs, values)
 
     @property
     def terms(self):
         """(coeff, per-variable 1-based index tuples) for inspection."""
         return tuple(
-            (coeff, tuple(tuple(i + 1 for i in axis) for axis in ids))
-            for coeff, ids in self._terms
+            (int(c), tuple(tuple((np.flatnonzero(row == var) + 1).tolist())
+                           for var in range(self._nvars)))
+            for c, row in zip(self._coeffs, self._layout)
         )
 
 
@@ -181,6 +149,8 @@ class UnivariateDistortion:
 
     def __init__(self, structure: SystemStructure, copula: SurvivalCopula):
         self._ordered = _TermSum(copula, structure)
+        self._value = self._ordered.partial()
+        self._derivative = self._ordered.partial(0)
         self.structure = structure
         self.copula = copula
         self.n = copula.n
@@ -191,7 +161,7 @@ class UnivariateDistortion:
         return self._ordered.terms
 
     def value(self, u):
-        return self._ordered.partial()(u)
+        return self._value(u)
 
     def derivative(self, u):
-        return self._ordered.partial(0)(u)
+        return self._derivative(u)

@@ -117,7 +117,7 @@ def simulate(first, system, copula, marginal, size, seed, second=None) -> Sample
     rng = np.random.default_rng(_seed_sequence(seed))
     X = sample_components(copula, marginal, rng, size)
     meta = {
-        "seed": int(seed),
+        "seed": seed if isinstance(seed, np.random.SeedSequence) else int(seed),
         "size": int(size),
         "copula": type(copula).__name__,
         "marginal": type(marginal).__name__,
@@ -254,7 +254,8 @@ def coverage_experiment(k, replications, seed, *, score="same",
     mu-hat = 3 * mean(T1) (the first failure has mean mu/3), forms the
     centered plug-in intervals [T1 + c_w_hi * mu-hat, T1 + c_w_lo * mu-hat],
     and scores them on the same k systems (`score="fresh"` scores
-    `eval_draws` new systems instead; `exact_mu` pins mu-hat to the truth).
+    `eval_draws` new systems instead, k by default; `eval_draws` without it
+    raises `OutOfRange`; `exact_mu` pins mu-hat to the truth).
     """
     return _coverage(k, replications, seed, _interval_offsets(), score=score,
                      eval_draws=eval_draws, exact_mu=exact_mu)
@@ -268,7 +269,9 @@ def _coverage(k, replications, seed, offs, *, score="same", eval_draws=None,
         raise InvalidK("need k >= 1 and replications >= 1")
     if score not in ("same", "fresh"):
         raise OutOfRange(f"score must be 'same' or 'fresh', got {score!r}")
-    m = (int(eval_draws) if eval_draws else k) if score == "fresh" else 0
+    if eval_draws is not None and (score != "fresh" or int(eval_draws) < 1):
+        raise OutOfRange(f"eval_draws needs score='fresh' and >= 1, got {eval_draws!r}")
+    m = (k if eval_draws is None else int(eval_draws)) if score == "fresh" else 0
     scored = slice(k, None) if m else slice(None)
     children = _seed_sequence(seed).spawn(replications)
     step = max(1, COVERAGE_CELLS // (3 * (k + m)))

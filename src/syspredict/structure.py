@@ -21,6 +21,7 @@ against it too, so a hopeless input is refused within about a second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -97,11 +98,11 @@ class SystemStructure:
         the first call and kept on the instance, so every term sum built
         from this structure shares it.
         """
-        cached = self.__dict__.get("_expansion")
-        if cached is None:
-            cached = self._expand()
-            object.__setattr__(self, "_expansion", cached)
-        return cached
+        return self._expansion
+
+    @cached_property
+    def _expansion(self):
+        return self._expand()
 
     def _expand(self):
         # Path sets join one at a time: each merged union U with coefficient

@@ -37,14 +37,18 @@ class _Distortion:
     """The structures under the names in `roles`, the copula, and their term sum.
 
     Built as ``cls(*structures, copula)`` with the structures in variable
-    order, the system last; the term sum is the law on the ordered region.
+    order, the system last; the term sum is the law on the ordered region,
+    and `_sums` holds its evaluators for the partials in `variables`, bound
+    once here.
     """
 
     roles = ()
+    variables = ()
 
     def __init__(self, *structures_and_copula):
         *structures, copula = structures_and_copula
         self._ordered = _TermSum(copula, *structures)
+        self._sums = {v: self._ordered.partial(*v) for v in self.variables}
         for role, structure in zip(self.roles, structures, strict=True):
             setattr(self, role, structure)
         self.copula = copula
@@ -63,6 +67,7 @@ class BivariateDistortion(_Distortion):
     """
 
     roles = ("first", "system")
+    variables = ((), (0,), (0, 1))
 
     @cached_property
     def tail(self):
@@ -71,17 +76,17 @@ class BivariateDistortion(_Distortion):
 
     def value(self, u, v):
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        return np.where(v <= u, self._ordered.partial()(u, v), self.tail.value(u))
+        return np.where(v <= u, self._sums[()](u, v), self.tail.value(u))
 
     def d1(self, u, v):
         """dD-hat/du, on the ordered branch at the kink u == v."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        return np.where(v <= u, self._ordered.partial(0)(u, v), self.tail.derivative(u))
+        return np.where(v <= u, self._sums[(0,)](u, v), self.tail.derivative(u))
 
     def d12(self, u, v):
         """Mixed partial on the ordered region (0 beyond it)."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        return np.where(v <= u, self._ordered.partial(0, 1)(u, v), 0.0)
+        return np.where(v <= u, self._sums[(0, 1)](u, v), 0.0)
 
 
 class TrivariateDistortion(_Distortion):
@@ -92,6 +97,7 @@ class TrivariateDistortion(_Distortion):
     """
 
     roles = ("first", "second", "system")
+    variables = ((), (0, 1))
 
     def _ordered_point(self, name, *values):
         u, v, w = (np.asarray(x, dtype=float) for x in values)
@@ -100,8 +106,8 @@ class TrivariateDistortion(_Distortion):
         return u, v, w
 
     def value(self, u, v, w):
-        return self._ordered.partial()(*self._ordered_point("value", u, v, w))
+        return self._sums[()](*self._ordered_point("value", u, v, w))
 
     def d12(self, u, v, w):
         """Mixed partial in (u, v) on the ordered region."""
-        return self._ordered.partial(0, 1)(*self._ordered_point("d12", u, v, w))
+        return self._sums[(0, 1)](*self._ordered_point("d12", u, v, w))

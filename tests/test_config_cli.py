@@ -511,6 +511,17 @@ def test_coverage_command(tmp_path, capsys):
     assert open(out, "rb").read() == open(out2, "rb").read()
 
 
+def test_coverage_eval_draws_needs_fresh_scoring(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "coverage": {"k": [1, 5], "replications": 40, "eval_draws": 50},
+        "seed": 3,
+    })
+    out = tmp_path / "cov.csv"
+    assert main(["coverage", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("OutOfRange: eval_draws")
+    assert not out.exists()
+
+
 def test_fitqr_on_curve_output(tmp_path, capsys):
     curves_cfg = write_cfg(
         tmp_path, relay_cfg(grid={"start": 0.0, "stop": 3.0, "count": 12})

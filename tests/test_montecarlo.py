@@ -253,6 +253,14 @@ def test_simulate_is_reproducible(first3, relay, clayton23, exp1):
     assert not np.array_equal(a.components, c.components)
 
 
+def test_simulate_takes_a_seed_sequence(first3, relay, clayton23, exp1):
+    a = simulate(first3, relay, clayton23, exp1, size=100, seed=11)
+    b = simulate(first3, relay, clayton23, exp1, size=100, seed=np.random.SeedSequence(11))
+    np.testing.assert_array_equal(a.components, b.components)
+    assert a.meta["seed"] == 11
+    assert b.meta["seed"].entropy == 11
+
+
 def test_simulate_errors(first3, relay, product3, exp1):
     with pytest.raises(OutOfRange):
         simulate(first3, relay, product3, exp1, size=0, seed=1)
@@ -336,6 +344,16 @@ def test_coverage_reproducible_and_distinct():
     assert a.coverage50 != c.coverage50
     fresh = coverage_experiment(5, 100, seed=7, score="fresh", eval_draws=50)
     assert fresh.coverage50 != a.coverage50
+
+
+def test_eval_draws_needs_fresh_scoring():
+    # eval_draws counts fresh scoring draws: it needs score="fresh" and is at least 1
+    for kwargs in ({"eval_draws": 40}, {"score": "same", "eval_draws": 40},
+                   {"score": "fresh", "eval_draws": 0}):
+        with pytest.raises(OutOfRange, match="eval_draws"):
+            coverage_experiment(5, 50, seed=3, **kwargs)
+        with pytest.raises(OutOfRange, match="eval_draws"):
+            coverage_table([1, 5], 50, seed=3, **kwargs)
 
 
 def test_coverage_small_k_underscovers():

@@ -21,14 +21,15 @@ from syspredict import (
     Exponential,
     FGMCopula,
     ProductCopula,
-    SurvivalCopula,
     TwoFailurePredictor,
+    UnivariateDistortion,
     k_out_of_n,
     series,
     validate_structure,
 )
 from syspredict import distortion
 from syspredict.distortion import _joint_terms, _TermSum
+from syspredict.errors import OutOfUnitInterval
 from syspredict.structure import SystemStructure
 
 from law_oracle import BivariateDistortion
@@ -269,14 +270,20 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     assert counts["_partial"] + counts.get("eval", 0) == counts["_sum"]
 
 
-def test_plan_masks_are_validated_once(monkeypatch):
-    pred = EarlyFailurePredictor(series(4), k_out_of_n(2, 4), FGMCopula(theta=0.5, n=4),
-                                 Exponential(1.0))
-    pred.quantile(0.5, 0.3)  # builds every plan the solve uses
-    counts = {}
-    _count(monkeypatch, SurvivalCopula, "_check_point", counts)
-    pred.quantile(0.5, 0.3)
-    assert counts["_check_point"] > 0  # the points are still checked on every call
+def test_out_of_range_values_raise_on_every_call():
+    """Every call checks all its values, also one that no term carries."""
+    copula = FGMCopula(theta=0.5, n=3)
+    q = UnivariateDistortion(k_out_of_n(2, 3), copula)
+    pair = _TermSum(copula, series(3), k_out_of_n(2, 3)).partial(0)
+    # series(3) inside series(3): every coordinate carries the system's variable
+    unused = _TermSum(copula, series(3), series(3)).partial()
+    calls = [(q.value, (1.5,)), (q.derivative, (-0.1,)),
+             (pair, (1.5, 0.3)), (pair, (0.5, -0.1)), (unused, (1.5, 0.3))]
+    for evaluate, bad in calls:
+        evaluate(*(0.5,) * len(bad))
+        for _ in range(2):
+            with pytest.raises(OutOfUnitInterval):
+                evaluate(*bad)
 
 
 def test_build_expands_each_structure_once(monkeypatch):
