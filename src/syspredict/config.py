@@ -284,12 +284,18 @@ def _require(cfg, key):
     return cfg[key]
 
 
+def _integral(x):
+    """x as an int if it is an integral float, which the schema takes as an integer."""
+    return int(x) if isinstance(x, float) and x.is_integer() else x
+
+
 def structure_from(cfg, which):
     sections = _require(cfg, "structures")
     if which not in sections:
         raise ConfigError(f"structures.{which} is required for this command")
     doc = sections[which]
-    return validate_structure(doc["n"], doc["paths"])
+    paths = [[_integral(i) for i in path] for path in doc["paths"]]
+    return validate_structure(_integral(doc["n"]), paths)
 
 
 def predictor_from(cfg):

@@ -37,7 +37,7 @@ from .errors import (
 
 
 def _check_unit(arr):
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not (np.all(arr >= 0) and np.all(arr <= 1)):  # NaN fails both
         raise OutOfUnitInterval("copula arguments must lie in [0, 1]")
     return arr
 

@@ -16,14 +16,14 @@ from .errors import ConfigError, NegativeTime, OutOfRange
 
 def _check_times(t):
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):  # NaN fails it too
         raise NegativeTime("lifetimes must be >= 0")
     return arr
 
 
 def _check_probs(p):
     arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0) or np.any(arr > 1):
+    if not (np.all(arr > 0) and np.all(arr <= 1)):
         raise OutOfRange("survival levels must lie in (0, 1]")
     return arr
 
@@ -71,5 +71,7 @@ def marginal_from_config(doc) -> Exponential | Weibull:
     if family == "exponential":
         return Exponential(mean=float(doc.get("mean", 1.0)))
     if family == "weibull":
+        if missing := [key for key in ("shape", "scale") if key not in doc]:
+            raise ConfigError(f"marginal.{missing[0]} is required for the weibull family")
         return Weibull(shape=float(doc["shape"]), scale=float(doc["scale"]))
     raise ConfigError(f"unknown marginal family {family!r}")

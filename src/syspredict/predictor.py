@@ -5,15 +5,14 @@ first k failures (k = 1 or 2) of structures O_1..O_k at t_1 <= .. <= t_k,
 write c = (F-bar(t_1), .., F-bar(t_k)) for the conditioning point in
 survival scale and z = F-bar(y); then
 
-      S(z | c) = [num(c, z) - base(c)] / den(c),   z <= F-bar(horizon),
+      S(z | c) = num(c, z) / den(c),   z <= F-bar(horizon),
 
 where the horizon t_k is the last observed time, num is the k-th mixed
 partial, in the k observed variables, of the (k+1)-variate ordered
-distortion of (O_1, .., O_k, system), den the same partial of the k-variate
-ordered distortion of the observed failures alone, and base(c) = num(c, 0)
-removes any defect mass.  For one failure den = q-bar_T1'(u) is the
-derivative of the first failure's distortion; for two, the mixed partial
-of the (T1, T2) distortion.
+distortion of (O_1, .., O_k, system), and den the same partial of the
+k-variate ordered distortion of the observed failures alone.  num(c, 0)
+is exactly 0: every term of num keeps an undifferentiated coordinate
+carrying z, and survival copulas are grounded.
 
 Mode "strict" (the observed failure can never be the system failure)
 uses S as it is.  Mode "weak" (the system may die exactly at the observed
@@ -21,10 +20,10 @@ failure) starts from S(F-bar(t) | c) = alpha(t) < 1, leaving an atom of
 size 1 - alpha(t) at y = t; mode "alive" conditions on the system having
 survived and renormalizes the law by alpha(t).
 
-Each conditioning point's law is built once per solve: den, base and alpha
+Each conditioning point's law is built once per solve: den and alpha
 depend only on c, so every solver step and quadrature node evaluates
-just the numerator.  Subclasses name their observed structures and map
-their conditioning times to (horizon, c); quantiles, means, survival,
+just the numerator.  Subclasses name their observed structures; the map
+from conditioning times to (horizon, c), quantiles, means, survival,
 alpha and bands are shared.  The k-of-n shortcut `kofn_quantile_factor`
 inverts its scalar binomial law by safeguarded Newton steps in Python
 floats, where a 0-d pass through the array solver costs far more than the
@@ -50,7 +49,7 @@ on units or on how far out the horizon lies.  The s integral over (0, inf)
 uses one fixed exp-sinh rule (Takahasi & Mori 1974), s = exp(pi/2 sinh(x))
 on a uniform x grid, for every conditioning point in one law call; the
 integrand stays in [0, 1] and needs neither the density nor a singular
-Jacobian.  Nodes where F-bar(y) underflows to 0 are dropped.  The rule at
+Jacobian.  Nodes where F-bar(y) underflows to 0 add law(0) = 0.  The rule at
 half the nodes (every other one) estimates the error, the last node's
 term the tail cut off beyond it; a point whose estimate exceeds 1e-8 of
 the integral raises QuadratureFailure, as does a horizon whose F-bar
@@ -92,7 +91,7 @@ QUAD_TOL = 1e-8  # largest error estimate, relative to the tail integral
 
 def _as_level(w):
     w = np.asarray(w, dtype=float)
-    if np.any(w <= 0) or np.any(w >= 1):
+    if not (np.all(w > 0) and np.all(w < 1)):
         raise OutOfRange("survival levels must lie strictly inside (0, 1)")
     return w
 
@@ -161,7 +160,7 @@ def _tail_mean(law, marginal, horizon, zmax):
     sigma = marginal.inv_sf(edge) - horizon
     with np.errstate(over="ignore"):  # the far nodes overflow a steep hazard to F-bar = 0
         z = np.minimum(marginal.sf(horizon + sigma * _NODES), zmax)
-    f = np.where(z > 0.0, law(z), 0.0)
+    f = np.ascontiguousarray(law(z))  # matmul adds a strided operand in another order
     fine = f @ _WEIGHTS
     # the last node's term estimates the tail cut off beyond it
     err = np.abs(fine - f @ _COARSE_WEIGHTS) + f[:, -1] * _WEIGHTS[-1]
@@ -185,9 +184,7 @@ class _PredictorCore:
     """Quantile, mean, survival, alpha and bands over one conditional law.
 
     A subclass passes the structures of its k observed failures and sets the
-    `_degenerate` message, and defines `_point(*cond) -> (horizon, c)`: the
-    last observed time and the conditioning point in survival scale, whose
-    last entry is F-bar(horizon).
+    `_degenerate` message.
     """
 
     mode = "strict"
@@ -200,6 +197,13 @@ class _PredictorCore:
         self._den = _TermSum(copula, *observed).partial(*variables)
         self.marginal = marginal
 
+    def _point(self, *times):
+        """(horizon, c): the last observed time and F-bar at each observed time."""
+        times = [np.asarray(t, dtype=float) for t in times]
+        if len(times) > 1 and not all(np.all(a <= b) for a, b in zip([0.0, *times], times)):
+            raise OutOfRange("conditioning times must satisfy 0 <= t1 <= t2")
+        return times[-1], tuple(self.marginal.sf(t) for t in times)
+
     def _law(self, *c):
         """z -> S(z | c) with the normalizers of c computed once, and alpha.
 
@@ -209,10 +213,9 @@ class _PredictorCore:
         den = self._den(*c)
         if np.any(den == 0.0) or np.any(~np.isfinite(den)):
             raise DegenerateDenominator(self._degenerate)
-        base = self._num(*c, 0.0)
 
         def law(z):
-            return np.clip((self._num(*c, np.asarray(z, dtype=float)) - base) / den, 0.0, 1.0)
+            return np.clip(self._num(*c, np.asarray(z, dtype=float)) / den, 0.0, 1.0)
 
         if self.mode == "strict":
             return law, None
@@ -250,10 +253,9 @@ class _PredictorCore:
         horizon, c = self._point(*cond)
         law, alpha = self._law(*c)
         shape = np.broadcast_shapes(np.shape(w), np.shape(c[-1]))
-        w_b = np.broadcast_to(w, shape)
         # levels at or above alpha sit in the atom at the horizon
-        atom = w_b >= alpha if self.mode == "weak" else None
-        root = _solve_increasing(law, np.broadcast_to(c[-1], shape), w_b, skip=atom)
+        atom = w >= alpha if self.mode == "weak" else None
+        root = _solve_increasing(law, np.broadcast_to(c[-1], shape), w, skip=atom)
         y = self.marginal.inv_sf(root)
         if atom is not None:
             y = np.where(atom, horizon, y)
@@ -303,10 +305,6 @@ class EarlyFailurePredictor(_PredictorCore):
         super().__init__((first,), system, copula, marginal)
         self.mode = mode
 
-    def _point(self, t):
-        t = np.asarray(t, dtype=float)
-        return t, (self.marginal.sf(t),)
-
 
 class TwoFailurePredictor(_PredictorCore):
     """Predict T from the first two observed failure times t1 <= t2."""
@@ -315,13 +313,6 @@ class TwoFailurePredictor(_PredictorCore):
 
     def __init__(self, first, second, system, copula, marginal):
         super().__init__((first, second), system, copula, marginal)
-
-    def _point(self, t1, t2):
-        t1 = np.asarray(t1, dtype=float)
-        t2 = np.asarray(t2, dtype=float)
-        if np.any(t1 < 0) or np.any(t2 < t1):
-            raise OutOfRange("conditioning times must satisfy 0 <= t1 <= t2")
-        return t2, (self.marginal.sf(t1), self.marginal.sf(t2))
 
 
 def system_mean(structure, copula, marginal):
@@ -411,7 +402,7 @@ def kofn_survival(n, r, s, t, y, marginal):
     _check_kofn(n, r, s)
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(y < t):
+    if not np.all(y >= t):
         raise OutOfRange("prediction time y must satisfy y >= t")
     sft = marginal.sf(t)
     if np.any(sft == 0.0):

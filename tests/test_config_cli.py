@@ -598,6 +598,44 @@ def test_cli_error_paths(tmp_path, capsys):
         main(["frobnicate", "--config", cfg])
 
 
+def test_commands_require_their_sections(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, relay_cfg(seed=3))
+    for command in ("coverage", "fitqr"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"ConfigError: config section {command!r} is required for {command}\n")
+
+
+def test_fitqr_reports_crossing_lines(tmp_path, capsys):
+    sample = tmp_path / "cross.csv"
+    sample.write_text("t1,t\n0,2\n1,3\n3,3\n2,4\n")
+    fit = write_cfg(tmp_path, {"fitqr": {"sample": str(sample), "taus": [0.25, 0.5, 0.75]}})
+    assert main(["fitqr", "--config", fit, "--out", str(tmp_path / "f.csv")]) == 0
+    assert "crossings: (0.5, 0.75)\n" in capsys.readouterr().out
+
+
+def test_weibull_without_scale_is_a_config_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, relay_cfg(marginal={"family": "weibull", "shape": 1.5},
+                                        point={"t1": 0.3}))
+    assert main(["predict", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "ConfigError: marginal.scale is required for the weibull family\n"
+    assert captured.out == ""
+
+
+def test_integral_floats_are_structure_integers(tmp_path, capsys):
+    """3.0 and 1.0 are integers under Draft 2020-12, so they build the structure 3 and 1 do."""
+    outputs = []
+    for n, one in ((3, 1), (3.0, 1.0)):
+        system = {"n": n, "paths": [[one], [2, 3]]}
+        cfg = write_cfg(tmp_path, relay_cfg(structures={"first": SERIES3, "system": system},
+                                            point={"t1": 0.3}))
+        assert main(["predict", "--config", cfg]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == outputs[1].err == ""
+    assert outputs[1].out == outputs[0].out
+
+
 def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert cli._build_parser() is cli._build_parser()
     own_out = str(tmp_path / "own.csv")

@@ -237,6 +237,15 @@ def test_argument_validation():
         ClaytonPairCopula(pair=(2, 3), theta=0.0, n=3)
     with pytest.raises(IndexOutOfRange):
         ClaytonPairCopula(pair=(2, 5), theta=1.0, n=3)
+    for make, message in ((lambda: ProductCopula(n=0), "dimension must be >= 1"),
+                          (lambda: FGMCopula(n=1), "dimension must be >= 2"),
+                          (lambda: ClaytonPairCopula(n=1), "dimension must be >= 2")):
+        with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
+            make()
+    for indices in ((), (1, 2, 3, 4)):
+        with pytest.raises(UnsupportedOrder, match=(
+                f"^partials are supported for 1..3 distinct coordinates, got {len(indices)}$")):
+            FGMCopula(theta=1.0, n=4).partial(indices, [0.5] * 4)
 
 
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(-1.0, 1.0))

@@ -16,6 +16,7 @@ from syspredict import (
     FGMCopula,
     ProductCopula,
     TwoFailurePredictor,
+    UnivariateDistortion,
     Weibull,
     kofn_quantile_factor,
     k_out_of_n,
@@ -28,12 +29,14 @@ from syspredict import (
 from syspredict.errors import (
     DegenerateDenominator,
     InvalidOrder,
+    NegativeTime,
     NotInvertible,
     OutOfRange,
+    OutOfUnitInterval,
     QuadratureFailure,
     ZeroAlpha,
 )
-from syspredict.predictor import BISECT_MAX, BISECT_TOL, _solve_increasing
+from syspredict.predictor import BISECT_MAX, BISECT_TOL, _solve_increasing, _tail_mean
 
 # closed-form offsets for IID exponentials, frozen from the analytic laws
 RELAY_MEDIAN = 0.5427656
@@ -440,6 +443,41 @@ def test_degenerate_denominator(first3, relay, product3):
         kofn_survival(3, 2, 3, 40.0, 41.0, heavy)
 
 
+def test_nan_fails_every_range_check(relay_strict, twofail_fgm, exp1):
+    """NaN raises each entry point's own range error, never a number or a wrong cause."""
+    nan = math.nan
+    q = UnivariateDistortion(series(3), ProductCopula(3))
+    cases = [
+        (lambda: ProductCopula(3).eval([nan, 0.5, 0.5]), OutOfUnitInterval,
+         "copula arguments must lie in [0, 1]"),
+        (lambda: q.value(nan), OutOfUnitInterval, "copula arguments must lie in [0, 1]"),
+        (lambda: exp1.sf(nan), NegativeTime, "lifetimes must be >= 0"),
+        (lambda: exp1.inv_sf(nan), OutOfRange, "survival levels must lie in (0, 1]"),
+        (lambda: relay_strict.quantile(nan, 0.3), OutOfRange,
+         "survival levels must lie strictly inside (0, 1)"),
+        (lambda: relay_strict.quantile(0.5, nan), NegativeTime, "lifetimes must be >= 0"),
+        (lambda: relay_strict.mean(np.array([0.3, nan])), NegativeTime,
+         "lifetimes must be >= 0"),
+        (lambda: twofail_fgm.quantile(0.5, nan, 0.5), OutOfRange,
+         "conditioning times must satisfy 0 <= t1 <= t2"),
+        (lambda: twofail_fgm.survival(1.0, 0.3, nan), OutOfRange,
+         "conditioning times must satisfy 0 <= t1 <= t2"),
+        (lambda: kofn_quantile_factor(5, 1, 3, nan), OutOfRange,
+         "survival levels must lie strictly inside (0, 1)"),
+        (lambda: kofn_survival(3, 2, 3, 0.5, nan, exp1), OutOfRange,
+         "prediction time y must satisfy y >= t"),
+        (lambda: kofn_survival(3, 2, 3, nan, 1.0, exp1), OutOfRange,
+         "prediction time y must satisfy y >= t"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+    # empty inputs still pass every check
+    assert ProductCopula(3).eval(np.empty((0, 3))).shape == (0,)
+    assert exp1.sf(np.empty(0)).shape == exp1.inv_sf(np.empty(0)).shape == (0,)
+
+
 def test_zero_alpha(first3, product3, exp1):
     # observed failure IS the system failure: conditioning on survival is void
     p = EarlyFailurePredictor(
@@ -523,6 +561,15 @@ def test_mean_matches_y_space_quadrature(shape, scale, mode, first3, relay, gate
     want = _y_space_mean(p, *cond)
     got = p.mean(*cond)
     np.testing.assert_allclose(got - cond[-1], want - cond[-1], rtol=1e-9, atol=0.0)
+
+
+def test_mean_rule_does_not_depend_on_the_law_layout():
+    # q-bar's value is a strided view of the term sum's running totals
+    value = UnivariateDistortion(parallel(3), ClaytonPairCopula((1, 3), 1.0, 3)).value
+    m, horizon, zmax = Weibull(3.0, 1.0), np.zeros((1, 1)), np.ones((1, 1))
+    strided = _tail_mean(value, m, horizon, zmax)
+    contiguous = _tail_mean(lambda z: value(z).copy(), m, horizon, zmax)
+    assert strided.tobytes() == contiguous.tobytes()
 
 
 def test_mean_quadrature_failure(first3, relay, parallel3, product3):
@@ -653,7 +700,8 @@ def test_survival_inverts_quantile_at_extreme_t(copula, shape, mode, t, frac, le
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="FGM(theta=1) two-failure law: num - base and den cancel as F-bar(t2) -> 0")
+                   reason="FGM(theta=1) two-failure law: the terms of num and of den cancel "
+                          "as F-bar(t2) -> 0")
 @pytest.mark.parametrize("t2", [25.0, 38.0])
 def test_two_failure_fgm_law_loses_its_inverse(t2):
     # relative errors 1.6e-6 at t2 = 25 and 0.56 at t2 = 38 (level 0.01);

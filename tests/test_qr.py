@@ -199,6 +199,9 @@ def test_degenerate_designs():
         fit_lqr([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)], 0.5)
     with pytest.raises(DegenerateDesign):
         fit_ols([(2.0, 1.0), (2.0, 5.0)])
+    # a slope of 1e300 / 1e-300 overflows
+    with pytest.raises(DegenerateDesign, match="^the sample's pair slopes overflow its residuals$"):
+        fit_lqr([(0.0, 0.0), (1e-300, 1e300), (1.0, 0.0)], 0.5)
     for bad in (np.nan, np.inf, -np.inf):
         for pairs in ([(0.0, 1.0), (1.0, bad), (2.0, 3.0)],
                       [(0.0, 1.0), (bad, 2.0), (2.0, 3.0)]):

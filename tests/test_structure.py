@@ -27,6 +27,8 @@ from syspredict.structure import (
 def test_validation_rejects_bad_input():
     with pytest.raises(EmptyPaths):
         validate_structure(3, [])
+    with pytest.raises(EmptyPaths, match="^path sets must be nonempty$"):
+        validate_structure(3, [[1, 2], []])
     with pytest.raises(IndexOutOfRange):
         validate_structure(3, [[1, 4], [2, 3]])
     with pytest.raises(IndexOutOfRange):

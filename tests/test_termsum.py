@@ -24,6 +24,7 @@ from syspredict import (
     TwoFailurePredictor,
     UnivariateDistortion,
     k_out_of_n,
+    parallel,
     series,
     validate_structure,
 )
@@ -79,17 +80,20 @@ def _copula(family, n, theta, pair):
 
 
 @st.composite
+def _path_families(draw, n):
+    """Minimal paths of up to 4 random sets, each uncovered component a path alone."""
+    sets = draw(st.lists(st.frozensets(st.integers(1, n), min_size=1), min_size=1, max_size=4))
+    minimal = {p for p in sets if not any(q < p for q in sets)}
+    covered = set().union(*minimal)
+    minimal |= {frozenset([j]) for j in range(1, n + 1) if j not in covered}
+    return validate_structure(n, [sorted(p) for p in minimal])
+
+
+@st.composite
 def _sums(draw):
     """A joint expansion of 1-3 structures, a copula and ordered evaluation points."""
     n = draw(st.integers(2, 5))
-    structures = []
-    for _ in range(draw(st.integers(1, 3))):
-        sets = draw(st.lists(st.frozensets(st.integers(1, n), min_size=1),
-                             min_size=1, max_size=4))
-        minimal = {p for p in sets if not any(q < p for q in sets)}
-        covered = set().union(*minimal)
-        minimal |= {frozenset([j]) for j in range(1, n + 1) if j not in covered}
-        structures.append(validate_structure(n, [sorted(p) for p in minimal]))
+    structures = draw(st.lists(_path_families(n), min_size=1, max_size=3))
     family = draw(st.sampled_from(["product", "fgm", "clayton"]))
     theta = {"product": 0.0,
              "fgm": draw(st.floats(-1.0, 1.0)),
@@ -222,11 +226,12 @@ def _count(monkeypatch, cls, name, counts, key=None):
 
 @pytest.mark.parametrize("mode", ["one", "weak", "two"])
 def test_scalar_quantile_call_budget(monkeypatch, mode):
-    """One copula call per term sum, one term sum per law evaluation, z-free terms once.
+    """One copula call per term sum, one term sum per law evaluation, den once.
 
-    A law's z-free sums are its denominator and its zero-plus term, the
-    numerator at z = 0; a weak law adds one numerator evaluation at the
-    horizon for alpha, which both the atom mask and the law reuse.
+    A law's one z-free sum is its denominator; the numerator is evaluated
+    only at the solver's points, and a weak law adds one numerator
+    evaluation at the horizon for alpha, which both the atom mask and the
+    law reuse.
     """
     copula = FGMCopula(theta=0.5, n=4)
     if mode == "two":
@@ -249,7 +254,7 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     _count(monkeypatch, _TermSum, "_sum", counts)
     _count(monkeypatch, pred, "_num", counts, key="num")
     _count(monkeypatch, pred, "_den", counts, key="den")
-    extra_nums = 2 if mode == "weak" else 1
+    extra_nums = 1 if mode == "weak" else 0
     build = pred._law
 
     def counted_build(*c):
@@ -268,6 +273,38 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     assert counts["den"] == 1
     assert counts["_sum"] == counts["num"] + counts["den"]
     assert counts["_partial"] + counts.get("eval", 0) == counts["_sum"]
+
+
+@given(data=st.data(), n=st.integers(2, 5), k=st.sampled_from([1, 2]),
+       family=st.sampled_from([("product", 0.0), ("fgm", 1.0), ("fgm", -1.0), ("fgm", -0.8),
+                               ("clayton", 1.0), ("clayton", 2.5)]))
+@settings(max_examples=300, deadline=None)
+def test_numerator_vanishes_at_zero(data, n, k, family):
+    """num(c, 0) is exactly 0 wherever the law exists, so S(z | c) = num(c, z) / den(c).
+
+    Every term keeps an undifferentiated coordinate carrying z, and survival
+    copulas are grounded.  A Clayton pair's kernel overflows at c near 0,
+    where den is not finite either and the law raises.
+    """
+    system = data.draw(st.one_of(st.sampled_from([series(n), parallel(n)]),
+                                 st.integers(1, n).map(lambda j: k_out_of_n(j, n)),
+                                 _path_families(n)))
+    pair = tuple(sorted(data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2,
+                                           unique=True))))
+    copula = _copula(family[0], n, family[1], pair)
+    observed = (series(n), k_out_of_n(n - 1, n))[:k]
+    pred = (EarlyFailurePredictor if k == 1 else TwoFailurePredictor)(
+        *observed, system, copula, Exponential(1.0))
+    # ordered c: 1, interior, and near 0 down to the smallest subnormal
+    values = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True),
+                       st.floats(5e-324, 1e-6))
+    c = sorted(data.draw(st.lists(values, min_size=k, max_size=k)), reverse=True)
+    with np.errstate(all="ignore"):
+        den = pred._den(*c)
+        num = pred._num(*c, 0.0)
+    if family[0] == "clayton" and not (np.isfinite(den) and den != 0.0):
+        return
+    assert num == 0.0
 
 
 def test_out_of_range_values_raise_on_every_call():
