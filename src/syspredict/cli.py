@@ -7,6 +7,11 @@ conditional median/mean and two prediction bands over a time grid,
 interval experiment, and `fitqr` fits quantile-regression lines to a
 sample file.  Scalar settings (seed, output path) can be overridden on
 the command line; everything is deterministic given (config, seed).
+
+Each `curves` or `predict` request solves all its quantile levels and band
+edges in one vector quantile solve, then computes the mean; so a failing
+level raises before any output is written or printed, and a level that
+fails is reported before a mean that would fail too.
 """
 
 from __future__ import annotations
@@ -15,16 +20,20 @@ import argparse
 import functools
 import sys
 
+import numpy as np
+
 from .config import _require, grid_from, load_config, point_from, predictor_from, structure_from
 from .copula import copula_from_config
 from .errors import ConfigError, SysPredictError
 from .marginal import marginal_from_config
 from .montecarlo import coverage_table, simulate, write_csv
+from .predictor import _band_edges
 from .qr import detect_crossings, fit_lqr, fit_ols, load_xy
 
 CURVE_COLUMNS = ("t", "median", "mean", "lower_50", "upper_50", "lower_90", "upper_90")
 COVERAGE_COLUMNS = ("k", "replications", "coverage50", "se50", "coverage90", "se90")
 FITQR_COLUMNS = ("tau", "intercept", "slope", "loss")
+BAND_LEVELS = (0.5, 0.9)  # the coverage of the two bands that curves and predict report
 
 
 def _fmt(value):
@@ -41,6 +50,19 @@ def _resolve(args, cfg, key, what):
     return value
 
 
+def _solve(predictor, levels, kind, *cond):
+    """Quantiles at `levels`, then the lower and upper edge of each band in BAND_LEVELS.
+
+    One quantile call solves every level and band edge, stacked on a leading
+    axis; a bottom band's lower edge is the horizon and is not solved.
+    """
+    edges = [w for level in BAND_LEVELS for w in _band_edges(kind, level)]
+    stack = [*levels, *(w for w in edges if w is not None)]
+    horizon = np.asarray(cond[-1], dtype=float)
+    solved = iter(predictor.quantile(np.reshape(stack, (-1,) + (1,) * horizon.ndim), *cond))
+    return [horizon if w is None else next(solved) for w in [*levels, *edges]]
+
+
 def cmd_curves(args, cfg):
     """tabulate median/mean curves and prediction bands over a grid"""
     mode = _require(cfg, "mode")
@@ -51,10 +73,8 @@ def cmd_curves(args, cfg):
     grid = grid_from(cfg)
     kind = cfg.get("band_kind", "centered")
     out = _resolve(args, cfg, "out", "an output path")
-    band50 = predictor.band(kind, 0.5)
-    band90 = predictor.band(kind, 0.9)
-    columns = [grid, predictor.median(grid), predictor.mean(grid),
-               band50.lower(grid), band50.upper(grid), band90.lower(grid), band90.upper(grid)]
+    median, *edges = _solve(predictor, [0.5], kind, grid)
+    columns = [grid, median, predictor.mean(grid), *edges]
     write_csv(out, CURVE_COLUMNS, columns)
     print("command: curves")
     print(f"mode: {mode}")
@@ -71,16 +91,17 @@ def cmd_predict(args, cfg):
     cond = point_from(cfg, mode)
     levels = cfg.get("quantiles", [0.5])
     kind = cfg.get("band_kind", "centered")
+    values = _solve(predictor, levels, kind, *cond)
+    quantiles, edges = values[:len(levels)], values[len(levels):]
+    mean = predictor.mean(*cond)
     print("command: predict")
     print(f"mode: {mode}")
     print("point: " + " ".join(f"t{i + 1}={_fmt(c)}" for i, c in enumerate(cond)))
-    for w in levels:
-        print(f"quantile {_fmt(w)}: {_fmt(predictor.quantile(w, *cond))}")
-    for level in (0.5, 0.9):
-        band = predictor.band(kind, level)
-        lo, hi = band.lower(*cond), band.upper(*cond)
+    for w, q in zip(levels, quantiles):
+        print(f"quantile {_fmt(w)}: {_fmt(q)}")
+    for level, lo, hi in zip(BAND_LEVELS, edges[::2], edges[1::2]):
         print(f"band {kind} {_fmt(level)}: [{_fmt(lo)}, {_fmt(hi)}]")
-    print(f"mean: {_fmt(predictor.mean(*cond))}")
+    print(f"mean: {_fmt(mean)}")
     return 0
 
 
@@ -123,7 +144,7 @@ def cmd_coverage(args, cfg):
     print("command: coverage")
     print(f"seed: {seed}")
     print(f"k: {','.join(str(r.k) for r in reports)}")
-    print(f"replications: {section['replications']}")
+    print(f"replications: {reports[0].replications}")
     print(f"out: {out}")
     return 0
 

@@ -243,7 +243,8 @@ def _interval_offsets():
     pred = EarlyFailurePredictor(
         first, system, ProductCopula(3), Exponential(1.0), mode="strict"
     )
-    return {w: float(pred.quantile(w, 0.0)) for w in (0.75, 0.25, 0.95, 0.05)}
+    levels = (0.75, 0.25, 0.95, 0.05)
+    return dict(zip(levels, pred.quantile(np.array(levels), 0.0).tolist()))
 
 
 def coverage_experiment(k, replications, seed, *, score="same",

@@ -38,8 +38,8 @@ most 200 iterations), so the stopping point does not depend on the scale
 of F-bar(horizon).  Over the test designs (t up to 60, Exp and Weibull
 shapes 0.5-4) a level in [0.01, 0.99] takes a median of 7 law
 evaluations and at most 24; levels within 1e-14 of 0 or 1 at most 63.
-Centered level-gamma bands run from the (1+gamma)/2 to the (1-gamma)/2
-quantile; bottom bands run from the horizon to the (1-gamma) quantile.
+Band edges are the quantiles at the survival levels `_band_edges` gives;
+a bottom band's lower edge is the horizon.
 
 Means add to the horizon the integral over y > horizon of the survival,
 S(y | c) = law(min(F-bar(y), F-bar(horizon))), substituting
@@ -170,6 +170,22 @@ def _tail_mean(law, marginal, horizon, zmax):
     return horizon[:, 0] + sigma[:, 0] * fine
 
 
+def _band_edges(kind, level):
+    """Survival levels (lower, upper) of a band's edges; None is the horizon.
+
+    A centered level-gamma band runs from the (1+gamma)/2 to the (1-gamma)/2
+    quantile, a bottom band from the horizon to the (1-gamma) quantile.
+    """
+    level = float(level)
+    if not 0.0 < level < 1.0:
+        raise OutOfRange("band level must lie in (0, 1)")
+    if kind == "centered":
+        return (1.0 + level) / 2.0, (1.0 - level) / 2.0
+    if kind == "bottom":
+        return None, 1.0 - level
+    raise OutOfRange(f"band kind must be 'centered' or 'bottom', got {kind!r}")
+
+
 @dataclass(frozen=True)
 class PredictionBand:
     """Lower/upper curve evaluators over the conditioning times."""
@@ -275,18 +291,13 @@ class _PredictorCore:
 
     def band(self, kind, level) -> PredictionBand:
         """Prediction band evaluators at the given coverage level."""
-        level = float(level)
-        if not 0.0 < level < 1.0:
-            raise OutOfRange("band level must lie in (0, 1)")
-        if kind == "centered":
-            lower = lambda *cond: self.quantile((1.0 + level) / 2.0, *cond)
-            upper = lambda *cond: self.quantile((1.0 - level) / 2.0, *cond)
-        elif kind == "bottom":
+        low, high = _band_edges(kind, level)
+        if low is None:
             lower = lambda *cond: _scalar_like(self._point(*cond)[0], *cond)
-            upper = lambda *cond: self.quantile(1.0 - level, *cond)
         else:
-            raise OutOfRange(f"band kind must be 'centered' or 'bottom', got {kind!r}")
-        return PredictionBand(kind=kind, level=level, lower=lower, upper=upper)
+            lower = lambda *cond: self.quantile(low, *cond)
+        upper = lambda *cond: self.quantile(high, *cond)
+        return PredictionBand(kind=kind, level=float(level), lower=lower, upper=upper)
 
 
 class EarlyFailurePredictor(_PredictorCore):

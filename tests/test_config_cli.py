@@ -23,6 +23,7 @@ from syspredict.config import (
     structure_from,
 )
 from syspredict.errors import ConfigError
+from syspredict.montecarlo import write_csv
 
 RELAY = {"n": 3, "paths": [[1], [2, 3]]}
 GATE = {"n": 3, "paths": [[1, 2], [1, 3]]}
@@ -397,6 +398,25 @@ def test_curves_alive_mode(tmp_path):
     np.testing.assert_allclose(med, [0.3465736, 1.3465736], atol=1e-6)
 
 
+@pytest.mark.parametrize("mode", ["weak", "alive"])
+def test_curves_bottom_bands_match_the_api(tmp_path, capsys, mode):
+    """The one stacked solve writes the bytes of the per-column API calls."""
+    doc = {"mode": mode, "structures": {"first": SERIES3, "system": GATE},
+           "copula": FGM1, "marginal": {"family": "weibull", "shape": 1.7, "scale": 1.3},
+           "grid": {"start": 0.0, "stop": 3.0, "count": 13}, "band_kind": "bottom"}
+    out = tmp_path / "bottom.csv"
+    assert main(["curves", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    p, grid = predictor_from(doc), grid_from(doc)
+    b50, b90 = p.band("bottom", 0.5), p.band("bottom", 0.9)
+    expected = tmp_path / "api.csv"
+    write_csv(expected, cli.CURVE_COLUMNS,
+              [grid, p.median(grid), p.mean(grid), b50.lower(grid), b50.upper(grid),
+               b90.lower(grid), b90.upper(grid)])
+    assert out.read_bytes() == expected.read_bytes()
+    rows = read_rows(out)[1:]
+    assert [r[3] for r in rows] == [r[5] for r in rows] == [r[0] for r in rows]
+
+
 def test_curves_deterministic_across_runs(tmp_path, capsys):
     cfg = write_cfg(tmp_path, relay_cfg(grid={"start": 0.0, "stop": 2.0, "count": 17}))
     outputs = []
@@ -465,6 +485,25 @@ def test_predict_single_failure(tmp_path, capsys):
     assert hi == pytest.approx(4.0781121, abs=1e-6)
 
 
+def test_failing_level_prints_nothing(tmp_path, capsys):
+    """Every value is solved before the first line: an error leaves stdout empty."""
+    # strict ordering on a system that can fail with the first failure: the
+    # law stops at alpha = 2/3, so the median inverts and the 0.75 edge does not
+    doc = relay_cfg(structures={"first": SERIES3, "system": GATE},
+                    point={"t1": 0.5}, quantiles=[0.5], grid=[0.5])
+    cfg = write_cfg(tmp_path, doc)
+    assert predictor_from(doc).quantile(0.5, 0.5) > 0.5
+    assert main(["predict", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "NotInvertible: survival level cannot be bracketed on (0, F-bar(t)]\n")
+    out = tmp_path / "curves.csv"
+    assert main(["curves", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("NotInvertible:")
+    assert not out.exists()
+
+
 def test_simulate_roundtrip_and_overrides(tmp_path, capsys):
     base = relay_cfg(size=150, seed=9, copula=FGM1)
     cfg = write_cfg(tmp_path, base)
@@ -509,6 +548,15 @@ def test_coverage_command(tmp_path, capsys):
     out2 = str(tmp_path / "cov2.csv")
     assert main(["coverage", "--config", cfg, "--out", out2]) == 0
     assert open(out, "rb").read() == open(out2, "rb").read()
+
+
+def test_coverage_echoes_replications_as_an_integer(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"coverage": {"k": [1.0], "replications": 40.0}, "seed": 3})
+    out = str(tmp_path / "cov.csv")
+    assert main(["coverage", "--config", cfg, "--out", out]) == 0
+    stdout = capsys.readouterr().out
+    assert "k: 1\n" in stdout and "replications: 40\n" in stdout
+    assert [r[:2] for r in read_rows(out)[1:]] == [["1", "40"]]
 
 
 def test_coverage_eval_draws_needs_fresh_scoring(tmp_path, capsys):

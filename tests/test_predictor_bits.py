@@ -13,6 +13,7 @@ only for a change that is shown to be an accuracy fix.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from syspredict import (
@@ -28,6 +29,7 @@ from syspredict import (
     series,
     validate_structure,
 )
+from syspredict.distortion import _TermSum
 from syspredict.errors import SysPredictError
 
 COPULAS = {
@@ -60,10 +62,15 @@ def _hex(call):
         return type(exc).__name__
 
 
-def outputs(kind, copula, marginal, t):
-    """(median, q05, q95, mean, alpha) hex strings; two failures at (t/2, t)."""
-    p = predictor(kind, COPULAS[copula], MARGINALS[marginal])
+def predictor_at(kind, copula, marginal, t):
+    """The case's predictor and conditioning times; two failures at (t/2, t)."""
     cond = (0.5 * t, t) if kind == "two" else (t,)
+    return predictor(kind, COPULAS[copula], MARGINALS[marginal]), cond
+
+
+def outputs(kind, copula, marginal, t):
+    """(median, q05, q95, mean, alpha) hex strings."""
+    p, cond = predictor_at(kind, copula, marginal, t)
     return (
         _hex(lambda: p.median(*cond)),
         _hex(lambda: p.quantile(0.05, *cond)),
@@ -320,6 +327,73 @@ PINNED = {
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "/".join(map(str, c)))
 def test_predictor_outputs_are_pinned(case):
     assert outputs(*case) == PINNED[case]
+
+
+# the levels of PINNED's first three entries
+LEVELS = (0.5, 0.05, 0.95)
+
+
+def _hexes(call):
+    """The hex strings of an array result, or the name of the error class it raises."""
+    try:
+        return tuple(x.hex() for x in call().tolist())
+    except SysPredictError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("key", CASES, ids=lambda c: "/".join(map(str, c)))
+def test_stacked_levels_match_the_pinned_bits(key):
+    """One quantile call on the stacked levels gives each level's own bits.
+
+    The stack equals the levels solved one by one as arrays, and for the
+    exponential marginal it equals PINNED, the scalar calls' bits.  The
+    Weibull F-bar^-1 takes a power, which numpy computes with the C
+    library's pow for a float64 scalar but with its SIMD loop for an array;
+    the two differ in the last bit or two on some inputs, so there the
+    stack is held to 2 units in the last place of PINNED.
+    """
+    p, cond = predictor_at(*key)
+    stacked = _hexes(lambda: p.quantile(np.array(LEVELS), *cond))
+    alone = [_hexes(lambda: p.quantile(np.array([w]), *cond)) for w in LEVELS]
+    pinned = PINNED[key][:3]
+    if isinstance(stacked, str):
+        # a level that raises fails the whole stack, with that level's error
+        assert stacked in alone and stacked in pinned
+        return
+    assert stacked == tuple(h for (h,) in alone)
+    if key[2] == "exp":
+        assert stacked == pinned
+    else:
+        ulps = np.array([float.fromhex(h) for h in stacked]).view(np.int64) \
+            - np.array([float.fromhex(h) for h in pinned]).view(np.int64)
+        assert np.all(np.abs(ulps) <= 2)
+
+
+def test_chunked_stacked_solve_matches_level_by_level(monkeypatch):
+    """A stack large enough that the term sums add their rows in chunks changes no bit."""
+    copula = FGMCopula(theta=1.0, n=3)
+    p = predictor("two", copula, MARGINALS["weibull"])
+    t2 = np.linspace(0.0, 3.0, 1500)
+    cond = (0.5 * t2, t2)
+    kernel_calls = []  # copula kernel calls made by each term sum
+
+    def counting_sum(self, *args):
+        kernel_calls.append(0)
+        return term_sum(self, *args)
+
+    def counting_kernel(self, mask, points):
+        kernel_calls[-1] += 1
+        return kernel(self, mask, points)
+
+    term_sum, kernel = _TermSum._sum, FGMCopula._partial
+    monkeypatch.setattr(_TermSum, "_sum", counting_sum)
+    monkeypatch.setattr(FGMCopula, "_partial", counting_kernel)
+    alone = [_hexes(lambda: p.quantile(w, *cond)) for w in LEVELS]
+    assert max(kernel_calls) == 1
+    kernel_calls.clear()
+    stacked = _hexes(lambda: p.quantile(np.array(LEVELS)[:, None], *cond).ravel())
+    assert max(kernel_calls) > 1
+    assert stacked == sum(alone, ())
 
 
 if __name__ == "__main__":
