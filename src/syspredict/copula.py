@@ -17,11 +17,16 @@ Families:
   C-hat(u) = prod u_i * (1 + theta * prod (1 - u_i)), |theta| <= 1.
 * ``ClaytonPairCopula`` -- one Clayton-coupled pair, all other components
   independent: the pair factor is (p^-theta + q^-theta - 1)^(-1/theta),
-  theta > 0; theta = 1 reduces to the rational form pq / (p + q - pq).
+  theta > 0.  Its kernel writes the factor and its partials over m = min(p, q),
+  M = max(p, q) and E = 1 + (m/M)^theta - m^theta in [1, 2], the factor being
+  m E^(-1/theta).  The form above takes p^-theta, which overflows once
+  p < 1e-88 at theta = 2.5; these terms stay in [0, 2] but for the 1/M of
+  the density, and one form serves every theta.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,50 +156,30 @@ class FGMCopula(SurvivalCopula):
         return V
 
 
-def _pair_value(p, q, theta):
-    """Clayton pair factor with the boundary-zero convention."""
-    p = np.asarray(p)
-    q = np.asarray(q)
-    if theta == 1.0:
-        den = p + q - p * q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(den > 0, p * q / np.where(den > 0, den, 1.0), 0.0)
-        return out
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = p ** (-theta) + q ** (-theta) - 1.0
-        out = s ** (-1.0 / theta)
-    return np.where((p > 0) & (q > 0), out, 0.0)
+def _clayton_pair(p, q, dp, dq, theta):
+    """Clayton pair factor, or per row its partial in p (dp), q (dq) or both.
 
-
-def _pair_d1(p, q, theta):
-    """d/dp of the pair factor (continuous extension at the boundary)."""
-    p = np.asarray(p)
-    q = np.asarray(q)
-    if theta == 1.0:
-        den = p + q - p * q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(den > 0, (q / np.where(den > 0, den, 1.0)) ** 2, 0.0)
-        return out
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = p ** (-theta) + q ** (-theta) - 1.0
-        out = s ** (-1.0 / theta - 1.0) * p ** (-theta - 1.0)
-    out = np.where(q > 0, out, 0.0)
-    return np.where((p > 0) | (q <= 0), out, 1.0)  # limit as p -> 0+ with q > 0 is 1
-
-
-def _pair_d12(p, q, theta):
-    """d^2/dp dq of the pair factor."""
-    p = np.asarray(p)
-    q = np.asarray(q)
-    if theta == 1.0:
-        den = p + q - p * q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(den > 0, 2.0 * p * q / np.where(den > 0, den, 1.0) ** 3, 0.0)
-        return out
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = p ** (-theta) + q ** (-theta) - 1.0
-        out = (1.0 + theta) * s ** (-1.0 / theta - 2.0) * (p * q) ** (-theta - 1.0)
-    return np.where((p > 0) & (q > 0), out, 0.0)
+    With m = min(p, q), M = max(p, q), r = m/M and E = 1 + r^theta - m^theta:
+    the factor is m E^(-1/theta), d/dp is (m/p)^(1+theta) E^(-1-1/theta) and
+    d2/dp dq is (1+theta) r^theta / M E^(-2-1/theta).
+    """
+    m, big = np.minimum(p, q), np.maximum(p, q)
+    big = np.where(big > 0, big, 1.0)  # every form is 0 at p = q = 0
+    r = m / big
+    rt = r ** theta
+    e = 1.0 + rt - m ** theta
+    # m over the differentiated coordinate is 1 where that one is the smaller
+    # (the limit 1 at p = 0 < q), else r (0 at a zero partner)
+    d1 = np.where(np.where(dp, p, q) < np.where(dp, q, p), 1.0, r * rt)
+    with np.errstate(over="ignore"):  # d2 leaves the double range only at a subnormal M
+        d12 = rt / big
+        # where r^theta underflows take (r / M^a)^theta M^(a theta - 1), a the
+        # power of 2 putting a theta in [1, 2), so every exponent is exact
+        low = (rt < np.finfo(rt.dtype).tiny) & (r > 0)
+        a = math.ldexp(1.0, 1 - math.frexp(theta)[1])
+        d12[low] = (r[low] / big[low] ** a) ** theta * big[low] ** (a * theta - 1.0)
+    lead = np.where(dp & dq, (1.0 + theta) * d12 / (e * e), np.where(dp | dq, d1 / e, m))
+    return lead * e ** (-1.0 / theta)
 
 
 @dataclass(frozen=True)
@@ -218,32 +203,22 @@ class ClaytonPairCopula(SurvivalCopula):
 
     def _partial(self, mask, arr):
         j, k = self.pair
-        in_j, in_k = mask[:, j - 1], mask[:, k - 1]
         skip = mask.copy()
         skip[:, [j - 1, k - 1]] = True
         indep = np.prod(np.where(skip, 1.0, arr), axis=-1)
-        p, q = arr[..., j - 1], arr[..., k - 1]
-        pair = np.zeros(indep.shape, dtype=indep.dtype)
-        # each row takes the pair factor's partial in the pair coordinates it differentiates
-        for rows, fn, a, b in (
-            (in_j & in_k, _pair_d12, p, q),
-            (in_j & ~in_k, _pair_d1, p, q),
-            (in_k & ~in_j, _pair_d1, q, p),  # symmetric factor
-            (~in_j & ~in_k, _pair_value, p, q),
-        ):
-            rows = np.flatnonzero(rows)
-            if rows.size:
-                pair[..., rows] = fn(a[..., rows], b[..., rows], self.theta)
-        return indep * pair
+        return indep * _clayton_pair(arr[..., j - 1], arr[..., k - 1],
+                                     mask[:, j - 1], mask[:, k - 1], self.theta)
 
     def _from_uniforms(self, V):
-        # the partner coordinate solves d/dp of the pair factor = w; at w = 1
-        # the generalized inverse is 1, or 0 where p = 0 (a point mass at 0)
+        # the partner coordinate solves d/dp of the pair factor = w, taken as
+        # p (p^theta + w^(-theta/(1+theta)) - 1)^(-1/theta) to stay in range; at
+        # w = 1 the generalized inverse is 1, or 0 where p = 0 (a point mass at 0)
         j, k = self.pair
         p, w = V[..., j - 1], V[..., k - 1]
+        theta = self.theta
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inner = 1.0 + p ** (-self.theta) * (w ** (-self.theta / (1.0 + self.theta)) - 1.0)
-            V[..., k - 1] = np.where(w == 1.0, p > 0.0, inner ** (-1.0 / self.theta))
+            q = p * (p ** theta + w ** (-theta / (1.0 + theta)) - 1.0) ** (-1.0 / theta)
+            V[..., k - 1] = np.where(w == 1.0, p > 0.0, q)
         return V
 
 

@@ -1,10 +1,12 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syspredict import ClaytonPairCopula, FGMCopula, ProductCopula
-from syspredict.copula import _pair_value, copula_from_config
+from syspredict.copula import copula_from_config
 from syspredict.errors import (
     IndexOutOfRange,
     LengthMismatch,
@@ -94,7 +96,12 @@ def oracle_eval(cop, u):
     j, k = cop.pair
     others = [i for i in range(1, cop.n + 1) if i not in (j, k)]
     indep = np.prod(arr[..., [i - 1 for i in others]], axis=-1) if others else 1.0
-    return indep * _pair_value(arr[..., j - 1], arr[..., k - 1], cop.theta)
+    # the pair factor (p^-theta + q^-theta - 1)^(-1/theta) as m E^(-1/theta):
+    # m = min, M = max, E = 1 + (m/M)^theta - m^theta
+    p, q = arr[..., j - 1], arr[..., k - 1]
+    m, big = np.minimum(p, q), np.maximum(p, q)
+    r = m / np.where(big > 0, big, 1.0)
+    return indep * (m * (1.0 + r ** cop.theta - m ** cop.theta) ** (-1.0 / cop.theta))
 
 
 ORACLE_FAMILIES = [
@@ -127,14 +134,54 @@ def test_eval_matches_family_formula_bitwise(cop):
         got = cop.eval(ext)
         assert got.dtype == np.longdouble
         assert np.array_equal(got, oracle_eval(cop, ext))
-    # one point gives the bits it gets in a stack (a 0-d Clayton `**` with
-    # theta != 1 may round differently from numpy's array loop, so the
+    # one point gives the bits it gets in a stack (a 0-d Clayton `**` may
+    # round differently from numpy's array loop, at theta = 1 too, so the
     # single-point oracle is only compared where no `**` is taken)
     for u, want in zip(pts[0], cop.eval(pts[0])):
         got = cop.eval(u)
         assert np.ndim(got) == 0 and got == want
-        if not (isinstance(cop, ClaytonPairCopula) and cop.theta != 1.0):
+        if not isinstance(cop, ClaytonPairCopula):
             assert got == oracle_eval(cop, u)
+
+
+def _clayton_exact(p, q, theta):
+    """(value, d/dp, d/dq, d2/dp dq) of the Clayton pair factor at 60 digits,
+    from (p^-theta + q^-theta - 1)^(-1/theta) and its continuous extension to 0."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p, q, theta = Decimal(p), Decimal(q), Decimal(theta)
+        if p == 0 or q == 0:
+            return 0, int(p == 0 < q), int(q == 0 < p), 0
+        # x^y as exp(y ln x): within 1e-55, and far faster than Decimal's
+        # correctly rounded power
+        a, b = (-theta * p.ln()).exp(), (-theta * q.ln()).exp()
+        s = a + b - 1
+        value = (-s.ln() / theta).exp()
+        return (value, a / p * value / s, b / q * value / s,
+                (1 + theta) * a / p * b / q * value / (s * s))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, 8.0])
+def test_clayton_pair_matches_decimal_over_the_double_range(theta):
+    """Value and every partial within 1e-13 of a 60-digit oracle wherever the exact
+    value is a normal double, for p and q log-uniform on [1e-300, 1] with exact 0
+    and 1 mixed in: no power of p or q leaves the double range on the way."""
+    rng = np.random.default_rng(14)
+    pts = 10.0 ** rng.uniform(-300.0, 0.0, (400, 2))
+    pts[rng.random(pts.shape) < 0.05] = 0.0
+    pts[rng.random(pts.shape) < 0.05] = 1.0
+    cop = ClaytonPairCopula(pair=(1, 2), theta=theta, n=2)
+    got = np.stack([cop.eval(pts), cop.partial((1,), pts), cop.partial((2,), pts),
+                    cop.partial((1, 2), pts)], axis=-1)
+    assert np.all(np.isfinite(got))
+    tiny, huge = Decimal(np.finfo(float).tiny), Decimal(np.finfo(float).max)
+    for (p, q), row in zip(pts, got):
+        for have, exact in zip(row, _clayton_exact(p, q, theta)):
+            if isinstance(exact, int):  # the boundary values are exact
+                assert have == exact
+            elif tiny <= exact <= huge:
+                assert abs(Decimal(have) - exact) <= Decimal("1e-13") * exact, (p, q)
 
 
 def test_fgm_zero_theta_is_product():

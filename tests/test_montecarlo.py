@@ -1,6 +1,7 @@
 import csv
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -79,10 +80,10 @@ def _fgm_conditional_inverse(a, w):
 
 
 def _clayton_conditional_inverse(p, w, theta):
-    # solve d/dp of the pair factor = w for the partner coordinate
+    # solve d/dp of the pair factor = w for the partner coordinate:
+    # (1 + p^-theta (w^(-theta/(1+theta)) - 1))^(-1/theta), with p^-theta taken out
     with np.errstate(divide="ignore", over="ignore"):
-        inner = 1.0 + p ** (-theta) * (w ** (-theta / (1.0 + theta)) - 1.0)
-        return inner ** (-1.0 / theta)
+        return p * (p ** theta + w ** (-theta / (1.0 + theta)) - 1.0) ** (-1.0 / theta)
 
 
 def oracle_uniforms(copula, U):
@@ -114,23 +115,25 @@ SAMPLER_FAMILIES = [
 def test_sampler_matches_family_inverse_bitwise(copula):
     rng = np.random.default_rng(13)
     U = rng.random((400, copula.n))
-    # uniforms exactly 0 and 1 included; p = 0, w = 1 makes the Clayton closed form nan
+    # uniforms exactly 0 and 1 included
     U[rng.random(U.shape) < 0.1] = 0.0
     U[rng.random(U.shape) < 0.1] = 1.0
     with np.errstate(invalid="ignore"):
         got = survival_uniforms(copula, U)
         want = oracle_uniforms(copula, U)
-    finite = ~np.isnan(want)
-    assert np.array_equal(got[finite], want[finite])
     if isinstance(copula, ClaytonPairCopula):
-        # there the generalized inverse: a point mass at 0 given p = 0
-        _, k = copula.pair
-        rows = ~finite[:, k - 1]
-        assert rows.any() and np.all(finite[:, [i for i in range(copula.n) if i != k - 1]])
-        assert np.array_equal(got[rows, k - 1], np.zeros(rows.sum()))
+        # at w = 1 the generalized inverse: 1, or a point mass at 0 given p = 0,
+        # where the closed form is 0 * inf
+        j, k = copula.pair
+        rows = U[:, k - 1] == 1.0
+        assert np.any(U[rows, j - 1] == 0.0) and np.any(U[rows, j - 1] > 0.0)
+        assert np.array_equal(got[rows, k - 1], U[rows, j - 1] > 0.0)
+        assert np.array_equal(got[~rows], want[~rows])
     else:
         # FGM's closed form is 0/0 at w = 0 with a = -1; the sampler takes the
         # generalized inverse, 0, there
+        finite = ~np.isnan(want)
+        assert np.array_equal(got[finite], want[finite])
         rows = ~finite[:, -1]
         assert np.all(finite[:, :-1])
         assert np.array_equal(got[rows, -1], np.zeros(rows.sum()))
@@ -149,10 +152,24 @@ def test_fgm_sampler_takes_the_generalized_inverse_at_w_zero():
 
 
 def test_clayton_sampler_takes_the_generalized_inverse_at_w_one():
-    # p^-theta overflows at p = 1e-200: the closed form would be inf * 0
+    # p^theta underflows at p = 1e-200: the closed form would be p * inf
     V = survival_uniforms(ClaytonPairCopula(pair=(1, 2), theta=2.5, n=2),
                           [[0.0, 1.0], [1e-200, 1.0], [0.3, 1.0]])
     assert np.array_equal(V, [[0.0, 0.0], [1e-200, 1.0], [0.3, 1.0]])
+
+
+def test_clayton_sampler_keeps_a_tiny_partner():
+    """p^-theta overflows at p = 1e-200, theta = 2.5; the partner is still p-sized."""
+    p, w, theta = 1e-200, 0.5, Decimal("2.5")
+    with localcontext() as ctx:
+        ctx.prec = 60
+        # d/dp of the pair factor = w solved exactly for the partner
+        inner = 1 + Decimal(p) ** -theta * (Decimal(w) ** (-theta / (1 + theta)) - 1)
+        exact = inner ** (-1 / theta)
+    assert float(exact) == pytest.approx(1.1949398693e-200, rel=1e-10)
+    V = survival_uniforms(ClaytonPairCopula(pair=(1, 2), theta=2.5, n=2), [[p, w]])
+    assert V[0, 0] == p
+    assert V[0, 1] == pytest.approx(float(exact), rel=1e-14)
 
 
 def test_sampler_needs_a_family_inverse():

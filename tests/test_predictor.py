@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -104,6 +105,73 @@ def test_case1_clayton_corrected_law(clayton_strict):
             if v <= u:
                 got = clayton_strict.survival(-np.log(v), -np.log(u))
                 assert got == pytest.approx(law(u, v), abs=1e-12)
+
+
+def _clayton_dp(p, q, theta):
+    """d/dp and d2/dp dq of the Clayton pair factor (p^-theta + q^-theta - 1)^(-1/theta)."""
+    s = p ** -theta + q ** -theta - 1
+    return (p ** (-theta - 1) * s ** (-1 / theta - 1),
+            (1 + theta) * (p * q) ** (-theta - 1) * s ** (-1 / theta - 2))
+
+
+def _relay_law(theta, c):
+    """Exact z -> S(z | c) of the strict relay under the Clayton pair (2, 3).
+
+    P(T1 > x1, T > x2) = u2 C(u1, u1) + u1 C(u2, u2) - u2 C(u2, u2) on
+    u1 >= u2; its d/du1 at (c, z) over d/du [u C(u, u)] at c, where
+    d/du C(u, u) = 2 C_p(u, u).
+    """
+    diag = lambda u: (2 * u ** -theta - 1) ** (-1 / theta)
+    slope = 2 * _clayton_dp(c, c, theta)[0]
+    return lambda z: (z * slope + diag(z)) / (diag(c) + c * slope)
+
+
+def _two_failure_law(theta, c1, c2):
+    """Exact z -> S(z | c1, c2) of series(3) / 2-of-3 / parallel(3) under the pair (2, 3).
+
+    The sum, over which component fails first, which second and which
+    survives, of the mixed partial of u1 C(u2, u3) in the first two, at
+    (c1, c2, z), over the same sum at z = c2.
+    """
+    d12 = _clayton_dp(c1, c2, theta)[1]
+    num = lambda z: _clayton_dp(c2, z, theta)[0] + _clayton_dp(c1, z, theta)[0] + z * d12
+    return lambda z: num(z) / num(c2)
+
+
+def _decimal_root(law, top, w):
+    """z in (0, top] with law(z) = w, law increasing: bisection to 1e-21 of top."""
+    lo, hi = Decimal(0), top
+    for _ in range(70):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if law(mid) >= w else (mid, hi)
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("times", [(6.0,), (3.0, 6.0)], ids=["relay", "two-failure"])
+def test_clayton_law_far_out_matches_the_exact_law(times):
+    """At t = 6 under Weibull(3, 1), F-bar is e^-216: the Clayton pair kernel
+    works at p^-theta far beyond the double range, and the law is still right."""
+    theta = 2.5
+    copula = ClaytonPairCopula(pair=(2, 3), theta=theta, n=3)
+    if len(times) == 1:
+        pred = EarlyFailurePredictor(series(3), validate_structure(3, [[1], [2, 3]]),
+                                     copula, Weibull(3.0, 1.0), mode="strict")
+    else:
+        pred = TwoFailurePredictor(series(3), k_out_of_n(2, 3), parallel(3), copula,
+                                   Weibull(3.0, 1.0))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sf = lambda y: (-Decimal(y) ** 3).exp()
+        c = [sf(t) for t in times]
+        law = (_relay_law if len(c) == 1 else _two_failure_law)(Decimal(theta), *c)
+        for w in (0.5, 0.05, 0.95):
+            exact = _decimal_root(law, c[-1], Decimal(w))
+            got = pred.median(*times) if w == 0.5 else pred.quantile(w, *times)
+            assert got > times[-1]
+            assert abs(sf(got) - exact) <= Decimal("1e-12") * c[-1]
+        assert abs(Decimal(pred.alpha(*times)) - law(c[-1])) <= Decimal("1e-15")
+    if len(times) == 1:
+        assert pred.median(6.0) == pytest.approx(6.00641118, rel=1e-9)
 
 
 def test_relay_offsets(relay_strict):

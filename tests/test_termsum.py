@@ -283,8 +283,9 @@ def test_numerator_vanishes_at_zero(data, n, k, family):
     """num(c, 0) is exactly 0 wherever the law exists, so S(z | c) = num(c, z) / den(c).
 
     Every term keeps an undifferentiated coordinate carrying z, and survival
-    copulas are grounded.  A Clayton pair's kernel overflows at c near 0,
-    where den is not finite either and the law raises.
+    copulas are grounded.  A Clayton pair's density is of order 1/min(c), so
+    at a subnormal min(c) den may leave the double range and the law raises;
+    everywhere else den is finite.
     """
     system = data.draw(st.one_of(st.sampled_from([series(n), parallel(n)]),
                                  st.integers(1, n).map(lambda j: k_out_of_n(j, n)),
@@ -302,8 +303,9 @@ def test_numerator_vanishes_at_zero(data, n, k, family):
     with np.errstate(all="ignore"):
         den = pred._den(*c)
         num = pred._num(*c, 0.0)
-    if family[0] == "clayton" and not (np.isfinite(den) and den != 0.0):
+    if family[0] == "clayton" and min(c) < np.finfo(float).tiny and not np.isfinite(den):
         return
+    assert np.isfinite(den)
     assert num == 0.0
 
 
