@@ -178,7 +178,7 @@ def _clayton_pair(p, q, dp, dq, theta):
         low = (rt < np.finfo(rt.dtype).tiny) & (r > 0)
         a = math.ldexp(1.0, 1 - math.frexp(theta)[1])
         d12[low] = (r[low] / big[low] ** a) ** theta * big[low] ** (a * theta - 1.0)
-    lead = np.where(dp & dq, (1.0 + theta) * d12 / (e * e), np.where(dp | dq, d1 / e, m))
+        lead = np.where(dp & dq, (1.0 + theta) * d12 / (e * e), np.where(dp | dq, d1 / e, m))
     return lead * e ** (-1.0 / theta)
 
 

@@ -184,6 +184,25 @@ def test_clayton_pair_matches_decimal_over_the_double_range(theta):
                 assert abs(Decimal(have) - exact) <= Decimal("1e-13") * exact, (p, q)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, 8.0])
+def test_clayton_pair_at_subnormal_arguments(theta):
+    """A subnormal p or q warns of nothing; the value and first partials stay
+    finite and the first partials within 1e-13 where they are normal.  Only the
+    density, about 1/M, may leave the double range when M is subnormal."""
+    pts = np.array([[1e-310, 1e-310], [1.9e-308, 1.9e-308], [1e-310, 0.5],
+                    [5e-324, 1e-300], [0.5, 1e-320]])
+    cop = ClaytonPairCopula(pair=(1, 2), theta=theta, n=2)
+    got = np.stack([cop.eval(pts), cop.partial((1,), pts), cop.partial((2,), pts)], axis=-1)
+    assert np.all(np.isfinite(got))
+    assert not np.any(np.isnan(cop.partial((1, 2), pts)))
+    tiny = Decimal(np.finfo(float).tiny)
+    for (p, q), row in zip(pts, got):
+        for have, exact in zip(row[1:], _clayton_exact(p, q, theta)[1:3]):
+            if exact >= tiny:
+                assert abs(Decimal(have) - exact) <= Decimal("1e-13") * exact, (p, q)
+
+
 def test_fgm_zero_theta_is_product():
     fgm = FGMCopula(theta=0.0, n=3)
     prod = ProductCopula(3)
