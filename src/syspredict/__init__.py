@@ -5,7 +5,7 @@ component lifetimes with a survival copula, build the distortion functions
 that express system survival through the marginal survival value, condition
 on observed early failure times, and invert the conditional survival law
 into medians, quantiles, and prediction bands.  Monte Carlo helpers sample
-from the same copulas to validate the laws and to run coverage experiments.
+from the same copulas to simulate lifetimes and to run coverage experiments.
 """
 
 from .copula import ClaytonPairCopula, FGMCopula, ProductCopula, SurvivalCopula
@@ -13,17 +13,13 @@ from .distortion import UnivariateDistortion
 from .errors import SysPredictError
 from .marginal import Exponential, Weibull
 from .montecarlo import (
-    ConditionalCheck,
     CoverageReport,
-    OrderingReport,
     SampleSet,
     coverage_experiment,
     coverage_table,
-    empirical_conditional_check,
     sample_components,
     simulate,
     survival_uniforms,
-    verify_ordering,
 )
 from .predictor import (
     EarlyFailurePredictor,
@@ -46,13 +42,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClaytonPairCopula",
-    "ConditionalCheck",
     "CoverageReport",
     "EarlyFailurePredictor",
     "Exponential",
     "FGMCopula",
     "FittedLine",
-    "OrderingReport",
     "PredictionBand",
     "ProductCopula",
     "SampleSet",
@@ -65,7 +59,6 @@ __all__ = [
     "coverage_experiment",
     "coverage_table",
     "detect_crossings",
-    "empirical_conditional_check",
     "fit_lqr",
     "fit_ols",
     "k_out_of_n",
@@ -79,6 +72,5 @@ __all__ = [
     "survival_uniforms",
     "system_mean",
     "validate_structure",
-    "verify_ordering",
     "__version__",
 ]

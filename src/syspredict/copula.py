@@ -37,7 +37,6 @@ from .errors import (
     OutOfRange,
     OutOfUnitInterval,
     UnsupportedCopula,
-    UnsupportedOrder,
 )
 
 
@@ -48,7 +47,7 @@ def _check_unit(arr):
 
 
 class SurvivalCopula:
-    """Shared validation and `eval`/`partial` over the law kernel."""
+    """Shared validation and `eval` over the law kernel."""
 
     n: int
 
@@ -61,19 +60,6 @@ class SurvivalCopula:
                 f"expected {self.n} coordinates, got shape {arr.shape}"
             )
         return _check_unit(arr)
-
-    def _check_indices(self, indices):
-        idx = tuple(indices)
-        if len(set(idx)) != len(idx):
-            raise UnsupportedOrder(f"repeated coordinate indices in {idx}")
-        if not 1 <= len(idx) <= 3:
-            raise UnsupportedOrder(
-                f"partials are supported for 1..3 distinct coordinates, got {len(idx)}"
-            )
-        for i in idx:
-            if not 1 <= i <= self.n:
-                raise IndexOutOfRange(f"coordinate index {i} outside 1..{self.n}")
-        return tuple(sorted(idx))
 
     # -- interface --------------------------------------------------------
 
@@ -93,16 +79,6 @@ class SurvivalCopula:
     def eval(self, u):
         """The copula's value at every point of ``u[..., n]``."""
         mask = np.zeros((1, self.n), dtype=bool)
-        return self._partial(mask, self._check_point(u)[..., None, :])[..., 0]
-
-    def partial(self, indices, u):
-        """Mixed partial derivative in 1..3 distinct coordinates.
-
-        ``indices`` is a tuple of 1-based coordinate indices, applied to
-        every point of ``u[..., n]``.
-        """
-        mask = np.zeros((1, self.n), dtype=bool)
-        mask[0, [i - 1 for i in self._check_indices(indices)]] = True
         return self._partial(mask, self._check_point(u)[..., None, :])[..., 0]
 
 

@@ -150,7 +150,6 @@ class UnivariateDistortion:
     def __init__(self, structure: SystemStructure, copula: SurvivalCopula):
         self._ordered = _TermSum(copula, structure)
         self._value = self._ordered.partial()
-        self._derivative = self._ordered.partial(0)
         self.structure = structure
         self.copula = copula
         self.n = copula.n
@@ -162,6 +161,3 @@ class UnivariateDistortion:
 
     def value(self, u):
         return self._value(u)
-
-    def derivative(self, u):
-        return self._derivative(u)

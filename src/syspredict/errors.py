@@ -37,10 +37,6 @@ class OutOfUnitInterval(SysPredictError, ValueError):
     """A copula argument lies outside [0, 1]."""
 
 
-class UnsupportedOrder(SysPredictError, ValueError):
-    """Partial derivative order outside 1..3 or repeated indices."""
-
-
 class UnsupportedCopula(SysPredictError, ValueError):
     """Requested operation is not available for this copula family."""
 
@@ -63,10 +59,6 @@ class DimensionMismatch(SysPredictError, ValueError):
 
 class TermLimitExceeded(SysPredictError, ValueError):
     """Inclusion-exclusion expansion exceeds the term budget."""
-
-
-class OrderingViolation(SysPredictError, ValueError):
-    """Sampled lifetimes contradict the declared failure ordering."""
 
 
 # -- predictors ------------------------------------------------------------
@@ -93,10 +85,6 @@ class InvalidOrder(SysPredictError, ValueError):
 
 # -- monte carlo -----------------------------------------------------------
 
-class InsufficientBinCount(SysPredictError, ValueError):
-    """Too few sample rows fall inside the conditioning bin."""
-
-
 class InvalidK(SysPredictError, ValueError):
     """Coverage experiment needs k >= 1 and replications >= 1."""
 
@@ -104,7 +92,7 @@ class InvalidK(SysPredictError, ValueError):
 # -- quantile regression ---------------------------------------------------
 
 class DegenerateDesign(SysPredictError, ValueError):
-    """Regression needs at least two distinct abscissae."""
+    """Regression sample unusable: unreadable, non-finite or < 2 distinct abscissae."""
 
 
 # -- CLI -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Monte Carlo machinery: samplers, law checks, and the coverage experiment.
+"""Monte Carlo machinery: samplers, sample sets and the coverage experiment.
 
 Sampling works in survival scale: draw V with the copula as its joint CDF
 (so V_i = F-bar(X_i) and smaller V means longer life), then push through the
@@ -24,18 +24,17 @@ from typing import Optional
 import numpy as np
 
 from .copula import ProductCopula
-from .errors import (
-    InsufficientBinCount,
-    InvalidK,
-    OrderingViolation,
-    OutOfRange,
-)
+from .errors import InvalidK, OutOfRange
 from .marginal import Exponential
 from .structure import series, validate_structure
 
-MIN_BIN_ROWS = 500
 CSV_BLOCK_ROWS = 1024  # rows formatted per write
 COVERAGE_CELLS = 1 << 16  # uniforms in each stacked block of replications
+
+# the coverage reference design: the better of component 1 and the series
+# pair {2, 3}, observed at its first component failure
+COVERAGE_FIRST = series(3)
+COVERAGE_SYSTEM = validate_structure(3, [[1], [2, 3]])
 
 
 def _seed_sequence(seed):
@@ -137,85 +136,6 @@ def simulate(first, system, copula, marginal, size, seed, second=None) -> Sample
     )
 
 
-# -- diagnostics -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrderingReport:
-    mode: str
-    size: int
-    violations: int
-    tie_rows: int
-
-    @property
-    def fraction(self):
-        return self.violations / self.size if self.size else 0.0
-
-    @property
-    def ok(self):
-        return self.violations == 0
-
-    def raise_if_violated(self):
-        if not self.ok:
-            raise OrderingViolation(
-                f"{self.violations} of {self.size} rows violate {self.mode} ordering"
-            )
-
-
-def verify_ordering(sample: SampleSet, mode="strict") -> OrderingReport:
-    """Check the declared ordering T1 < T (strict) or T1 <= T (weak)."""
-    if mode not in ("strict", "weak"):
-        raise OutOfRange(f"mode must be 'strict' or 'weak', got {mode!r}")
-    ties = int(np.sum(sample.t1 == sample.t))
-    if mode == "strict":
-        violations = int(np.sum(sample.t1 >= sample.t))
-    else:
-        violations = int(np.sum(sample.t1 > sample.t))
-    return OrderingReport(mode=mode, size=sample.size, violations=violations, tie_rows=ties)
-
-
-@dataclass(frozen=True)
-class ConditionalCheck:
-    rows: int
-    y: np.ndarray
-    empirical: np.ndarray
-    model: np.ndarray
-
-    @property
-    def deviation(self):
-        return float(np.max(np.abs(self.empirical - self.model)))
-
-
-def empirical_conditional_check(sample, predictor, t1_bin, y_grid,
-                                t2_bin=None) -> ConditionalCheck:
-    """Empirical conditional survival in a thin bin vs the analytic law.
-
-    Rows whose first failure falls in `t1_bin` (and, for two-failure
-    predictors, whose second falls in `t2_bin`) form the empirical
-    conditional sample; the analytic law is evaluated at the bin centers.
-    """
-    lo, hi = float(t1_bin[0]), float(t1_bin[1])
-    mask = (sample.t1 >= lo) & (sample.t1 < hi)
-    cond = [0.5 * (lo + hi)]
-    if t2_bin is not None:
-        if sample.t2 is None:
-            raise OutOfRange("sample has no second failure times")
-        lo2, hi2 = float(t2_bin[0]), float(t2_bin[1])
-        mask &= (sample.t2 >= lo2) & (sample.t2 < hi2)
-        cond.append(0.5 * (lo2 + hi2))
-    if predictor.mode == "alive":
-        mask &= sample.t > sample.t1
-    rows = int(np.sum(mask))
-    if rows < MIN_BIN_ROWS:
-        raise InsufficientBinCount(
-            f"{rows} rows in the conditioning bin, need >= {MIN_BIN_ROWS}"
-        )
-    y = np.asarray(y_grid, dtype=float)
-    t_rows = sample.t[mask]
-    empirical = np.mean(t_rows[:, None] > y[None, :], axis=0)
-    model = np.asarray(predictor.survival(y, *cond), dtype=float)
-    return ConditionalCheck(rows=rows, y=y, empirical=empirical, model=model)
-
-
 # -- coverage experiment -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -231,18 +151,15 @@ class CoverageReport:
 def _interval_offsets():
     """Survival-scale quantile offsets of the reference design at mean 1.
 
-    Reference design: three independent exponential components, the system
-    being the better of component 1 and the pair {2, 3} in series, predicted
-    from its first failure (always strictly earlier).  Offsets are exact up
-    to the quantile solver tolerance and scale linearly in the mean.
+    Reference design: COVERAGE_SYSTEM on three independent exponential
+    components, predicted from COVERAGE_FIRST, its first failure (always
+    strictly earlier).  Offsets are exact up to the quantile solver
+    tolerance and scale linearly in the mean.
     """
     from .predictor import EarlyFailurePredictor
 
-    first = series(3)
-    system = validate_structure(3, [[1], [2, 3]])
-    pred = EarlyFailurePredictor(
-        first, system, ProductCopula(3), Exponential(1.0), mode="strict"
-    )
+    pred = EarlyFailurePredictor(COVERAGE_FIRST, COVERAGE_SYSTEM, ProductCopula(3),
+                                 Exponential(1.0), mode="strict")
     levels = (0.75, 0.25, 0.95, 0.05)
     return dict(zip(levels, pred.quantile(np.array(levels), 0.0).tolist()))
 
@@ -284,8 +201,7 @@ def _coverage(k, replications, seed, offs, *, score="same", eval_draws=None,
         for u, child in zip(U, children[start:start + step]):
             np.random.default_rng(child).random(out=u)
         X = -np.log(U)
-        t1 = X.min(axis=2)
-        t = np.maximum(X[..., 0], np.minimum(X[..., 1], X[..., 2]))
+        t1, t = COVERAGE_FIRST.lifetime(X), COVERAGE_SYSTEM.lifetime(X)
         mu_hat = 1.0 if exact_mu else 3.0 * t1[:, :k].mean(axis=1, keepdims=True)
         st1, st = t1[:, scored], t[:, scored]
         done = slice(start, start + U.shape[0])

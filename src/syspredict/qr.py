@@ -364,29 +364,33 @@ def load_xy(path, x_col="t1", y_col="t"):
     """Read (x, y) pairs from a CSV file with named columns.
 
     Cells are split at commas (no quoting) and read by `float`; empty lines
-    are skipped.  A short row or a non-numeric cell names its line.
+    are skipped.  A short row, a non-numeric cell or a byte that is not
+    UTF-8 raises `DegenerateDesign`, naming the line or the file.
     """
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if x_col not in header or y_col not in header:
-            raise DegenerateDesign(
-                f"CSV must provide columns {x_col!r} and {y_col!r}, got {header}"
-            )
-        usecols = (header.index(x_col), header.index(y_col))
-        try:
-            with warnings.catch_warnings():
-                # a header-only file reads as no rows
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                return np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2,
-                                  converters=float, comments=None)
-        except ValueError:  # find the line by the same rules
-            fh.seek(0)
-            for num, line in enumerate(fh, 1):
-                try:
-                    if num > 1 and line != "\n":
-                        [float(line.split(",")[i]) for i in usecols]
-                except (IndexError, ValueError):
-                    raise DegenerateDesign(
-                        f"line {num}: columns {x_col!r} and {y_col!r} must hold numbers"
-                    ) from None
-            raise
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            if x_col not in header or y_col not in header:
+                raise DegenerateDesign(
+                    f"CSV must provide columns {x_col!r} and {y_col!r}, got {header}"
+                )
+            usecols = (header.index(x_col), header.index(y_col))
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file reads as no rows
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    return np.loadtxt(fh, delimiter=",", usecols=usecols, ndmin=2,
+                                      converters=float, comments=None)
+            except ValueError:  # find the line by the same rules
+                fh.seek(0)
+                for num, line in enumerate(fh, 1):
+                    try:
+                        if num > 1 and line != "\n":
+                            [float(line.split(",")[i]) for i in usecols]
+                    except (IndexError, ValueError):
+                        raise DegenerateDesign(
+                            f"line {num}: columns {x_col!r} and {y_col!r} must hold numbers"
+                        ) from None
+                raise
+    except UnicodeDecodeError as exc:
+        raise DegenerateDesign(f"cannot read sample {path!r}: {exc}") from exc

@@ -1,5 +1,7 @@
 """Finite-difference oracle for the copulas' analytic partials.
 
+`partial(copula, indices, u)` reads the analytic mixed partial in the
+1-based coordinates `indices` from the copula's mask kernel `_partial`.
 `fd_partial(copula, indices, u)` is the central 2^k stencil of
 `copula.eval`, evaluated in extended precision so the order-3 stencil
 stays accurate at small steps.  It raises `BoundaryTooClose` when a
@@ -19,9 +21,16 @@ class BoundaryTooClose(SysPredictError, ValueError):
     """Finite-difference stencil would leave the unit cube."""
 
 
+def partial(copula, indices, u):
+    """Mixed partial in the distinct 1-based coordinates `indices` at every point of u."""
+    mask = np.zeros((1, copula.n), dtype=bool)
+    mask[0, [i - 1 for i in indices]] = True
+    return copula._partial(mask, copula._check_point(u)[..., None, :])[..., 0]
+
+
 def fd_partial(copula, indices, u, h=None):
-    """Central finite-difference estimate of ``copula.partial(indices, u)``."""
-    idx = copula._check_indices(indices)
+    """Central finite-difference estimate of ``partial(copula, indices, u)``."""
+    idx = tuple(sorted(indices))
     k = len(idx)
     if h is None:
         h = FD_STEPS[k]

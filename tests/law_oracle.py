@@ -6,16 +6,22 @@ and `TrivariateDistortion` give named access to the joint distortions of
 two and three ordered lifetimes: the predictors read the same laws from the
 ordered term sums (`distortion._TermSum`) directly, and these classes add
 only the region rules, so the closed forms in the tests check those sums.
+`empirical_conditional_check` is the Monte Carlo oracle: the empirical
+conditional survival of a simulated sample in a thin conditioning bin
+against a predictor's analytic law.
 """
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from syspredict import Exponential, UnivariateDistortion
 from syspredict.distortion import _TermSum
-from syspredict.errors import SysPredictError
+from syspredict.errors import OutOfRange, SysPredictError
 from syspredict.marginal import _check_times
+
+MIN_BIN_ROWS = 500
 
 
 def pdf(marginal, t):
@@ -31,6 +37,10 @@ def pdf(marginal, t):
 
 class RegionError(SysPredictError, ValueError):
     """Evaluation point outside the supported region."""
+
+
+class InsufficientBinCount(SysPredictError, ValueError):
+    """Too few sample rows fall inside the conditioning bin."""
 
 
 class _Distortion:
@@ -74,6 +84,11 @@ class BivariateDistortion(_Distortion):
         """The v > u branch: the T1 distortion."""
         return UnivariateDistortion(self.first, self.copula)
 
+    @cached_property
+    def tail_d1(self):
+        """The T1 distortion's derivative, the v > u branch of `d1`."""
+        return _TermSum(self.copula, self.first).partial(0)
+
     def value(self, u, v):
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         return np.where(v <= u, self._sums[()](u, v), self.tail.value(u))
@@ -81,7 +96,7 @@ class BivariateDistortion(_Distortion):
     def d1(self, u, v):
         """dD-hat/du, on the ordered branch at the kink u == v."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        return np.where(v <= u, self._sums[(0,)](u, v), self.tail.derivative(u))
+        return np.where(v <= u, self._sums[(0,)](u, v), self.tail_d1(u))
 
     def d12(self, u, v):
         """Mixed partial on the ordered region (0 beyond it)."""
@@ -111,3 +126,46 @@ class TrivariateDistortion(_Distortion):
     def d12(self, u, v, w):
         """Mixed partial in (u, v) on the ordered region."""
         return self._sums[(0, 1)](*self._ordered_point("d12", u, v, w))
+
+
+@dataclass(frozen=True)
+class ConditionalCheck:
+    rows: int
+    y: np.ndarray
+    empirical: np.ndarray
+    model: np.ndarray
+
+    @property
+    def deviation(self):
+        return float(np.max(np.abs(self.empirical - self.model)))
+
+
+def empirical_conditional_check(sample, predictor, t1_bin, y_grid,
+                                t2_bin=None) -> ConditionalCheck:
+    """Empirical conditional survival in a thin bin vs the analytic law.
+
+    Rows whose first failure falls in `t1_bin` (and, for two-failure
+    predictors, whose second falls in `t2_bin`) form the empirical
+    conditional sample; the analytic law is evaluated at the bin centers.
+    """
+    lo, hi = float(t1_bin[0]), float(t1_bin[1])
+    mask = (sample.t1 >= lo) & (sample.t1 < hi)
+    cond = [0.5 * (lo + hi)]
+    if t2_bin is not None:
+        if sample.t2 is None:
+            raise OutOfRange("sample has no second failure times")
+        lo2, hi2 = float(t2_bin[0]), float(t2_bin[1])
+        mask &= (sample.t2 >= lo2) & (sample.t2 < hi2)
+        cond.append(0.5 * (lo2 + hi2))
+    if predictor.mode == "alive":
+        mask &= sample.t > sample.t1
+    rows = int(np.sum(mask))
+    if rows < MIN_BIN_ROWS:
+        raise InsufficientBinCount(
+            f"{rows} rows in the conditioning bin, need >= {MIN_BIN_ROWS}"
+        )
+    y = np.asarray(y_grid, dtype=float)
+    t_rows = sample.t[mask]
+    empirical = np.mean(t_rows[:, None] > y[None, :], axis=0)
+    model = np.asarray(predictor.survival(y, *cond), dtype=float)
+    return ConditionalCheck(rows=rows, y=y, empirical=empirical, model=model)

@@ -18,7 +18,6 @@ from syspredict import (
     UnivariateDistortion,
     coverage_experiment,
     coverage_table,
-    empirical_conditional_check,
     fit_lqr,
     kofn_quantile_factor,
     simulate,
@@ -26,8 +25,8 @@ from syspredict import (
 )
 from syspredict.cli import main
 
-from fd_oracle import fd_partial
-from law_oracle import BivariateDistortion, TrivariateDistortion
+from fd_oracle import fd_partial, partial
+from law_oracle import BivariateDistortion, TrivariateDistortion, empirical_conditional_check
 
 
 @contextmanager
@@ -218,7 +217,7 @@ def test_acceptance_4_derivative_oracles(
         for cop in (product3, fgm1, clayton23):
             for p in pts:
                 for order in orders:
-                    got = cop.partial(order, p)
+                    got = partial(cop, order, p)
                     ref = fd_partial(cop, order, p)
                     assert got == pytest.approx(ref, rel=rtol, abs=1e-9), (
                         f"{type(cop).__name__} order {order} at {p}")
@@ -453,9 +452,11 @@ def test_acceptance_8_cli_determinism(tmp_path, capsys):
 
 
 # SHA-256 of every CSV the CLI writes for the acceptance-8 configs plus a
-# two-failure sample and a fresh-scored coverage table.  Acceptance 8 only
-# compares two runs of one build; these pin the bytes across builds, so a
-# change of number format, quoting or line ending fails here.
+# two-failure sample, a fresh-scored coverage table, relay curves under a
+# Weibull(3, 1) marginal and a Clayton pair (theta 2.5), and weak bottom-band
+# curves of the gate under FGM(1).  Acceptance 8 only compares two runs of
+# one build; these pin the bytes across builds, so a change of number
+# format, quoting or line ending fails here.
 GOLDEN_SHA256 = {
     "simulate": "3948ba6876141a8067447ce237ce1ad325537865ae58e55562e79dda0aa9a284",
     "simulate_two": "f3f67c9c03459b8b30b8e5564819c5e610e4015119a75675711fd3bad1185496",
@@ -463,6 +464,8 @@ GOLDEN_SHA256 = {
     "coverage": "9b18ea4df896b0e6c177a984d746fa49e7355f2e331cdd91e1e33297f02d8de4",
     "coverage_fresh": "099b9bc76cc77735cfff49514fef1667cca6b0dca46023c7458a6dbd0ad1610b",
     "fitqr": "290154b2ed3f055565981e22fb117014b7bd8c9b0861d12498076776f3fdc7ac",
+    "curves_weibull_clayton": "e7830acd3c7adce349d4a75ec3c867087b55cce79ea6dfef7e2644af88e1b05c",
+    "curves_weak_bottom": "5f513d3d21a7e828ff1cd701e1d861cbfd4e6f37448b3a7e627db7f9bb8eb00f",
 }
 
 
@@ -472,6 +475,12 @@ def test_cli_output_digests(tmp_path, capsys):
                    structures=dict(RELAY_DOC["structures"], second=second))
     fresh_doc = {"coverage": {"k": [1, 3, 7], "replications": 25, "score": "fresh",
                               "eval_draws": 6}, "seed": 8}
+    weibull_clayton_doc = dict(
+        RELAY_DOC, copula={"family": "clayton_pair", "n": 3, "theta": 2.5, "pair": [2, 3]},
+        marginal={"family": "weibull", "shape": 3.0, "scale": 1.0})
+    gate = {"n": 3, "paths": [[1, 2], [1, 3]]}
+    weak_bottom_doc = dict(RELAY_DOC, mode="weak", band_kind="bottom",
+                           structures=dict(RELAY_DOC["structures"], system=gate))
     sim = tmp_path / "simulate.csv"
     runs = {
         "simulate": ("simulate", RELAY_DOC, sim),
@@ -481,6 +490,9 @@ def test_cli_output_digests(tmp_path, capsys):
         "coverage_fresh": ("coverage", fresh_doc, tmp_path / "coverage_fresh.csv"),
         "fitqr": ("fitqr", {"fitqr": {"sample": str(sim), "taus": [0.25, 0.5, 0.75],
                                       "ols": True}}, tmp_path / "fitqr.csv"),
+        "curves_weibull_clayton": ("curves", weibull_clayton_doc,
+                                   tmp_path / "curves_weibull_clayton.csv"),
+        "curves_weak_bottom": ("curves", weak_bottom_doc, tmp_path / "curves_weak_bottom.csv"),
     }
     digests = {}
     for name, (command, doc, out) in runs.items():

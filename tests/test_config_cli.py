@@ -646,6 +646,32 @@ def test_cli_error_paths(tmp_path, capsys):
         main(["frobnicate", "--config", cfg])
 
 
+ROWS_PAST_8KIB = b"".join(b"0.%06d,1.%06d\n" % (i, i) for i in range(1000))
+
+
+@pytest.mark.parametrize("target, text, error", [
+    ("config", b'{"mode": "strict\xff"}', "ConfigError"),
+    ("sample", b"t1,t\xff\n0.1,0.6\n0.2,0.7\n", "DegenerateDesign"),
+    ("sample", b"t1,t\n" + ROWS_PAST_8KIB + b"0.5,\xff\n", "DegenerateDesign"),
+], ids=["config", "csv-header", "csv-row-past-8KiB"])
+def test_non_utf8_input_is_a_clean_error(tmp_path, target, text, error):
+    # a byte that is not UTF-8 names the file; the CLI prints no traceback
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(text)
+    cfg = str(bad) if target == "config" else write_cfg(
+        tmp_path, {"fitqr": {"sample": str(bad), "taus": [0.5]}})
+    command = "curves" if target == "config" else "fitqr"
+    proc = subprocess.run(
+        [sys.executable, "-m", "syspredict", command, "--config", cfg,
+         "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"{error}: cannot read "), proc.stderr
+    assert repr(str(bad)) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_commands_require_their_sections(tmp_path, capsys):
     cfg = write_cfg(tmp_path, relay_cfg(seed=3))
     for command in ("coverage", "fitqr"):

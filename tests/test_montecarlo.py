@@ -21,21 +21,20 @@ from syspredict import (
     TwoFailurePredictor,
     coverage_experiment,
     coverage_table,
-    empirical_conditional_check,
     sample_components,
     simulate,
     survival_uniforms,
-    verify_ordering,
 )
 from syspredict.montecarlo import CSV_BLOCK_ROWS, SampleSet, write_csv
 from syspredict.errors import (
-    InsufficientBinCount,
     InvalidK,
-    OrderingViolation,
     OutOfRange,
     SysPredictError,
     UnsupportedCopula,
 )
+
+from fd_oracle import partial
+from law_oracle import InsufficientBinCount, empirical_conditional_check
 
 
 def survival_uniforms_numeric(copula, U):
@@ -55,9 +54,9 @@ def survival_uniforms_numeric(copula, U):
             point = np.ones(shape + (n,))
             point[..., :i] = V[..., :i]
             point[..., i] = q
-            num = copula.partial(given, point)
+            num = partial(copula, given, point)
             point[..., i] = 1.0
-            den = copula.partial(given, point)
+            den = partial(copula, given, point)
             return num / den
 
         lo = np.zeros(shape)
@@ -253,6 +252,7 @@ def test_simulate_columns(first3, relay, two_of_three, parallel3, fgm1, exp1):
     np.testing.assert_array_equal(s.t1, s.components.min(axis=1))
     want_t = np.maximum(s.components[:, 0], s.components[:, 1:].min(axis=1))
     np.testing.assert_array_equal(s.t, want_t)
+    assert np.all(s.t1 < s.t)  # the relay's first failure is strictly earlier
     assert s.t2 is None
     assert [name for name, _ in s.columns()] == ["x1", "x2", "x3", "t1", "t"]
     assert s.meta["seed"] == 11 and s.meta["size"] == 500
@@ -284,27 +284,6 @@ def test_simulate_takes_a_seed_sequence(first3, relay, clayton23, exp1):
 def test_simulate_errors(first3, relay, product3, exp1):
     with pytest.raises(OutOfRange):
         simulate(first3, relay, product3, exp1, size=0, seed=1)
-
-
-def test_verify_ordering(first3, relay, gate, product3, exp1):
-    strict_sample = simulate(first3, relay, product3, exp1, size=30000, seed=21)
-    rep = verify_ordering(strict_sample, mode="strict")
-    assert rep.ok and rep.violations == 0 and rep.tie_rows == 0
-    rep.raise_if_violated()
-
-    weak_sample = simulate(first3, gate, product3, exp1, size=30000, seed=22)
-    weak = verify_ordering(weak_sample, mode="weak")
-    assert weak.ok
-    # the system dies at the first failure when component 1 goes first
-    assert weak.tie_rows / weak.size == pytest.approx(1.0 / 3.0, abs=0.01)
-    strict = verify_ordering(weak_sample, mode="strict")
-    assert not strict.ok
-    assert strict.violations == weak.tie_rows
-    assert strict.fraction == pytest.approx(1.0 / 3.0, abs=0.01)
-    with pytest.raises(OrderingViolation):
-        strict.raise_if_violated()
-    with pytest.raises(OutOfRange):
-        verify_ordering(weak_sample, mode="sorted")
 
 
 def test_empirical_conditional_check(first3, relay, product3, exp1):

@@ -1,8 +1,8 @@
 """Stacked term sums and masked copula partials against per-term oracles.
 
 `oracle_sum` is the term-by-term loop that `_TermSum` replaced: one copula
-point and one `eval`/`partial` call per term and differentiated coordinate
-(or pair), added in term order.  The stacked sum makes one call per chunk of
+point and one `eval` or `fd_oracle.partial` call per term and differentiated
+coordinate (or pair), added in term order.  The stacked sum makes one call per chunk of
 rows and must give the same bits, except under a Clayton pair with
 theta != 1, whose `**` may round differently in the last place with the
 length of the array numpy's SIMD loop sees.
@@ -33,6 +33,7 @@ from syspredict.distortion import _joint_terms, _TermSum
 from syspredict.errors import OutOfUnitInterval
 from syspredict.structure import SystemStructure
 
+from fd_oracle import partial
 from law_oracle import BivariateDistortion
 
 CLAYTON_RTOL = 1e-15
@@ -61,9 +62,9 @@ def oracle_sum(copula, terms, values, var_a=None, var_b=None):
         if var_a is None:
             parts = [copula.eval(point)]
         elif var_b is None:
-            parts = [copula.partial((i + 1,), point) for i in ids[var_a]]
+            parts = [partial(copula, (i + 1,), point) for i in ids[var_a]]
         else:
-            parts = [copula.partial((i + 1, j + 1), point)
+            parts = [partial(copula, (i + 1, j + 1), point)
                      for i in ids[var_a] for j in ids[var_b]]
         for part in parts:
             total += coeff * part
@@ -177,7 +178,7 @@ def test_large_grid_stays_within_cell_budget(monkeypatch):
     assert np.all(np.isfinite(got))
 
 
-# -- the mask kernel of SurvivalCopula.partial -------------------------------
+# -- the mask kernel: a stack of masks against one index tuple at a time ----
 
 def _families(n):
     return [ProductCopula(n), FGMCopula(theta=0.7, n=n),
@@ -202,9 +203,7 @@ def test_mask_form_equals_index_form(n):
         stacked = cop._partial(mask, stacked_points)
         assert stacked.shape == (6, len(index_sets))
         for r, idx in enumerate(index_sets):
-            want = cop.partial(idx, points)
-            one_row = cop._partial(mask[r:r + 1], points[:, None, :])[:, 0]
-            assert one_row.tobytes() == want.tobytes(), (cop, idx)
+            want = partial(cop, idx, points)
             if isinstance(cop, ClaytonPairCopula) and cop.theta != 1.0:
                 np.testing.assert_allclose(stacked[:, r], want, rtol=CLAYTON_RTOL, atol=0)
             else:
@@ -313,10 +312,11 @@ def test_out_of_range_values_raise_on_every_call():
     """Every call checks all its values, also one that no term carries."""
     copula = FGMCopula(theta=0.5, n=3)
     q = UnivariateDistortion(k_out_of_n(2, 3), copula)
+    q_d1 = _TermSum(copula, k_out_of_n(2, 3)).partial(0)
     pair = _TermSum(copula, series(3), k_out_of_n(2, 3)).partial(0)
     # series(3) inside series(3): every coordinate carries the system's variable
     unused = _TermSum(copula, series(3), series(3)).partial()
-    calls = [(q.value, (1.5,)), (q.derivative, (-0.1,)),
+    calls = [(q.value, (1.5,)), (q_d1, (-0.1,)),
              (pair, (1.5, 0.3)), (pair, (0.5, -0.1)), (unused, (1.5, 0.3))]
     for evaluate, bad in calls:
         evaluate(*(0.5,) * len(bad))
