@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -125,7 +126,9 @@ class FGMCopula(SurvivalCopula):
         # last coordinate: the root in [0, 1] of a v^2 - (1+a) v + w = 0, in the
         # 2w/(...) form stable across a -> 0, where the equation degenerates to v = w;
         # the denominator is 0 only at w = 0 with a = -1, where the root is 0
-        a = self.theta * np.prod(1.0 - 2.0 * V[..., :-1], axis=-1)
+        # a left-to-right product over columns (np.prod over a short trailing
+        # axis runs row by row), equal bit for bit
+        a = self.theta * reduce(np.multiply, (1.0 - 2.0 * V[..., j] for j in range(self.n - 1)))
         w = V[..., -1]
         den = 1.0 + a + np.sqrt((1.0 + a) ** 2 - 4.0 * w * a)
         V[..., -1] = 2.0 * w / np.where(den > 0.0, den, 1.0)

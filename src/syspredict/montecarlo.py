@@ -6,11 +6,16 @@ marginal inverse.  Each copula family maps the uniforms itself
 (`_from_uniforms`, next to its law kernel), by closed-form conditional
 inversion.
 
-Reproducibility contract: every replication of the coverage experiment gets
-its own spawned child stream, so results do not depend on scheduling and any
-subset of replications can be reproduced in isolation.  The streams are drawn
-in order into stacked blocks of replications, and the statistics are axis-wise
-reductions over each block, equal bit for bit to one replication at a time.
+Reproducibility contract: every replication of the coverage experiment draws
+from its own stream, PCG64 seeded by the replication's child in
+`SeedSequence.spawn`, so results do not depend on scheduling and any subset
+of replications can be reproduced in isolation.  The child states are derived
+arithmetically (`_child_states` runs numpy's SeedSequence hash and PCG64's
+seeding step over all children at once), and one generator is set to each
+state in turn.  A seed is read, never advanced: passing one `SeedSequence`
+twice gives the same results.  The streams are drawn in order into stacked
+blocks of replications, and the statistics are axis-wise reductions over each
+block, equal bit for bit to one replication at a time.
 
 `write_csv` is the one CSV writer: the sample files here and every CLI table.
 """
@@ -37,10 +42,90 @@ COVERAGE_FIRST = series(3)
 COVERAGE_SYSTEM = validate_structure(3, [[1], [2, 3]])
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe, NEP 19 stable) and the
+# PCG64 multiplier, for `_child_states`; the hash constants advance as Python
+# ints, so no numpy scalar product overflows
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
 def _seed_sequence(seed):
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
+
+
+def _words(x):
+    """The uint32 words SeedSequence reads from an int or a sequence of ints.
+
+    An int gives its words low first (0 gives one word); a sequence gives
+    its elements' words in turn.
+    """
+    if isinstance(x, (int, np.integer)):
+        x = int(x)
+        return [(x >> s) & _MASK32 for s in range(0, max(x.bit_length(), 1), 32)]
+    return [w for v in x for w in _words(v)]
+
+
+def _child_states(seq, count):
+    """PCG64 `(state, inc)` of each child in `seq.spawn(count)`, spawning none.
+
+    Child i hashes the entropy words zero-padded to the pool size, the spawn
+    key's words and its index n_children_spawned + i, as SeedSequence does;
+    the hash runs as uint32 arithmetic over all children at once, and the
+    four uint64 words of `generate_state(4, uint64)` seed PCG64 (`srandom`:
+    inc = 2 initseq + 1, state = (inc + initstate) * M + inc mod 2^128).
+    `seq` is only read.  An index that needs a second uint32 word (from
+    2^32 on) raises `OutOfRange`.
+    """
+    first = seq.n_children_spawned
+    if first + count > 1 << 32:
+        raise OutOfRange(f"child indices {first}..{first + count - 1} pass 2^32 - 1")
+    run = _words(seq.entropy)
+    words = run + [0] * (seq.pool_size - len(run)) + _words(seq.spawn_key)
+    entropy = [np.full(1, w, dtype=np.uint32) for w in words]  # shared by every child
+    entropy.append(np.arange(first, first + count, dtype=np.uint32))
+
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return out ^ (out >> 16)
+
+    size = seq.pool_size
+    pool = [hashmix(w) for w in entropy[:size]]
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[size:]:
+        for dst in range(size):
+            pool[dst] = mix(pool[dst], hashmix(w))
+
+    const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % size] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    # initstate = hi0:lo0 and initseq = hi1:lo1, as uint64 words
+    hi0, lo0, hi1, lo1 = ((state[j] | state[j + 1] << 32).tolist() for j in range(0, 8, 2))
+    out = []
+    for a, b, c, d in zip(hi0, lo0, hi1, lo1):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        out.append(((((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return out
 
 
 # -- sampling ----------------------------------------------------------------
@@ -191,15 +276,19 @@ def _coverage(k, replications, seed, offs, *, score="same", eval_draws=None,
         raise OutOfRange(f"eval_draws needs score='fresh' and >= 1, got {eval_draws!r}")
     m = (k if eval_draws is None else int(eval_draws)) if score == "fresh" else 0
     scored = slice(k, None) if m else slice(None)
-    children = _seed_sequence(seed).spawn(replications)
+    states = _child_states(_seed_sequence(seed), replications)
+    bits = np.random.PCG64(0)  # set to each replication's state before its draw
+    draw = np.random.Generator(bits).random
     step = max(1, COVERAGE_CELLS // (3 * (k + m)))
     cov50 = np.empty(replications)
     cov90 = np.empty(replications)
     for start in range(0, replications, step):
         # rows k.. of each replication's block are its fresh scoring draws
         U = np.empty((min(step, replications - start), k + m, 3))
-        for u, child in zip(U, children[start:start + step]):
-            np.random.default_rng(child).random(out=u)
+        for u, (state, inc) in zip(U, states[start:start + step]):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            draw(out=u)
         X = -np.log(U)
         t1, t = COVERAGE_FIRST.lifetime(X), COVERAGE_SYSTEM.lifetime(X)
         mu_hat = 1.0 if exact_mu else 3.0 * t1[:, :k].mean(axis=1, keepdims=True)
@@ -225,14 +314,16 @@ def _coverage(k, replications, seed, offs, *, score="same", eval_draws=None,
 def coverage_table(ks, replications, seed, **kwargs) -> list[CoverageReport]:
     """Run the coverage experiment over a grid of k values.
 
-    Each k gets its own child of the root seed, so adding or removing grid
-    entries does not perturb the others.  The interval offsets are solved
-    once for the whole grid.
+    The j-th k gets the j-th spawned child of the root seed (built directly,
+    so the seed is not advanced), and adding or removing grid entries does
+    not perturb the others.  The interval offsets are solved once for the
+    whole grid.
     """
-    ks = list(ks)
-    children = _seed_sequence(seed).spawn(len(ks))
+    seq = _seed_sequence(seed)
     offs = _interval_offsets()
-    return [
-        _coverage(k, replications, child, offs, **kwargs)
-        for k, child in zip(ks, children)
-    ]
+    reports = []
+    for j, k in enumerate(ks):
+        child = np.random.SeedSequence(seq.entropy, pool_size=seq.pool_size,
+                                       spawn_key=(*seq.spawn_key, seq.n_children_spawned + j))
+        reports.append(_coverage(k, replications, child, offs, **kwargs))
+    return reports

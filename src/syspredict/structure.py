@@ -21,7 +21,7 @@ against it too, so a hopeless input is refused within about a second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 
 import numpy as np
@@ -78,15 +78,19 @@ class SystemStructure:
 
         ``times`` is an array whose last axis has length n; returns max over
         path sets of the min inside each set, elementwise over leading axes.
+        The min and max run as elementwise chains over columns, path sets and
+        components in ascending order (numpy reduces a short trailing axis
+        row by row).
         """
         arr = np.asarray(times, dtype=float)
         if arr.shape[-1:] != (self.n,):
             raise LengthMismatch(
                 f"expected {self.n} component times, got shape {arr.shape}"
             )
-        mins = [arr[..., [j - 1 for j in _indices(m)]].min(axis=-1)
-                for m in self.path_masks]
-        return np.max(np.stack(mins, axis=0), axis=0)
+        out = reduce(np.maximum, (reduce(np.minimum, (arr[..., j - 1] for j in _indices(m)))
+                                  for m in self.path_masks))
+        # one component alone would hand back a view of ``times``
+        return np.copy(out) if self.n == 1 else out
 
     def inclusion_exclusion(self) -> tuple[tuple[int, int], ...]:
         """Signed expansion of P(T > t) over unions of path sets.

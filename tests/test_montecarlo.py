@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syspredict import montecarlo
@@ -379,6 +379,27 @@ def test_coverage_table_stable_prefix():
     assert t1[0].coverage90 == t2[0].coverage90
 
 
+def _copy(seq):
+    """A SeedSequence equal to `seq`, to spawn from without advancing `seq`."""
+    return np.random.SeedSequence(seq.entropy, spawn_key=seq.spawn_key,
+                                  pool_size=seq.pool_size,
+                                  n_children_spawned=seq.n_children_spawned)
+
+
+def test_a_seed_is_read_not_advanced():
+    seq = np.random.SeedSequence(29, spawn_key=(4,), n_children_spawned=3)
+    a = coverage_experiment(5, 40, seq)
+    assert coverage_experiment(5, 40, seq) == a
+    assert seq.n_children_spawned == 3
+    t = coverage_table([1, 5], 40, seq)
+    assert coverage_table([1, 5], 40, seq) == t
+    assert seq.n_children_spawned == 3
+    # the j-th k runs on the j-th child that spawning would have made
+    children = _copy(seq).spawn(2)
+    assert t == [coverage_experiment(k, 40, c) for k, c in zip([1, 5], children)]
+    assert [c.n_children_spawned for c in children] == [0, 0]
+
+
 def test_sampleset_csv_round_trip(tmp_path, first3, relay, fgm1, exp1):
     s = simulate(first3, relay, fgm1, exp1, size=50, seed=41)
     path = tmp_path / "sample.csv"
@@ -476,7 +497,11 @@ def oracle_coverage(k, replications, seed, offs, *, score="same", eval_draws=Non
     """Reference: one replication at a time, each from its own child stream."""
     cov50 = np.empty(replications)
     cov90 = np.empty(replications)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
+    if isinstance(seed, np.random.SeedSequence):
+        root = _copy(seed)
+    else:
+        root = np.random.SeedSequence(seed)
+    for i, child in enumerate(root.spawn(replications)):
         rng = np.random.default_rng(child)
         X = -np.log(rng.random((k, 3)))
         t1 = X.min(axis=1)
@@ -531,6 +556,61 @@ def test_coverage_matches_per_replication_loop(monkeypatch, offsets, cells, k,
     monkeypatch.setattr(montecarlo, "COVERAGE_CELLS", cells)
     got = montecarlo._coverage(k, replications, 61, offsets, **kwargs)
     assert got == oracle_coverage(k, replications, 61, offsets, **kwargs)
+
+
+@pytest.mark.parametrize("cells", [1, 100, montecarlo.COVERAGE_CELLS])
+@pytest.mark.parametrize("k, replications, kwargs", [
+    (5, 50, {}),
+    (4, 40, {"score": "fresh", "eval_draws": 9}),
+    (25, 30, {"exact_mu": True}),
+])
+def test_coverage_matches_per_replication_loop_from_a_spawned_seed(
+        monkeypatch, offsets, cells, k, replications, kwargs):
+    # a SeedSequence seed, itself a spawned child that has spawned children
+    monkeypatch.setattr(montecarlo, "COVERAGE_CELLS", cells)
+    seq = np.random.SeedSequence(61, spawn_key=(3, 2**33), n_children_spawned=1000)
+    got = montecarlo._coverage(k, replications, seq, offsets, **kwargs)
+    assert seq.n_children_spawned == 1000
+    assert got == oracle_coverage(k, replications, seq, offsets, **kwargs)
+
+
+# -- child stream states against numpy's SeedSequence and PCG64 ----------------
+
+def _numpy_child_states(seq, count):
+    return [(s["state"], s["inc"])
+            for s in (np.random.PCG64(c).state["state"] for c in _copy(seq).spawn(count))]
+
+
+ENTROPY = (st.sampled_from([0, 2**32 - 1, 2**32]) | st.integers(0, 2**128 - 1)
+           | st.lists(st.integers(0, 2**80), max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(entropy=ENTROPY, spawn_key=st.lists(st.integers(0, 2**40), max_size=3),
+       spawned=st.integers(0, 10**6), pool_size=st.sampled_from([4, 5, 8]),
+       count=st.integers(1, 2000))
+@example(entropy=2**32, spawn_key=[2**33], spawned=10**6, pool_size=4, count=2000)
+@example(entropy=[0, 2**32 - 1], spawn_key=[], spawned=0, pool_size=4, count=1000)
+def test_child_states_match_numpy(entropy, spawn_key, spawned, pool_size, count):
+    seq = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key),
+                                 pool_size=pool_size, n_children_spawned=spawned)
+    assert montecarlo._child_states(seq, count) == _numpy_child_states(seq, count)
+    assert seq.n_children_spawned == spawned
+
+
+def test_child_states_stop_before_a_two_word_index():
+    # child indices are one uint32 word up to 2^32 - 1; from 2^32 on numpy
+    # hashes two words, which the vectorized hash does not take.  numpy's
+    # own spawn loops forever when it reaches index 2^32 - 1 (its counter is
+    # a uint32), so that child is built directly
+    seq = np.random.SeedSequence(8, n_children_spawned=2**32 - 3)
+    last = np.random.PCG64(np.random.SeedSequence(8, spawn_key=(2**32 - 1,))).state
+    want = _numpy_child_states(seq, 2) + [(last["state"]["state"], last["state"]["inc"])]
+    assert montecarlo._child_states(seq, 3) == want
+    with pytest.raises(OutOfRange, match="2\\^32"):
+        montecarlo._child_states(seq, 4)
+    with pytest.raises(OutOfRange, match="2\\^32"):
+        coverage_experiment(2, 4, seq)
 
 
 def test_coverage_memory_is_bounded(offsets):

@@ -68,6 +68,36 @@ def test_lifetime_vectorized():
     np.testing.assert_allclose(t, want)
 
 
+def oracle_lifetime(struct, times):
+    """The stacked form `lifetime` replaced: a fancy index and a trailing
+    `.min` per path set, then `.max` over the stacked path minima."""
+    arr = np.asarray(times, dtype=float)
+    mins = [arr[..., [j - 1 for j in structure._indices(m)]].min(axis=-1)
+            for m in struct.path_masks]
+    return np.max(np.stack(mins, axis=0), axis=0)
+
+
+LIFETIME_ENTRIES = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, 0.5,
+                             1.0, 2.0])
+
+
+@pytest.mark.parametrize("struct", [
+    series(1), series(3), parallel(3), k_out_of_n(2, 4),
+    validate_structure(3, [[1], [2, 3]]), validate_structure(3, [[1, 2], [1, 3]]),
+    validate_structure(5, [[1, 4], [2, 3, 5], [2, 4], [1, 5]]),
+], ids=lambda s: str(s.paths))
+def test_lifetime_matches_the_stacked_form_bitwise(struct):
+    rng = np.random.default_rng(71)
+    # every pair of entries in every pair of columns, NaN, +-0 and inf included
+    X = rng.choice(LIFETIME_ENTRIES, size=(4000, struct.n))
+    for times in (X, X.reshape(40, 100, struct.n), X[0]):
+        got, want = struct.lifetime(times), oracle_lifetime(struct, times)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.uint64),
+                              np.asarray(want).view(np.uint64))
+    assert not np.shares_memory(struct.lifetime(X), X)
+
+
 def _term_sets(struct):
     """The merged expansion with its component sets spelled out as index tuples."""
     return tuple((c, structure._indices(m)) for c, m in struct.inclusion_exclusion())
