@@ -22,10 +22,16 @@ import sys
 
 import numpy as np
 
-from .config import _require, grid_from, load_config, point_from, predictor_from, structure_from
-from .copula import copula_from_config
+from .config import (
+    _require,
+    grid_from,
+    load_config,
+    model_from,
+    point_from,
+    predictor_from,
+    structure_from,
+)
 from .errors import ConfigError, SysPredictError
-from .marginal import marginal_from_config
 from .montecarlo import coverage_table, simulate, write_csv
 from .predictor import _band_edges
 from .qr import detect_crossings, fit_lqr, fit_ols, load_xy
@@ -107,10 +113,7 @@ def cmd_predict(args, cfg):
 
 def cmd_simulate(args, cfg):
     """simulate component and system lifetimes to CSV"""
-    copula = copula_from_config(_require(cfg, "copula"))
-    marginal = marginal_from_config(_require(cfg, "marginal"))
-    first = structure_from(cfg, "first")
-    system = structure_from(cfg, "system")
+    copula, marginal, first, system = model_from(cfg)
     second = (structure_from(cfg, "second")
               if "second" in cfg.get("structures", {}) else None)
     if "size" not in cfg:

@@ -298,13 +298,17 @@ def structure_from(cfg, which):
     return validate_structure(_integral(doc["n"]), paths)
 
 
+def model_from(cfg):
+    """The configured copula, marginal, first and system structures, built in that order."""
+    return (copula_from_config(_require(cfg, "copula")),
+            marginal_from_config(_require(cfg, "marginal")),
+            structure_from(cfg, "first"), structure_from(cfg, "system"))
+
+
 def predictor_from(cfg):
     """Build the configured conditional predictor."""
     mode = _require(cfg, "mode")
-    copula = copula_from_config(_require(cfg, "copula"))
-    marginal = marginal_from_config(_require(cfg, "marginal"))
-    first = structure_from(cfg, "first")
-    system = structure_from(cfg, "system")
+    copula, marginal, first, system = model_from(cfg)
     if mode == "two_failures":
         second = structure_from(cfg, "second")
         return TwoFailurePredictor(first, second, system, copula, marginal)

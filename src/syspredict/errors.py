@@ -64,7 +64,7 @@ class TermLimitExceeded(SysPredictError, ValueError):
 # -- predictors ------------------------------------------------------------
 
 class DegenerateDenominator(SysPredictError, ZeroDivisionError):
-    """Conditional-law denominator vanished at the conditioning point."""
+    """Conditional-law denominator is 0, subnormal or not finite at the conditioning point."""
 
 
 class ZeroAlpha(SysPredictError, ZeroDivisionError):

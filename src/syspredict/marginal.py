@@ -42,8 +42,7 @@ class Exponential:
         return np.exp(-_check_times(t) / self.mean)
 
     def inv_sf(self, p):
-        with np.errstate(divide="ignore"):
-            return -self.mean * np.log(_check_probs(p))
+        return -self.mean * np.log(_check_probs(p))
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,7 @@ class Weibull:
         return np.exp(-((_check_times(t) / self.scale) ** self.shape))
 
     def inv_sf(self, p):
-        with np.errstate(divide="ignore"):
-            return self.scale * (-np.log(_check_probs(p))) ** (1.0 / self.shape)
+        return self.scale * (-np.log(_check_probs(p))) ** (1.0 / self.shape)
 
 
 def marginal_from_config(doc) -> Exponential | Weibull:

@@ -10,10 +10,11 @@ Reproducibility contract: every replication of the coverage experiment draws
 from its own stream, PCG64 seeded by the replication's child in
 `SeedSequence.spawn`, so results do not depend on scheduling and any subset
 of replications can be reproduced in isolation.  The child states are derived
-arithmetically (`_child_states` runs numpy's SeedSequence hash and PCG64's
-seeding step over all children at once), and one generator is set to each
-state in turn.  A seed is read, never advanced: passing one `SeedSequence`
-twice gives the same results.  The streams are drawn in order into stacked
+arithmetically (`_child_states` mixes each child's index into the parent's
+entropy pool, `SeedSequence.pool`, as SeedSequence's last mixing round does,
+then runs PCG64's seeding step, over all children at once), and one
+generator is set to each state in turn.  A seed is read, never advanced:
+passing one `SeedSequence` twice gives the same results.  The streams are drawn in order into stacked
 blocks of replications, and the statistics are axis-wise reductions over each
 block, equal bit for bit to one replication at a time.
 
@@ -70,55 +71,41 @@ def _words(x):
     return [w for v in x for w in _words(v)]
 
 
+def _hash(words, init, mult, skip):
+    """SeedSequence's hashmix of each row of `words`.
+
+    The hash constant is init * mult^skip at the first row, as if `skip`
+    hashes came before, and moves on one step per row.
+    """
+    consts = [init * pow(mult, skip + j, 1 << 32) & _MASK32 for j in range(len(words) + 1)]
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    value = (words ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
 def _child_states(seq, count):
     """PCG64 `(state, inc)` of each child in `seq.spawn(count)`, spawning none.
 
-    Child i hashes the entropy words zero-padded to the pool size, the spawn
-    key's words and its index n_children_spawned + i, as SeedSequence does;
-    the hash runs as uint32 arithmetic over all children at once, and the
-    four uint64 words of `generate_state(4, uint64)` seed PCG64 (`srandom`:
-    inc = 2 initseq + 1, state = (inc + initstate) * M + inc mod 2^128).
-    `seq` is only read.  An index that needs a second uint32 word (from
-    2^32 on) raises `OutOfRange`.
+    Child i's entropy is its parent's plus one word, its index
+    n_children_spawned + i, so its pool is `seq.pool` with that word hashed
+    and mixed into each pool word (SeedSequence's last mixing round), run as
+    uint32 arithmetic over all children at once.  The hash constant goes on
+    from the parent's pool_size^2 hashes plus pool_size per entropy word past
+    the pool (the entropy is zero-padded to the pool size when a spawn key
+    follows).  The four uint64 words of `generate_state(4, uint64)` seed
+    PCG64 (`srandom`: inc = 2 initseq + 1, state = (inc + initstate) * M +
+    inc mod 2^128).  `seq` is only read.  An index that needs a second
+    uint32 word (from 2^32 on) raises `OutOfRange`.
     """
     first = seq.n_children_spawned
     if first + count > 1 << 32:
         raise OutOfRange(f"child indices {first}..{first + count - 1} pass 2^32 - 1")
-    run = _words(seq.entropy)
-    words = run + [0] * (seq.pool_size - len(run)) + _words(seq.spawn_key)
-    entropy = [np.full(1, w, dtype=np.uint32) for w in words]  # shared by every child
-    entropy.append(np.arange(first, first + count, dtype=np.uint32))
-
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        out = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return out ^ (out >> 16)
-
     size = seq.pool_size
-    pool = [hashmix(w) for w in entropy[:size]]
-    for src in range(size):
-        for dst in range(size):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[size:]:
-        for dst in range(size):
-            pool[dst] = mix(pool[dst], hashmix(w))
-
-    const = _INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % size] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        state.append((value ^ (value >> 16)).astype(np.uint64))
+    skip = size * (max(len(_words(seq.entropy)), size) + len(_words(seq.spawn_key)))
+    index = np.broadcast_to(np.arange(first, first + count, dtype=np.uint32), (size, count))
+    pool = _MIX_MULT_L * seq.pool[:, None] - _MIX_MULT_R * _hash(index, _INIT_A, _MULT_A, skip)
+    pool ^= pool >> 16
+    state = _hash(pool[np.arange(8) % size], _INIT_B, _MULT_B, 0).astype(np.uint64)
     # initstate = hi0:lo0 and initseq = hi1:lo1, as uint64 words
     hi0, lo0, hi1, lo1 = ((state[j] | state[j + 1] << 32).tolist() for j in range(0, 8, 2))
     out = []

@@ -227,7 +227,8 @@ class _PredictorCore:
         in strict mode, where neither an atom nor the alive condition needs it.
         """
         den = self._den(*c)
-        if np.any(den == 0.0) or np.any(~np.isfinite(den)):
+        # a subnormal den has lost digits, and the law divided by it drifts
+        if not np.all(np.isfinite(den) & (np.abs(den) >= np.finfo(float).tiny)):
             raise DegenerateDenominator(self._degenerate)
 
         def law(z):
@@ -308,7 +309,8 @@ class EarlyFailurePredictor(_PredictorCore):
     mode="alive": as weak, conditioned on the system having survived it.
     """
 
-    _degenerate = "marginal distortion derivative of the first failure vanished"
+    _degenerate = ("den, the first failure's law derivative, is 0, subnormal or not "
+                   "finite at the conditioning point")
 
     def __init__(self, first, system, copula, marginal, *, mode="strict"):
         if mode not in ("strict", "weak", "alive"):
@@ -320,7 +322,8 @@ class EarlyFailurePredictor(_PredictorCore):
 class TwoFailurePredictor(_PredictorCore):
     """Predict T from the first two observed failure times t1 <= t2."""
 
-    _degenerate = "mixed partial of the (T1, T2) law vanished at the conditioning point"
+    _degenerate = ("den, the mixed partial of the (T1, T2) law, is 0, subnormal or not "
+                   "finite at the conditioning point")
 
     def __init__(self, first, second, system, copula, marginal):
         super().__init__((first, second), system, copula, marginal)

@@ -64,7 +64,12 @@ from .errors import DegenerateDesign, OutOfRange
 _UNIT = np.finfo(float).eps / 2  # unit roundoff
 _BLOCK = 1 << 14  # elements in each temporary of the pair and rescoring loops
 _MAGNITUDE = (1 << 63) - 1  # the bits of a double below its sign
-_REFINE = 4  # extra profile steps that move each slope-window edge inward
+# extra profile steps that move each window edge inward.  Fits are bit-identical
+# without them, but slow where a window stays wide (2-CPU host, numpy 2.4.6):
+# without the slope-window steps, x normal and y = x + Cauchy noise at n = 10^5
+# took 2.0 s a fit at tau = 0.5 instead of 95 ms; without the intercept-window
+# steps, y in {0, 1, 2} at n = 2,000 took 100-234 ms a fit instead of 82-105 ms
+_REFINE = 4
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ Component sets are stored as bitmasks (component j <-> bit j-1), so n is
 capped at 64.  The expansion adds path sets one at a time to a table of
 merged unions.  TERM_BUDGET = 2^20 caps its table updates, and the
 distortion module checks the product of merged sizes of a joint expansion
-against it too, so a hopeless input is refused within about a second.
+against it too, so a hopeless expansion is refused within about a second.
+`validate_structure`'s minimality check is not bounded by it: a family of
+r path sets of mixed sizes still costs r(r-1)/2 pair comparisons.
 """
 
 from __future__ import annotations
@@ -187,7 +189,9 @@ def validate_structure(n, paths) -> SystemStructure:
                 raise IndexOutOfRange(f"component index {j!r} outside 1..{n}")
         masks.append(_mask(p))
     masks = list(dict.fromkeys(masks))
-    pair = _first_nested_pair(masks)
+    # distinct sets of one size never nest, so one-size families skip the scan
+    mixed = len({bin(m).count("1") for m in masks}) > 1
+    pair = _first_nested_pair(masks) if mixed else None
     if pair is not None:
         a, b = pair
         raise NonMinimalPath(

@@ -591,6 +591,12 @@ ENTROPY = (st.sampled_from([0, 2**32 - 1, 2**32]) | st.integers(0, 2**128 - 1)
        count=st.integers(1, 2000))
 @example(entropy=2**32, spawn_key=[2**33], spawned=10**6, pool_size=4, count=2000)
 @example(entropy=[0, 2**32 - 1], spawn_key=[], spawned=0, pool_size=4, count=1000)
+@example(entropy=37, spawn_key=[], spawned=7, pool_size=8, count=50)
+@example(entropy=[], spawn_key=[0], spawned=0, pool_size=8, count=50)
+@example(entropy=[1, 2, 3, 4], spawn_key=[], spawned=0, pool_size=4, count=50)
+@example(entropy=2**255 + 1, spawn_key=[3], spawned=1000, pool_size=8, count=50)
+@example(entropy=[2**40, 3, 4, 5, 6], spawn_key=[], spawned=7, pool_size=4, count=50)
+@example(entropy=2**300, spawn_key=[1, 2**33], spawned=0, pool_size=8, count=50)
 def test_child_states_match_numpy(entropy, spawn_key, spawned, pool_size, count):
     seq = np.random.SeedSequence(entropy, spawn_key=tuple(spawn_key),
                                  pool_size=pool_size, n_children_spawned=spawned)

@@ -511,6 +511,30 @@ def test_degenerate_denominator(first3, relay, product3):
         kofn_survival(3, 2, 3, 40.0, 41.0, heavy)
 
 
+def _exact_relay_median(t):
+    # strict relay, independent Weibull(3, 1): S(y | t) = rho^2/3 + 2 rho/3
+    # with rho = F-bar(y)/F-bar(t), as component 1 fails first with chance 1/3
+    # (the pair must then outlive t) or else carries on alone
+    return (t**3 - math.log(math.sqrt(2.5) - 1.0)) ** (1.0 / 3.0)
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0, 7.0])
+def test_relay_median_is_exact(first3, relay, product3, t):
+    p = EarlyFailurePredictor(first3, relay, product3, Weibull(3.0, 1.0))
+    assert p.quantile(0.5, t) == pytest.approx(_exact_relay_median(t), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=DegenerateDenominator,
+                   reason="ROADMAP item 4: den = 3 F-bar(t)^2 is subnormal from t = 7.08 "
+                          "on, and its lost digits moved the median")
+def test_relay_median_past_a_subnormal_den(first3, relay, product3):
+    # a subnormal den once drifted the median with no raise: 9.4e-10
+    # relative at t = 7.15 and 9.1e-5 at 7.19; a scale-free law should answer
+    p = EarlyFailurePredictor(first3, relay, product3, Weibull(3.0, 1.0))
+    for t in (7.15, 7.19, 7.5, 8.9):
+        assert p.quantile(0.5, t) == pytest.approx(_exact_relay_median(t), rel=1e-12, abs=0.0)
+
+
 def test_nan_fails_every_range_check(relay_strict, twofail_fgm, exp1):
     """NaN raises each entry point's own range error, never a number or a wrong cause."""
     nan = math.nan

@@ -252,3 +252,18 @@ def test_wide_minimality_check_is_vectorized():
     assert s.r == 6435
     with pytest.raises(NonMinimalPath, match=r"path set \(1, 2, 3, 4, 5, 6, 7\)"):
         validate_structure(15, list(s.paths) + [[1, 2, 3, 4, 5, 6, 7, 8]])
+
+
+def test_one_size_families_skip_the_minimality_scan(monkeypatch):
+    calls, scan = [], structure._first_nested_pair
+
+    def spy(masks):
+        calls.append(len(masks))
+        return scan(masks)
+
+    monkeypatch.setattr(structure, "_first_nested_pair", spy)
+    # distinct 9-subsets never nest: 48,620 path sets, about 1.2G pairs unscanned
+    assert validate_structure(18, itertools.combinations(range(1, 19), 9)) == k_out_of_n(9, 18)
+    assert calls == []
+    validate_structure(3, [[1], [2, 3]])
+    assert calls == [2]
