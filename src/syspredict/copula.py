@@ -42,7 +42,7 @@ from .errors import (
 
 
 def _check_unit(arr):
-    if not (np.all(arr >= 0) and np.all(arr <= 1)):  # NaN fails both
+    if not np.logical_and.reduce((arr >= 0) & (arr <= 1), axis=None):  # NaN fails both
         raise OutOfUnitInterval("copula arguments must lie in [0, 1]")
     return arr
 
@@ -95,7 +95,7 @@ class ProductCopula(SurvivalCopula):
 
     def _partial(self, mask, arr):
         # differentiated coordinates enter as exact 1.0 factors
-        return np.prod(np.where(mask, 1.0, arr), axis=-1)
+        return np.multiply.reduce(np.where(mask, 1.0, arr), axis=-1)
 
     def _from_uniforms(self, V):
         return V
@@ -117,9 +117,9 @@ class FGMCopula(SurvivalCopula):
     def _partial(self, mask, arr):
         # d/du_S [prod u + theta prod u(1-u)]
         #   = prod_{j not in S} u_j + theta prod_{i in S}(1-2u_i) prod_{j not in S} u_j(1-u_j)
-        kept = np.prod(np.where(mask, 1.0, arr), axis=-1)
-        kept_fgm = np.prod(np.where(mask, 1.0, arr * (1.0 - arr)), axis=-1)
-        bent = np.prod(np.where(mask, 1.0 - 2.0 * arr, 1.0), axis=-1)
+        kept = np.multiply.reduce(np.where(mask, 1.0, arr), axis=-1)
+        kept_fgm = np.multiply.reduce(np.where(mask, 1.0, arr * (1.0 - arr)), axis=-1)
+        bent = np.multiply.reduce(np.where(mask, 1.0 - 2.0 * arr, 1.0), axis=-1)
         return kept + self.theta * bent * kept_fgm
 
     def _from_uniforms(self, V):
@@ -184,7 +184,7 @@ class ClaytonPairCopula(SurvivalCopula):
         j, k = self.pair
         skip = mask.copy()
         skip[:, [j - 1, k - 1]] = True
-        indep = np.prod(np.where(skip, 1.0, arr), axis=-1)
+        indep = np.multiply.reduce(np.where(skip, 1.0, arr), axis=-1)
         return indep * _clayton_pair(arr[..., j - 1], arr[..., k - 1],
                                      mask[:, j - 1], mask[:, k - 1], self.theta)
 

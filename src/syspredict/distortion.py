@@ -76,13 +76,14 @@ class _TermSum:
 
     Term k is the copula at the point whose coordinate i carries variable
     ``layout[k, i]``, or 1 where that entry is -1; the variables follow the
-    structures' order.  Each evaluation checks its values once, gathers the
-    points of all its rows (one per term and choice of differentiated
-    coordinates) into one stacked array and makes one call of the copula's
-    law kernel per chunk of at most CELLS cells (points x rows x n); a row's
-    mask marks the coordinates it differentiates, none for the value.  Rows
-    are added in term order by a running sum, so a total equals the
-    term-by-term loop bit for bit.
+    structures' order.  Each evaluation writes its values, broadcast, one
+    per column into a table of ones with one column more, checks it once,
+    gathers from it the points of all its rows (one per term and choice of
+    differentiated coordinates) into one stacked array and makes one call
+    of the copula's law kernel per chunk of at most CELLS cells (points x
+    rows x n); a row's mask marks the coordinates it differentiates, none
+    for the value.  Rows are added in term order by a running sum, so a
+    total equals the term-by-term loop bit for bit.
     """
 
     def __init__(self, copula: SurvivalCopula, *structures: SystemStructure):
@@ -101,16 +102,19 @@ class _TermSum:
                 row[[i - 1 for i in _indices(m)]] = var
 
     def _sum(self, layout, mask, coeffs, values):
-        # slot -1 holds the 1 that pinned coordinates take
-        table = _check_unit(np.stack(np.broadcast_arrays(*values, 1.0), axis=-1, dtype=float))
-        total = np.zeros(table.shape[:-1])
+        shape = np.broadcast(*values).shape
+        table = np.ones(shape + (len(values) + 1,))  # slot -1 keeps the 1 of pinned coordinates
+        for slot, v in enumerate(values):
+            table[..., slot] = v
+        _check_unit(table)
+        total = np.zeros(shape)
         step = max(1, CELLS // (max(1, total.size) * self.copula.n))
         for lo in range(0, len(coeffs), step):
             rows = slice(lo, lo + step)
             points = table[..., layout[rows]]
             summands = coeffs[rows] * self.copula._partial(mask[rows], points)
             summands[..., 0] += total
-            total = np.cumsum(summands, axis=-1)[..., -1]
+            total = summands.cumsum(axis=-1)[..., -1]
         return total
 
     def partial(self, *variables):

@@ -3,6 +3,11 @@
 All identical components share one absolutely continuous marginal with
 support [0, inf).  Everything downstream works through the survival
 function and its inverse, so any family with an exact inverse plugs in.
+
+The range checks keep a scalar 0-d, so the arithmetic after them gives a
+float64 scalar, which numpy's `**` raises with the C library's pow; an
+array of any length takes numpy's SIMD loop instead, and the two can
+differ in the last bits (ROADMAP 9(f)).
 """
 
 from __future__ import annotations
@@ -16,14 +21,14 @@ from .errors import ConfigError, NegativeTime, OutOfRange
 
 def _check_times(t):
     arr = np.asarray(t, dtype=float)
-    if not np.all(arr >= 0):  # NaN fails it too
+    if not np.logical_and.reduce(arr >= 0, axis=None):  # NaN fails it too
         raise NegativeTime("lifetimes must be >= 0")
     return arr
 
 
 def _check_probs(p):
     arr = np.asarray(p, dtype=float)
-    if not (np.all(arr > 0) and np.all(arr <= 1)):
+    if not np.logical_and.reduce((arr > 0) & (arr <= 1), axis=None):  # NaN fails it too
         raise OutOfRange("survival levels must lie in (0, 1]")
     return arr
 

@@ -91,7 +91,7 @@ QUAD_TOL = 1e-8  # largest error estimate, relative to the tail integral
 
 def _as_level(w):
     w = np.asarray(w, dtype=float)
-    if not (np.all(w > 0) and np.all(w < 1)):
+    if not np.logical_and.reduce((w > 0) & (w < 1), axis=None):  # NaN fails it too
         raise OutOfRange("survival levels must lie strictly inside (0, 1)")
     return w
 
@@ -111,39 +111,45 @@ def _solve_increasing(f, hi, target, skip=None):
     after three steps in a row that fail to halve the bracket, one step
     bisects it.  Entries stop once hi - lo <= BISECT_TOL * hi; `skip`
     entries start there.  Returns the bracket midpoints.
+
+    The loop keeps the bracket (lo, hi), the end values (g_lo, g_hi) of
+    f - target, which end the last step moved (was_up, was_down: read only
+    at live entries, which were live at every step before) and the count
+    of slow steps in a row.  Step for step its arithmetic is that of the
+    earlier int-`last` form kept in tests/solver_oracle.py.
     """
     hi = np.array(hi, dtype=float)
     target = np.broadcast_to(np.asarray(target, dtype=float), hi.shape)
     skip = np.zeros(hi.shape, dtype=bool) if skip is None else skip
     g_hi = f(hi) - target
-    if np.any(g_hi[~skip] < 0):
+    if (g_hi[~skip] < 0).any():
         raise NotInvertible("survival level cannot be bracketed on (0, F-bar(t)]")
     lo = np.where(skip, hi, 0.0)
     g_lo = -target
-    last = np.zeros(hi.shape, dtype=int)  # +1 if the last step moved hi, -1 if lo
-    slow = np.zeros(hi.shape, dtype=int)  # steps in a row that failed to halve the bracket
+    was_up = was_down = False
+    slow = 0
     for _ in range(BISECT_MAX):
         width = hi - lo
         live = width > BISECT_TOL * hi
-        if not np.any(live):
+        if not live.any():
             break
         pad = BISECT_TOL / 3 * hi
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.clip(hi - g_hi * (width / (g_hi - g_lo)), lo + pad, hi - pad)
+            z = (hi - g_hi * (width / (g_hi - g_lo))).clip(lo + pad, hi - pad)
         z = np.where((slow >= 3) | np.isnan(z), 0.5 * (lo + hi), z)
         g = f(z) - target
         up = live & (g >= 0)
-        down = live & ~up
+        down = live ^ up
         # an end kept while the other moves twice in a row has its value scaled by m
         with np.errstate(divide="ignore", invalid="ignore"):
             m = 1.0 - g / np.where(up, g_hi, g_lo)
         m = np.where(m > 0, m, 0.5)
-        g_lo = np.where(up & (last > 0), m * g_lo, np.where(down, g, g_lo))
-        g_hi = np.where(down & (last < 0), m * g_hi, np.where(up, g, g_hi))
+        g_lo = np.where(up & was_up, m * g_lo, np.where(down, g, g_lo))
+        g_hi = np.where(down & was_down, m * g_hi, np.where(up, g, g_hi))
         hi = np.where(up, z, hi)
         lo = np.where(down, z, lo)
-        last = np.where(up, 1, np.where(down, -1, last))
-        slow = np.where(hi - lo > 0.5 * width, slow + 1, 0)
+        was_up, was_down = up, down
+        slow = (slow + 1) * (hi - lo > 0.5 * width)
     return 0.5 * (lo + hi)
 
 
@@ -232,7 +238,7 @@ class _PredictorCore:
             raise DegenerateDenominator(self._degenerate)
 
         def law(z):
-            return np.clip(self._num(*c, np.asarray(z, dtype=float)) / den, 0.0, 1.0)
+            return (self._num(*c, z) / den).clip(0.0, 1.0)
 
         if self.mode == "strict":
             return law, None
@@ -244,7 +250,7 @@ class _PredictorCore:
         def alive(z):
             if void:
                 raise ZeroAlpha("system cannot survive the conditioning time")
-            return np.clip(law(z) / alpha, 0.0, 1.0)
+            return (law(z) / alpha).clip(0.0, 1.0)
 
         return alive, alpha
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 from scipy.stats import beta as beta_dist
 
@@ -38,6 +39,8 @@ from syspredict.errors import (
     ZeroAlpha,
 )
 from syspredict.predictor import BISECT_MAX, BISECT_TOL, _solve_increasing, _tail_mean
+
+from solver_oracle import solve_increasing as oracle_solve_increasing
 
 # closed-form offsets for IID exponentials, frozen from the analytic laws
 RELAY_MEDIAN = 0.5427656
@@ -772,6 +775,65 @@ def test_solver_matches_bisection(copula, shape, mode, t, frac, w):
     if atom is not None and atom:
         assert len(calls) == 1
     assert abs(got - want) <= 2 * BISECT_TOL * want
+
+
+@st.composite
+def _power_law_solves(draw):
+    """(f, hi, target, skip) of a solve of shape (), (L, 1) or (L, P).
+
+    f(z) = a (z/h)^p with a, h and p per point; the levels come as an (L, 1)
+    column.  `skip` is None, with a = 1, or the weak-mode atom w >= a.
+    """
+    n_levels, n_points = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(), (n_levels, 1), (n_levels, n_points)]))
+    points, levels = shape[1:], shape[:1] and (shape[0], 1)
+    h = draw(hnp.arrays(float, points, elements=st.floats(1e-300, 1.0)))
+    p = draw(hnp.arrays(float, points, elements=st.floats(0.2, 8.0)))
+    w = draw(hnp.arrays(float, levels, elements=st.floats(1e-14, 1.0 - 1e-14)))
+    if draw(st.booleans()):
+        a, skip = 1.0, None
+    else:
+        a = draw(hnp.arrays(float, points, elements=st.floats(1e-3, 1.0)))
+        skip = np.broadcast_to(w >= a, shape)
+    return (lambda z: a * (z / h) ** p), np.broadcast_to(h, shape), w, skip
+
+
+def _traced_solve(solve, f, hi, target, skip):
+    """Hex of every trial point and of the roots, or the error's name."""
+    trials = []
+
+    def traced(z):
+        trials.append([x.hex() for x in np.ravel(z).tolist()])
+        return f(z)
+
+    try:
+        root = solve(traced, hi, target, skip=skip)
+    except NotInvertible:
+        return "NotInvertible", trials
+    return (type(root), np.shape(root), [x.hex() for x in np.ravel(root).tolist()]), trials
+
+
+@given(case=_power_law_solves())
+@settings(max_examples=300, deadline=None)
+def test_solver_matches_its_earlier_form_bit_for_bit(case):
+    """Same trial points and roots as the int-`last` solver, step for step."""
+    assert _traced_solve(_solve_increasing, *case) == _traced_solve(oracle_solve_increasing, *case)
+
+
+def test_solver_leaves_the_error_state_to_f():
+    """f runs under the caller's error state, and a warning it raises gets out."""
+    before = np.geterr()
+    seen = []
+
+    def f(z):
+        seen.append(np.geterr())
+        np.divide(1.0, np.zeros(1))  # warns under the default error state
+        return z
+
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        _solve_increasing(f, np.array([1.0, 0.5]), 0.25)
+    assert np.geterr() == before
+    assert len(seen) > 1 and all(state == before for state in seen)
 
 
 @given(copula=_copulas, shape=_shapes, mode=st.sampled_from(MODES), t=st.floats(0.0, 60.0),

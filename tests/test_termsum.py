@@ -325,6 +325,15 @@ def test_out_of_range_values_raise_on_every_call():
                 evaluate(*bad)
 
 
+def test_nan_in_any_variable_raises():
+    """NaN fails the range check in either variable of a two-variable partial."""
+    pair = _TermSum(FGMCopula(theta=0.5, n=3), series(3), k_out_of_n(2, 3)).partial(0)
+    pair(0.5, 0.3)
+    for bad in ((np.nan, 0.3), (0.5, np.nan), (np.array([0.5, np.nan]), 0.3)):
+        with pytest.raises(OutOfUnitInterval):
+            pair(*bad)
+
+
 def test_build_expands_each_structure_once(monkeypatch):
     calls = []
     original = SystemStructure._expand
