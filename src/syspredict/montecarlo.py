@@ -125,9 +125,17 @@ def survival_uniforms(copula, U):
     return copula._from_uniforms(U.copy())
 
 
+def _whole(value, name, error):
+    """value as an int; raises `error` unless it is integral (10.0 passes)."""
+    if isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and value.is_integer()):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
 def sample_components(copula, marginal, rng, size):
     """Draw `size` joint component-lifetime rows."""
-    U = rng.random((int(size), copula.n))
+    U = rng.random((_whole(size, "size", OutOfRange), copula.n))
     return marginal.inv_sf(survival_uniforms(copula, U))
 
 
@@ -183,13 +191,14 @@ class SampleSet:
 
 def simulate(first, system, copula, marginal, size, seed, second=None) -> SampleSet:
     """Simulate component lifetimes and the ordered system lifetimes."""
-    if int(size) < 1:
+    size = _whole(size, "size", OutOfRange)
+    if size < 1:
         raise OutOfRange(f"size must be >= 1, got {size}")
     rng = np.random.default_rng(_seed_sequence(seed))
     X = sample_components(copula, marginal, rng, size)
     meta = {
         "seed": seed if isinstance(seed, np.random.SeedSequence) else int(seed),
-        "size": int(size),
+        "size": size,
         "copula": type(copula).__name__,
         "marginal": type(marginal).__name__,
         "first_paths": first.paths,
@@ -253,15 +262,17 @@ def coverage_experiment(k, replications, seed, *, score="same",
 
 def _coverage(k, replications, seed, offs, *, score="same", eval_draws=None,
               exact_mu=False):
-    k = int(k)
-    replications = int(replications)
+    k = _whole(k, "k", InvalidK)
+    replications = _whole(replications, "replications", InvalidK)
     if k < 1 or replications < 1:
         raise InvalidK("need k >= 1 and replications >= 1")
     if score not in ("same", "fresh"):
         raise OutOfRange(f"score must be 'same' or 'fresh', got {score!r}")
-    if eval_draws is not None and (score != "fresh" or int(eval_draws) < 1):
-        raise OutOfRange(f"eval_draws needs score='fresh' and >= 1, got {eval_draws!r}")
-    m = (k if eval_draws is None else int(eval_draws)) if score == "fresh" else 0
+    if eval_draws is not None:
+        eval_draws = _whole(eval_draws, "eval_draws", OutOfRange)
+        if score != "fresh" or eval_draws < 1:
+            raise OutOfRange(f"eval_draws needs score='fresh' and >= 1, got {eval_draws!r}")
+    m = (k if eval_draws is None else eval_draws) if score == "fresh" else 0
     scored = slice(k, None) if m else slice(None)
     states = _child_states(_seed_sequence(seed), replications)
     bits = np.random.PCG64(0)  # set to each replication's state before its draw

@@ -25,9 +25,8 @@ depend only on c, so every solver step and quadrature node evaluates
 just the numerator.  Subclasses name their observed structures; the map
 from conditioning times to (horizon, c), quantiles, means, survival,
 alpha and bands are shared.  The k-of-n shortcut `kofn_quantile_factor`
-inverts its scalar binomial law by safeguarded Newton steps in Python
-floats, where a 0-d pass through the array solver costs far more than the
-law.
+inverts its scalar binomial law by bisection over the ordered doubles of
+[0, 1] in Python floats, the search `qr` uses for its slopes.
 
 Quantiles invert the survival level in z space, where every law is
 monotone on (0, F-bar(horizon)], by Anderson-Bjorck regula falsi
@@ -73,6 +72,7 @@ from .errors import (
     QuadratureFailure,
     ZeroAlpha,
 )
+from .qr import _bisect, _rank, _unrank
 
 BISECT_TOL = 1e-12  # relative to the upper end of the bracket
 BISECT_MAX = 200
@@ -355,7 +355,7 @@ def _fewer_than(m, k, rho):
     sum_{j<k} C(m, j) (1-rho)^j rho^(m-j): increasing in rho, 0 at rho = 0
     and 1 at rho = 1.
     """
-    total = np.zeros(np.shape(rho))
+    total = 0.0
     for j in range(k):
         total = total + math.comb(m, j) * (1.0 - rho) ** j * rho ** (m - j)
     return total
@@ -374,42 +374,19 @@ def kofn_quantile_factor(n, r, s, w):
 
 
 def _binomial_root(m, k, w):
-    """rho in (0, 1) with P(fewer than k of m lifetimes fail) = w, 0 < w < 1.
+    """rho in (0, 1] with P(fewer than k of m lifetimes fail) = w, 0 < w < 1.
 
-    Newton steps on the log of the smaller tail, log P(fewer than k) - log w
-    for w <= 1/2 and log(1 - w) - log P(at least k) above: both increase in
-    rho, and where a tail behaves like a power of rho or of 1 - rho its log
-    is far closer to linear than the tail.  Each step keeps a bracket and
-    bisects it when Newton leaves it; it starts at rho's mean
-    (m - k + 1) / (m + 1), the law being Beta(m - k + 1, k).
+    Bisection over the ordered doubles of [0, 1] (`qr._bisect`, at most 62
+    tail evaluations) for the first rho whose smaller tail reaches its level:
+    P(fewer than k) >= w for w <= 1/2, else P(at least k) <= 1 - w, with
+    P(at least k) taken as P(fewer than m - k + 1 survive) so that 1 - w
+    keeps its digits.
     """
-    lower_tail = w <= 0.5
-    level = math.log(w) if lower_tail else math.log1p(-w)
-    coeffs = [math.comb(m, j) for j in range(m + 1)]
-    density = m * math.comb(m - 1, k - 1)
-    lo, hi, rho = 0.0, 1.0, (m - k + 1) / (m + 1)
-    for _ in range(BISECT_MAX):
-        terms = [c * (1.0 - rho) ** j * rho ** (m - j) for j, c in enumerate(coeffs)]
-        tail = math.fsum(terms[:k] if lower_tail else terms[k:])
-        if tail == 0.0:  # underflow: the root lies toward the other end
-            gap, step = (-math.inf if lower_tail else math.inf), math.inf
-        else:
-            gap = math.log(tail) - level if lower_tail else level - math.log(tail)
-            slope = density * rho ** (m - k) * (1.0 - rho) ** (k - 1) / tail
-            step = gap / slope if slope > 0.0 else math.inf
-        if gap > 0.0:
-            hi = rho
-        elif gap < 0.0:
-            lo = rho
-        else:
-            return rho
-        new = rho - step
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        if abs(new - rho) <= 4.0 * math.ulp(rho) or new == lo or new == hi:
-            return new
-        rho = new
-    return rho
+    if w <= 0.5:
+        above = lambda i: _fewer_than(m, k, _unrank(i)) >= w
+    else:
+        above = lambda i: _fewer_than(m, m - k + 1, 1.0 - _unrank(i)) <= 1.0 - w
+    return _unrank(_bisect(_rank(0.0), _rank(1.0), above)[1])
 
 
 def kofn_survival(n, r, s, t, y, marginal):

@@ -337,14 +337,22 @@ def fit_lqr(pairs, tau) -> FittedLine:
 
 
 def fit_ols(pairs) -> FittedLine:
-    """Least squares via the normal equations, loss = sum of squared residuals."""
+    """Least squares via the normal equations, loss = sum of squared residuals.
+
+    Raises DegenerateDesign when a sum overflows or underflows so that the
+    line or its loss is not finite.
+    """
     x, y = _as_xy(pairs)
-    xm, ym = x.mean(), y.mean()
-    sxx = np.sum((x - xm) ** 2)
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    intercept = float(ym - slope * xm)
-    resid = y - intercept - slope * x
-    return FittedLine(intercept=intercept, slope=slope, loss=float(np.sum(resid**2)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        xm, ym = x.mean(), y.mean()
+        sxx = np.sum((x - xm) ** 2)
+        slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+        intercept = float(ym - slope * xm)
+        resid = y - intercept - slope * x
+        loss = float(np.sum(resid**2))
+    if not all(map(math.isfinite, (intercept, slope, loss))):
+        raise DegenerateDesign("least squares overflows or underflows in double precision")
+    return FittedLine(intercept=intercept, slope=slope, loss=loss)
 
 
 def detect_crossings(fits, x_lo, x_hi):

@@ -630,6 +630,13 @@ def test_cli_error_paths(tmp_path, capsys):
                     name="nan.json")
     assert main(["fitqr", "--config", fit, "--out", str(tmp_path / "f.csv")]) == 1
     assert capsys.readouterr().err.startswith("DegenerateDesign:")
+    # so is a least-squares line whose sums overflow
+    sample = tmp_path / "huge.csv"
+    sample.write_text("t1,t\n1e160,1e160\n2e160,2.5e160\n3e160,2.9e160\n")
+    fit = write_cfg(tmp_path, {"fitqr": {"sample": str(sample), "taus": [0.5], "ols": True}},
+                    name="huge.json")
+    assert main(["fitqr", "--config", fit, "--out", str(tmp_path / "f.csv")]) == 1
+    assert capsys.readouterr().err.startswith("DegenerateDesign:")
     # a non-numeric cell or a short row names its line instead of a traceback
     for name, text, line in (("abc.csv", "t1,t\n0.1,0.6\n0.2,abc\n", 3),
                              ("short.csv", "t1,t\n0.1,0.6\n0.2,0.7\n0.3\n", 4)):

@@ -371,6 +371,26 @@ def test_coverage_errors():
         coverage_experiment(5, 10, seed=1, score="other")
 
 
+@pytest.mark.parametrize("name, error", [("k", InvalidK), ("replications", InvalidK),
+                                         ("eval_draws", OutOfRange), ("size", OutOfRange)])
+def test_counts_must_be_integral(name, error, first3, relay, product3, exp1):
+    def run(value):
+        if name == "size":
+            return simulate(first3, relay, product3, exp1, size=value, seed=1).size
+        counts = {"k": 2, "replications": 3, "eval_draws": 2, name: value}
+        rep = coverage_experiment(counts["k"], counts["replications"], seed=1,
+                                  score="fresh", eval_draws=counts["eval_draws"])
+        return getattr(rep, name, 3)  # the report does not echo eval_draws
+
+    # a count is never truncated: 10.9 rows or 3.9 replications raise
+    for bad in (2.7, np.float64(3.9), float("nan"), float("inf"), "3"):
+        with pytest.raises(error, match=f"^{name} must be an integer"):
+            run(bad)
+    # an integral float, as a JSON config may give it, is the count itself
+    got = run(3.0)
+    assert got == 3 and type(got) is int
+
+
 def test_coverage_table_stable_prefix():
     t1 = coverage_table([1, 5], 50, seed=9)
     t2 = coverage_table([1, 10], 50, seed=9)

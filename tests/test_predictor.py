@@ -469,14 +469,28 @@ def test_kofn_factor():
     for w in (0.1, 0.7):
         assert kofn_quantile_factor(2, 1, 2, w) == pytest.approx(w, abs=1e-9)
     # every 1 <= r < s <= n <= 30, each triple at the next level in turn: a
-    # solve takes up to about 50 law evaluations, so the full product of
-    # triples and levels would dominate the suite
+    # solve takes up to 62 tail evaluations, so the full product of triples
+    # and levels would dominate the suite
     levels = (1e-6, 1e-4, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-4, 1 - 1e-6)
     triples = [(n, r, s) for n in range(2, 31) for r in range(1, n) for s in range(r + 1, n + 1)]
     for i, (n, r, s) in enumerate(triples):
         w = levels[i % len(levels)]
         want = beta_dist.ppf(w, n - s + 1, s - r)
         assert kofn_quantile_factor(n, r, s, w) == pytest.approx(want, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("w", [1e-300, 1e-100, 1e-60, 1e-20, 1e-6, 0.5, 1 - 1e-6, 1 - 2**-53])
+def test_kofn_factor_closed_forms_at_extreme_levels(w):
+    # with m = n - r fresh lifetimes, the next failure (s = r + 1) survives
+    # while all m do, rho^m = w, and the last (s = n) while any does,
+    # 1 - (1 - rho)^m = w; scipy's beta.ppf loses digits this far out
+    for n in range(2, 31):
+        for r in range(1, n):
+            m = n - r
+            next_one = w ** (1.0 / m)
+            last_one = -math.expm1(math.log1p(-w) / m)
+            assert kofn_quantile_factor(n, r, r + 1, w) == pytest.approx(next_one, rel=1e-13, abs=0)
+            assert kofn_quantile_factor(n, r, n, w) == pytest.approx(last_one, rel=1e-13, abs=0)
 
 
 def test_kofn_survival(exp1):

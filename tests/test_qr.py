@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -300,6 +301,19 @@ def test_ols_exact_line():
     assert fit.slope == pytest.approx(2.0, abs=1e-12)
     assert fit.intercept == pytest.approx(-1.0, abs=1e-12)
     assert fit.loss == pytest.approx(0.0, abs=1e-12)
+
+
+def test_ols_raises_where_its_sums_overflow():
+    base = np.array([(1.0, 1.0), (2.0, 2.5), (3.0, 2.9)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_ols(base * 1e150)
+        assert fit.slope == pytest.approx(0.95, rel=1e-12)
+        assert fit.loss == pytest.approx(2.0166666666666667e299, rel=1e-12)
+        # (x - xm)^2 overflows at 1e160, where the exact fit still answers
+        with pytest.raises(DegenerateDesign, match="overflows"):
+            fit_ols(base * 1e160)
+        assert fit_lqr(base * 1e160, 0.5).slope == pytest.approx(0.95, rel=1e-12)
 
 
 def test_detect_crossings():
