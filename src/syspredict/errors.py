@@ -28,7 +28,7 @@ class UncoveredComponent(SysPredictError, ValueError):
 
 
 class LengthMismatch(SysPredictError, ValueError):
-    """A component-time vector has the wrong length."""
+    """A component-time vector or a table column has the wrong length."""
 
 
 # -- copulas ---------------------------------------------------------------

@@ -339,19 +339,26 @@ def fit_lqr(pairs, tau) -> FittedLine:
 def fit_ols(pairs) -> FittedLine:
     """Least squares via the normal equations, loss = sum of squared residuals.
 
-    Raises DegenerateDesign when a sum overflows or underflows so that the
-    line or its loss is not finite.
+    x and y are scaled by the powers of two that bring max |x| and max |y|
+    into [1/2, 1) before the normal equations, and the line and its loss
+    are scaled back, so the fit does not depend on the sample's scale (both
+    steps are exact in the normal range).  Raises DegenerateDesign when the
+    line or its loss overflows, is subnormal or underflows to 0.
     """
     x, y = _as_xy(pairs)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        xm, ym = x.mean(), y.mean()
-        sxx = np.sum((x - xm) ** 2)
-        slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-        intercept = float(ym - slope * xm)
-        resid = y - intercept - slope * x
-        loss = float(np.sum(resid**2))
-    if not all(map(math.isfinite, (intercept, slope, loss))):
+    ex, ey = (int(np.frexp(np.max(np.abs(c)))[1]) for c in (x, y))
+    x, y = np.ldexp(x, -ex), np.ldexp(y, -ey)
+    xm, ym = x.mean(), y.mean()
+    slope = float(np.sum((x - xm) * (y - ym)) / np.sum((x - xm) ** 2))
+    intercept = float(ym - slope * xm)
+    loss = float(np.sum((y - intercept - slope * x) ** 2))
+    scaled = np.array([intercept, slope, loss])
+    with np.errstate(over="ignore"):
+        line = np.ldexp(scaled, [ey, ey - ex, 2 * ey])
+    normal = np.abs(line) >= np.finfo(float).tiny
+    if not np.all(np.isfinite(line) & (normal | (scaled == 0))):
         raise DegenerateDesign("least squares overflows or underflows in double precision")
+    intercept, slope, loss = line.tolist()
     return FittedLine(intercept=intercept, slope=slope, loss=loss)
 
 

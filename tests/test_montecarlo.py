@@ -1,4 +1,5 @@
 import csv
+import math
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -28,6 +29,7 @@ from syspredict import (
 from syspredict.montecarlo import CSV_BLOCK_ROWS, SampleSet, write_csv
 from syspredict.errors import (
     InvalidK,
+    LengthMismatch,
     OutOfRange,
     SysPredictError,
     UnsupportedCopula,
@@ -486,9 +488,61 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, table):
     assert (d / "block.csv").read_bytes() == (d / "oracle.csv").read_bytes()
 
 
+def fixed_notation_edges():
+    """Cells where formatting by numpy and by `'%.9g' %` could part ways."""
+    rng = np.random.default_rng(24)
+    # rounding to nine digits crosses a decade (the last prints as 0.0001)
+    crossings = [9.9999999995, 99999999.95, 999999999.5, 9.99999999995e-05]
+    powers = 10.0 ** np.arange(-6, 11)
+    # odd / 2^(9 - X) in decade X has ten digits, the last a 5: an exact tie
+    ties = []
+    for x in range(-4, 9):
+        scale = 2 ** (9 - x)
+        lo, hi = math.ceil(10.0 ** x * scale), math.ceil(10.0 ** (x + 1) * scale)
+        odd = 2 * rng.integers(lo // 2, (hi - 1) // 2, 12, endpoint=True) + 1
+        ties += [o / scale for o in odd.tolist() if lo <= o < hi]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for v in ties:
+            x = Decimal(v).adjusted()
+            assert Decimal(v).scaleb(8 - x) % 1 == Decimal("0.5"), v
+    # ties divided by 10^k, which doubles hold only nearly: the double product
+    # with 10^(8 - X) is often the half-integer, and the remainder decides
+    near = (rng.integers(10**8, 10**9, 120) + 0.5) / 10.0 ** rng.integers(1, 13, 120)
+    special = [0.0, np.inf, np.nan, 5e-324, 2.5e-310, 2.2250738585072014e-308,
+               1e-5, 1.7976931348623157e308]
+    pool = np.concatenate([crossings, powers, np.nextafter(powers, 0),
+                           np.nextafter(powers, np.inf), ties, near, special])
+    assert len(ties) > 100
+    return np.concatenate([pool, -pool])
+
+
+@pytest.mark.parametrize("rows", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                  3 * CSV_BLOCK_ROWS + 17])
+def test_write_csv_matches_g9_at_the_edges_of_fixed_notation(tmp_path, rows):
+    pool = fixed_notation_edges()
+    rng = np.random.default_rng(rows)
+    columns = [np.resize(rng.permutation(pool), rows) for _ in range(3)]
+    write_csv(tmp_path / "a.csv", ["a", "b", "c"], columns)
+    lines = ["a,b,c"] + [",".join("%.9g" % v for v in row) for row in zip(*columns)]
+    assert (tmp_path / "a.csv").read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+
 def test_write_csv_header_only(tmp_path):
     write_csv(tmp_path / "a.csv", ["x", "y"], [np.array([]), np.array([])])
     assert (tmp_path / "a.csv").read_bytes() == b"x,y\r\n"
+
+
+def test_write_csv_raises_on_ragged_input(tmp_path):
+    path = tmp_path / "a.csv"
+    with pytest.raises(LengthMismatch):
+        SampleSet(components=np.ones((1, 3)), t1=np.ones(2), t=np.ones(2)).to_csv(path)
+    x, y = np.ones(3), np.ones(2)
+    for header, columns in [(["a"], [x, x]), (["a", "b", "c"], [x, x]),
+                            (["a", "b"], [x, y]), (["a", "b"], [y, x]), ([], [])]:
+        with pytest.raises(LengthMismatch):
+            write_csv(path, header, columns)
+    assert not path.exists()
 
 
 def _traced_peak(fn, *args, **kwargs):

@@ -316,6 +316,30 @@ def test_ols_raises_where_its_sums_overflow():
         assert fit_lqr(base * 1e160, 0.5).slope == pytest.approx(0.95, rel=1e-12)
 
 
+def test_ols_does_not_depend_on_the_samples_scale():
+    base = np.array([(1.0, 1.0), (2.0, 2.5), (3.0, 2.9)])
+    ref = fit_ols(base)
+    tiny = np.finfo(float).tiny
+    fitted = 0
+    for k in range(-1100, 1101, 7):
+        with np.errstate(over="ignore"):
+            sample = np.ldexp(base, k)
+            want = [np.ldexp(ref.intercept, k), ref.slope, np.ldexp(ref.loss, 2 * k)]
+        representable = all(math.isfinite(w) and abs(w) >= tiny for w in want)
+        try:
+            fit = fit_ols(sample)
+        except DegenerateDesign:
+            assert not representable, k
+            continue
+        assert [fit.intercept, fit.slope, fit.loss] == want, k
+        fitted += 1
+    assert fitted > 100
+    # the loss is subnormal at 1e-160, so the call raises; unscaled sums
+    # underflowed there and returned a slope off by 1e-4
+    with pytest.raises(DegenerateDesign, match="underflows"):
+        fit_ols(base * 1e-160)
+
+
 def test_detect_crossings():
     lines = [
         FittedLine(intercept=0.0, slope=1.0, loss=0.0, tau=0.25),
