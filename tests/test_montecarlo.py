@@ -559,7 +559,7 @@ def test_to_csv_memory_is_bounded(tmp_path):
     size = 100_000
     s = SampleSet(components=rng.random((size, 3)), t1=rng.random(size),
                   t=rng.random(size))
-    # blocks of 65,536 rows peak at about 19 MB here, 1,024-row blocks at 0.3 MB
+    # blocks of 65,536 rows peak at about 50 MB here, 1,024-row blocks at 0.8 MB
     assert _traced_peak(s.to_csv, tmp_path / "big.csv") < 2_000_000
     assert (tmp_path / "big.csv").read_bytes().count(b"\r\n") == size + 1
 

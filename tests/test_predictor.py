@@ -834,20 +834,60 @@ def test_solver_matches_its_earlier_form_bit_for_bit(case):
     assert _traced_solve(_solve_increasing, *case) == _traced_solve(oracle_solve_increasing, *case)
 
 
+def _staircase(h, *values):
+    """f(z) = values[k] on the k-th of len(values) equal slices of [0, h]."""
+    return lambda z: np.float64(values[min(int(float(z) / h * len(values)), len(values) - 1)])
+
+
+# (f, hi, target) of one-entry solves whose steps divide by a signed zero,
+# meet a NaN or a flat law, or start from a subnormal bracket or an extreme level
+IEEE_CORNERS = {
+    "flat at the level": (lambda z: np.minimum(2.0 * z, 1.0) * 0.5, 1.0, 0.5),
+    "flat at the level under a bump": (_staircase(1.0, 0.1, 0.7, 0.5, 0.5), 1.0, 0.5),
+    "not monotone": (_staircase(1.0, 0.0, 0.9, 0.2, 0.6, 0.4, 0.8), 1.0, 0.5),
+    "up from a negative zero": (_staircase(1.0, 0.0, 0.25, -0.0, -0.0), 1.0, 0.0),
+    "NaN below the root": (lambda z: np.where(z < 0.4, np.nan, z), 1.0, 0.5),
+    "NaN above the root": (lambda z: np.where(z > 0.7, np.nan, z), 1.0, 0.3),
+    "NaN islands": (_staircase(1.0, 0.1, np.nan, 0.4, np.nan, 0.9, 1.0), 1.0, 0.6),
+    "step": (_staircase(1.0, 0.25, 0.75), 1.0, 0.5),
+    "step off center": (_staircase(1.0, 0.25, 0.25, 0.25, 0.75, 0.75), 1.0, 0.5),
+    "subnormal hi": (lambda z: (z / 1e-310) ** 2, 1e-310, 0.5),
+    "least subnormal hi": (lambda z: z / 5e-324, 5e-324, 0.5),
+    "step on the least subnormal": (_staircase(5e-324, 0.25, 0.75), 5e-324, 0.5),
+    "least level": (lambda z: z * z, 1.0, 5e-324),
+    "greatest level": (lambda z: np.sqrt(z), 1.0, 1.0 - 2.0 ** -53),
+    "level above f(hi)": (lambda z: 0.5 * z, 1.0, 0.75),
+}
+
+
+@pytest.mark.parametrize("skip", [None, False, True])
+@pytest.mark.parametrize("name", sorted(IEEE_CORNERS))
+def test_solver_matches_its_earlier_form_at_ieee_corners(name, skip):
+    """A 0-d solve takes the earlier form's steps where IEEE and Python floats part."""
+    f, hi, target = IEEE_CORNERS[name]
+    case = (f, np.array(hi), target, None if skip is None else np.array(skip))
+    # the earlier form scales g_lo by m = inf outside its errstate when g_hi is
+    # -0 ("up from a negative zero"): inf * -0 warns there, never in Python floats
+    with np.errstate(invalid="ignore"):
+        want = _traced_solve(oracle_solve_increasing, *case)
+    assert _traced_solve(_solve_increasing, *case) == want
+
+
 def test_solver_leaves_the_error_state_to_f():
     """f runs under the caller's error state, and a warning it raises gets out."""
     before = np.geterr()
-    seen = []
+    for hi in (np.array([1.0, 0.5]), np.array(1.0)):  # the vector and the one-entry form
+        seen = []
 
-    def f(z):
-        seen.append(np.geterr())
-        np.divide(1.0, np.zeros(1))  # warns under the default error state
-        return z
+        def f(z):
+            seen.append(np.geterr())
+            np.divide(1.0, np.zeros(1))  # warns under the default error state
+            return z
 
-    with pytest.warns(RuntimeWarning, match="divide by zero"):
-        _solve_increasing(f, np.array([1.0, 0.5]), 0.25)
-    assert np.geterr() == before
-    assert len(seen) > 1 and all(state == before for state in seen)
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            _solve_increasing(f, hi, 0.25)
+        assert np.geterr() == before
+        assert len(seen) > 1 and all(state == before for state in seen)
 
 
 @given(copula=_copulas, shape=_shapes, mode=st.sampled_from(MODES), t=st.floats(0.0, 60.0),
@@ -890,6 +930,13 @@ def test_grid_quantiles_match_scalar_calls(copula, shape, mode, w):
     # two solves agree to the stopping tolerance, not bit for bit
     np.testing.assert_allclose(p.marginal.sf(grid), p.marginal.sf(scalar),
                                rtol=2 * BISECT_TOL, atol=0.0)
+
+
+def test_quantile_broadcasts_over_every_conditioning_time():
+    # a grid of t1 under one t2 is a stacked solve, as with t2 spread over the grid
+    p = _solver_case("fgm-", None, "two")
+    t1 = np.array([0.1, 0.2, 0.3])
+    assert p.quantile(0.5, t1, 0.6).tolist() == p.quantile(0.5, t1, np.full(3, 0.6)).tolist()
 
 
 @given(copula=_copulas, shape=_shapes, t=st.floats(0.0, 60.0), frac=st.floats(0.01, 0.99))
