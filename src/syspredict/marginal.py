@@ -4,10 +4,17 @@ All identical components share one absolutely continuous marginal with
 support [0, inf).  Everything downstream works through the survival
 function and its inverse, so any family with an exact inverse plugs in.
 
+The exponential law is the shape-1 Weibull and shares its code and its
+bits: `x ** 1.0` is exact.  Shape and scale are positive normal doubles.
+`sf` lets (t/scale)^shape overflow, where F-bar is 0; `inv_sf` raises
+OutOfRange where the lifetime it returns would overflow, be subnormal or
+underflow to 0 from a level below 1.
+
 The range checks keep a scalar 0-d, so the arithmetic after them gives a
 float64 scalar, which numpy's `**` raises with the C library's pow; an
-array of any length takes numpy's SIMD loop instead, and the two can
-differ in the last bits (ROADMAP 9(f)).
+array of any length takes numpy's SIMD loop instead.  For a Weibull shape
+other than 1 the two can differ in the last bits (ROADMAP 9(f)); for the
+exponential, both powers are exact.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NegativeTime, OutOfRange
+
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _check_times(t):
@@ -34,23 +43,6 @@ def _check_probs(p):
 
 
 @dataclass(frozen=True)
-class Exponential:
-    """Exponential lifetimes with the given mean."""
-
-    mean: float = 1.0
-
-    def __post_init__(self):
-        if not self.mean > 0:
-            raise OutOfRange(f"mean must be positive, got {self.mean}")
-
-    def sf(self, t):
-        return np.exp(-_check_times(t) / self.mean)
-
-    def inv_sf(self, p):
-        return -self.mean * np.log(_check_probs(p))
-
-
-@dataclass(frozen=True)
 class Weibull:
     """Weibull lifetimes: F-bar(t) = exp(-(t/scale)^shape)."""
 
@@ -58,17 +50,42 @@ class Weibull:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise OutOfRange("shape and scale must be positive")
+        if not (_TINY <= self.shape <= _HUGE and _TINY <= self.scale <= _HUGE):
+            raise OutOfRange("shape and scale must be positive normal doubles, "
+                             f"got {self.shape} and {self.scale}")
 
     def sf(self, t):
-        return np.exp(-((_check_times(t) / self.scale) ** self.shape))
+        with np.errstate(over="ignore"):  # an overflowed hazard is F-bar = 0
+            return np.exp(-((_check_times(t) / self.scale) ** self.shape))
 
     def inv_sf(self, p):
-        return self.scale * (-np.log(_check_probs(p))) ** (1.0 / self.shape)
+        hazard = -np.log(_check_probs(p))
+        with np.errstate(over="ignore"):
+            t = self.scale * hazard ** (1.0 / self.shape)
+        # a positive hazard must give a normal lifetime: 0 is right only at p = 1
+        if not np.logical_and.reduce((t <= _HUGE) & ((t >= _TINY) | (hazard == 0)), axis=None):
+            raise OutOfRange("the lifetime at this survival level overflows or underflows "
+                             "a double")
+        return t
 
 
-def marginal_from_config(doc) -> Exponential | Weibull:
+class Exponential(Weibull):
+    """Exponential lifetimes with the given mean: the shape-1 Weibull."""
+
+    def __init__(self, mean=1.0):
+        if not mean > 0:
+            raise OutOfRange(f"mean must be positive, got {mean}")
+        Weibull.__init__(self, shape=1.0, scale=mean)
+
+    @property
+    def mean(self):
+        return self.scale
+
+    def __repr__(self):
+        return f"Exponential(mean={self.scale!r})"
+
+
+def marginal_from_config(doc) -> Weibull:
     """Build a marginal from its config mapping."""
     family = doc.get("family")
     if family == "exponential":

@@ -56,7 +56,8 @@ Jacobian.  Nodes where F-bar(y) underflows to 0 add law(0) = 0.  The rule at
 half the nodes (every other one) estimates the error, the last node's
 term the tail cut off beyond it; a point whose estimate exceeds 1e-8 of
 the integral raises QuadratureFailure, as does a horizon whose F-bar
-underflows.
+underflows.  A sigma whose F-bar^-1 overflows raises OutOfRange, and a
+node y that overflows counts as F-bar(y) = 0 under the error estimate.
 """
 
 from __future__ import annotations
@@ -150,11 +151,13 @@ def _solve_increasing(f, hi, target, skip=None):
         up = live & (g >= 0)
         down = live ^ up
         # an end kept while the other moves twice in a row has its value scaled by m
+        # (m is inf after a division by an end value of -0: the NaN of inf * -0
+        # then sends the next trial point to the midpoint)
         with np.errstate(divide="ignore", invalid="ignore"):
             m = 1.0 - g / np.where(up, g_hi, g_lo)
-        m = np.where(m > 0, m, 0.5)
-        g_lo = np.where(up & was_up, m * g_lo, np.where(down, g, g_lo))
-        g_hi = np.where(down & was_down, m * g_hi, np.where(up, g, g_hi))
+            m = np.where(m > 0, m, 0.5)
+            g_lo = np.where(up & was_up, m * g_lo, np.where(down, g, g_lo))
+            g_hi = np.where(down & was_down, m * g_hi, np.where(up, g, g_hi))
         hi = np.where(up, z, hi)
         lo = np.where(down, z, lo)
         was_up, was_down = up, down
@@ -230,7 +233,7 @@ def _tail_mean(law, marginal, horizon, zmax):
     if np.any(edge == 0.0):
         raise QuadratureFailure("F-bar(horizon) underflows to 0: the tail has no scale")
     sigma = marginal.inv_sf(edge) - horizon
-    with np.errstate(over="ignore"):  # the far nodes overflow a steep hazard to F-bar = 0
+    with np.errstate(over="ignore"):  # sigma * s can overflow at far nodes: sf(inf) = 0
         z = np.minimum(marginal.sf(horizon + sigma * _NODES), zmax)
     f = np.ascontiguousarray(law(z))  # matmul adds a strided operand in another order
     fine = f @ _WEIGHTS

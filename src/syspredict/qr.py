@@ -327,13 +327,42 @@ def _rescore(x, y, tau, chunks):
 
 
 def fit_lqr(pairs, tau) -> FittedLine:
-    """Exact linear tau-quantile regression over the candidate-line set."""
+    """Exact linear tau-quantile regression over the candidate-line set.
+
+    The fit runs on the sample scaled by powers of two, and its line and
+    loss are scaled back, as in `fit_ols`: the same bits at every scale, or
+    DegenerateDesign where the line or its loss overflows, is subnormal or
+    underflows to 0.
+    """
     tau = float(tau)
     if not 0.0 < tau < 1.0:
         raise OutOfRange(f"tau must lie in (0, 1), got {tau}")
-    x, y = _as_xy(pairs)
-    a, b, loss = _fit(x, y, tau)
+    x, y, ex, ey = _unit_scaled(*_as_xy(pairs))
+    # the pinball loss is linear in y, so it scales back as the intercept does
+    a, b, loss = _scaled_back(_fit(x, y, tau), [ey, ey - ex, ey], "the quantile line")
     return FittedLine(intercept=a, slope=b, loss=loss, tau=tau)
+
+
+def _unit_scaled(x, y):
+    """(x 2^-ex, y 2^-ey, ex, ey): the powers of two bring max |x| and max |y|
+    into [1/2, 1), so a fit on the scaled sample does not depend on its scale."""
+    ex, ey = (int(np.frexp(np.max(np.abs(c)))[1]) for c in (x, y))
+    return np.ldexp(x, -ex), np.ldexp(y, -ey), ex, ey
+
+
+def _scaled_back(fitted, exponents, what):
+    """The fitted values times 2^exponents, exact in the normal range.
+
+    Raises DegenerateDesign where one overflows, is subnormal or underflows
+    to 0 from a nonzero value.
+    """
+    scaled = np.array(fitted)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(scaled, exponents)
+    normal = np.abs(values) >= np.finfo(float).tiny
+    if not np.all(np.isfinite(values) & (normal | (scaled == 0))):
+        raise DegenerateDesign(f"{what} overflows or underflows in double precision")
+    return values.tolist()
 
 
 def fit_ols(pairs) -> FittedLine:
@@ -345,20 +374,13 @@ def fit_ols(pairs) -> FittedLine:
     steps are exact in the normal range).  Raises DegenerateDesign when the
     line or its loss overflows, is subnormal or underflows to 0.
     """
-    x, y = _as_xy(pairs)
-    ex, ey = (int(np.frexp(np.max(np.abs(c)))[1]) for c in (x, y))
-    x, y = np.ldexp(x, -ex), np.ldexp(y, -ey)
+    x, y, ex, ey = _unit_scaled(*_as_xy(pairs))
     xm, ym = x.mean(), y.mean()
     slope = float(np.sum((x - xm) * (y - ym)) / np.sum((x - xm) ** 2))
     intercept = float(ym - slope * xm)
     loss = float(np.sum((y - intercept - slope * x) ** 2))
-    scaled = np.array([intercept, slope, loss])
-    with np.errstate(over="ignore"):
-        line = np.ldexp(scaled, [ey, ey - ex, 2 * ey])
-    normal = np.abs(line) >= np.finfo(float).tiny
-    if not np.all(np.isfinite(line) & (normal | (scaled == 0))):
-        raise DegenerateDesign("least squares overflows or underflows in double precision")
-    intercept, slope, loss = line.tolist()
+    intercept, slope, loss = _scaled_back([intercept, slope, loss], [ey, ey - ex, 2 * ey],
+                                          "least squares")
     return FittedLine(intercept=intercept, slope=slope, loss=loss)
 
 

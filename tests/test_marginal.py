@@ -73,3 +73,64 @@ def test_from_config():
     assert isinstance(w, Weibull) and (w.shape, w.scale) == (2.0, 0.5)
     with pytest.raises(ConfigError):
         marginal_from_config({"family": "lognormal"})
+
+
+def test_exponential_is_the_shape_one_weibull():
+    m = Exponential(2.0)
+    assert isinstance(m, Weibull) and (m.shape, m.scale, m.mean) == (1.0, 2.0, 2.0)
+    assert "sf" not in vars(Exponential) and "inv_sf" not in vars(Exponential)
+    assert m == Exponential(mean=2.0) and hash(m) == hash(Exponential(2.0))
+    assert m != Weibull(1.0, 2.0) and m != Exponential(3.0)
+    assert repr(m) == "Exponential(mean=2.0)"
+    with pytest.raises(AttributeError):
+        m.mean = 3.0
+
+
+@pytest.mark.parametrize("mu", [2.0 ** -1000, 0.37, 1.0, 2.0 ** 40, 1e300])
+def test_exponential_keeps_the_bits_of_its_own_formulas(mu):
+    """The shared Weibull path gives exp(-t / mu) and -mu log(p), bit for bit."""
+    m = Exponential(mu)
+    t = np.array([0.0, 5e-324, 0.37, 1.0, 745.0, 1e300, mu / 3.0, mu, 40.0 * mu, 800.0 * mu])
+    p = np.array([1.0, 1.0 - 2.0 ** -53, 0.5, 0.37, 1e-5, 1e-300, 5e-324])
+    # a subnormal lifetime raises (below); the rest keep their bits
+    subnormal = -mu * np.log(p) < np.finfo(float).tiny
+    p, low = p[~subnormal | (p == 1.0)], p[subnormal & (p < 1.0)]
+
+    def bits(x):
+        return type(x), [v.hex() for v in np.ravel(x).tolist()]
+
+    for form in (np.asarray, lambda a: [np.array(v) for v in a], lambda a: a.tolist()):
+        for x, got, want in ((form(t), m.sf, lambda t: np.exp(-t / mu)),
+                             (form(p), m.inv_sf, lambda p: -mu * np.log(p))):
+            with np.errstate(over="ignore"):  # t / mu overflows where F-bar is 0
+                pairs = [(got(x), want(x))] if isinstance(x, np.ndarray) else [
+                    (got(v), want(v)) for v in x]
+            for g, w in pairs:
+                assert bits(g) == bits(w)
+    assert m.inv_sf(1.0).hex() == "-0x0.0p+0"
+    for level in low:
+        with pytest.raises(OutOfRange, match="underflows"):
+            m.inv_sf(level)
+
+
+def test_parameters_and_values_at_the_ends_of_the_double_range():
+    for bad in (5e-324, 1e-310, np.inf, np.nan):
+        with pytest.raises(OutOfRange, match="normal doubles"):
+            Weibull(bad, 1.0)
+        with pytest.raises(OutOfRange, match="normal doubles"):
+            Weibull(1.0, bad)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    assert Exponential(tiny).mean == tiny and Weibull(huge, huge).scale == huge
+    # (t / scale)^shape overflows where F-bar is 0, with no RuntimeWarning
+    assert Weibull(3.0, 1e-300).sf(1e300) == 0.0
+    assert Exponential(1e-300).sf(np.array([1e300, np.inf])).tolist() == [0.0, 0.0]
+    assert Weibull(0.5, 1.0).sf(huge) == 0.0
+    # inv_sf raises where the lifetime overflows or underflows, with no RuntimeWarning
+    assert Exponential(1e308).inv_sf(0.5) == 1e308 * -np.log(0.5)
+    with pytest.raises(OutOfRange, match="overflows"):
+        Weibull(0.001, 1.0).inv_sf(np.array([0.5, 1e-300]))
+    assert Exponential(tiny).inv_sf(np.exp(-1.0)) == tiny
+    with pytest.raises(OutOfRange, match="underflows"):
+        Exponential(tiny).inv_sf(0.5)  # was a subnormal
+    with pytest.raises(OutOfRange, match="underflows"):
+        Weibull(0.01, 1.0).inv_sf(0.99999)  # was 0

@@ -835,8 +835,10 @@ def test_solver_matches_its_earlier_form_bit_for_bit(case):
 
 
 def _staircase(h, *values):
-    """f(z) = values[k] on the k-th of len(values) equal slices of [0, h]."""
-    return lambda z: np.float64(values[min(int(float(z) / h * len(values)), len(values) - 1)])
+    """f(z) = values[k] on the k-th of len(values) equal slices of [0, h], elementwise."""
+    values = np.array(values)
+    return lambda z: values[np.minimum((np.asarray(z) / h * len(values)).astype(int),
+                                       len(values) - 1)]
 
 
 # (f, hi, target) of one-entry solves whose steps divide by a signed zero,
@@ -869,6 +871,17 @@ def test_solver_matches_its_earlier_form_at_ieee_corners(name, skip):
     # the earlier form scales g_lo by m = inf outside its errstate when g_hi is
     # -0 ("up from a negative zero"): inf * -0 warns there, never in Python floats
     with np.errstate(invalid="ignore"):
+        want = _traced_solve(oracle_solve_increasing, *case)
+    assert _traced_solve(_solve_increasing, *case) == want
+
+
+@pytest.mark.parametrize("skip", [None, False, True])
+@pytest.mark.parametrize("name", sorted(IEEE_CORNERS))
+def test_solver_matches_its_earlier_form_at_ieee_corners_stacked(name, skip):
+    """The vector form on a (1,) bracket takes the earlier form's steps, warning-free."""
+    f, hi, target = IEEE_CORNERS[name]
+    case = (f, np.array([hi]), target, None if skip is None else np.array([skip]))
+    with np.errstate(invalid="ignore"):  # the earlier form's inf * -0, as above
         want = _traced_solve(oracle_solve_increasing, *case)
     assert _traced_solve(_solve_increasing, *case) == want
 

@@ -200,9 +200,12 @@ def test_degenerate_designs():
         fit_lqr([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)], 0.5)
     with pytest.raises(DegenerateDesign):
         fit_ols([(2.0, 1.0), (2.0, 5.0)])
-    # a slope of 1e300 / 1e-300 overflows
+    # a slope of 1 / 1e-310 overflows, on the sample scaled by powers of two too
     with pytest.raises(DegenerateDesign, match="^the sample's pair slopes overflow its residuals$"):
-        fit_lqr([(0.0, 0.0), (1e-300, 1e300), (1.0, 0.0)], 0.5)
+        fit_lqr([(0.0, 0.0), (1e-310, 1.0), (1.0, 0.0)], 0.5)
+    # the pair slope 1e300 / 1e-300 overflows unscaled, not scaled: the fit answers
+    fit = fit_lqr([(0.0, 0.0), (1e-300, 1e300), (1.0, 0.0)], 0.5)
+    assert (fit.intercept, fit.slope, fit.loss) == (0.0, 0.0, 0.5 * 1e300)
     for bad in (np.nan, np.inf, -np.inf):
         for pairs in ([(0.0, 1.0), (1.0, bad), (2.0, 3.0)],
                       [(0.0, 1.0), (bad, 2.0), (2.0, 3.0)]):
@@ -338,6 +341,32 @@ def test_ols_does_not_depend_on_the_samples_scale():
     # underflowed there and returned a slope off by 1e-4
     with pytest.raises(DegenerateDesign, match="underflows"):
         fit_ols(base * 1e-160)
+
+
+@pytest.mark.parametrize("kx, ky", [(-1000, -1000), (1000, 1000), (5, -7), (-300, 200)])
+def test_lqr_matches_the_oracle_on_samples_scaled_by_powers_of_two(kx, ky):
+    tiny = np.finfo(float).tiny
+    for name, x, y in oracle_designs():
+        x, y = np.ldexp(x, kx), np.ldexp(y, ky)
+        for tau in (0.1, 0.5, 0.9):
+            want = [float(v) for v in oracle_scan(x, y, tau)]
+            try:
+                got = hex_fit(x, y, tau)
+            except DegenerateDesign:
+                assert any(0.0 < abs(v) < tiny for v in want), f"{name}, tau={tau}"
+                continue
+            assert got == [v.hex() for v in want], f"{name}, tau={tau}"
+
+
+def test_lqr_raises_where_its_line_leaves_the_normal_range():
+    # the horizontal line through the two 5e-324 points has the smaller exact
+    # loss, 2.5e-324 against 5e-324, yet both round to 0: unscaled, the
+    # tie-break returned the line (0, 0) with loss 0
+    with pytest.raises(DegenerateDesign, match="underflows"):
+        fit_lqr([(0.0, 5e-324), (1e-320, 0.0), (2e-320, 5e-324)], 0.5)
+    # unscaled, the range of y overflowed with a RuntimeWarning
+    with pytest.raises(DegenerateDesign, match="^the quantile line overflows"):
+        fit_lqr([(float(i), 1.7e308 * (-1) ** i) for i in range(6)], 0.5)
 
 
 def test_detect_crossings():
