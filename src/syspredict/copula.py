@@ -10,6 +10,11 @@ its mask marks, so a stack of points with a different set per row costs one
 call, and an unmarked row is the value (`eval`).  Each family also samples
 itself by closed-form conditional inversion.
 
+The predictors call these kernels under the Clayton pair only.  Product
+and FGM are exchangeable, so their conditional laws go by count pattern
+(`distortion._PatternSum`), which restates the FGM kernel, with theta = 0
+for the product, as a polynomial in the count of coordinates per variable.
+
 Families:
 
 * ``ProductCopula`` -- independent components.

@@ -18,9 +18,19 @@ this region; the region rules beyond it live with the test oracles.
 
 All of these are one object, `_TermSum`: the signed sum over the joint
 expansion of k structures, whose `partial(*variables)` evaluates any mixed
-partial in distinct variables (none: the value).  The predictors read their
-conditional laws from `_TermSum` directly; `UnivariateDistortion` names
-q-bar for one system lifetime.
+partial in distinct variables (none: the value).  `UnivariateDistortion`
+names q-bar for one system lifetime.
+
+Under the exchangeable product and FGM copulas a row's value depends only
+on how many of its coordinates carry each variable, undifferentiated, and
+on whether it pins any coordinate to 1.  `_PatternSum` merges the rows of a
+partial by that count pattern (the signature view of Samaniego 1985 and
+of Navarro, Samaniego & Balakrishnan 2010) into exact integer
+coefficients, and folds the values of the differentiated variables into
+per-point coefficients of a polynomial in the free one, which it then
+evaluates with + and x alone: in Python floats or in numpy arrays, with the
+same bits.  The predictors read their laws from `_law_sum`: a `_PatternSum`
+under product and FGM, a `_TermSum` under the Clayton pair.
 
 Every expansion is the product of the structures' merged univariate
 expansions (SystemStructure.inclusion_exclusion), merged again over equal
@@ -35,7 +45,7 @@ from math import prod
 
 import numpy as np
 
-from .copula import SurvivalCopula, _check_unit
+from .copula import FGMCopula, ProductCopula, SurvivalCopula, _check_unit
 from .errors import DimensionMismatch, TermLimitExceeded
 from .structure import TERM_BUDGET, SystemStructure, _indices
 
@@ -71,6 +81,14 @@ def _joint_terms(*structures):
     return tuple((coeff, key) for key, coeff in items if coeff != 0)
 
 
+def _check_dimensions(copula, structures):
+    for s in structures:
+        if s.n != copula.n:
+            raise DimensionMismatch(
+                f"structure has {s.n} components but the copula has {copula.n}"
+            )
+
+
 class _TermSum:
     """Signed sum of copula slices over the joint expansion of some structures.
 
@@ -87,11 +105,7 @@ class _TermSum:
     """
 
     def __init__(self, copula: SurvivalCopula, *structures: SystemStructure):
-        for s in structures:
-            if s.n != copula.n:
-                raise DimensionMismatch(
-                    f"structure has {s.n} components but the copula has {copula.n}"
-                )
+        _check_dimensions(copula, structures)
         self.copula = copula
         self._nvars = len(structures)
         terms = _joint_terms(*structures)
@@ -143,6 +157,109 @@ class _TermSum:
                            for var in range(self._nvars)))
             for c, row in zip(self._coeffs, self._layout)
         )
+
+
+class _PatternSum:
+    """`_TermSum`'s sum under a product or FGM copula, by count pattern.
+
+    A row of the mixed partial in the leading variables 0..k-1 chooses one
+    coordinate carrying each of them; the variable after them, if any, is
+    free.  With n_v undifferentiated coordinates per differentiated
+    variable and a carrying the free one, the row's value is the FGM kernel
+
+        prod c_v^n_v z^a + theta prod (1 - 2 c_v) (c_v (1 - c_v))^n_v (z (1 - z))^a,
+
+    whose theta part is 0 where the row pins a coordinate to 1, and for the
+    product copula (theta = 0).  A term whose masks hold m_v coordinates per
+    variable has prod m_v rows over the differentiated v, all with
+    n_v = m_v - 1, so its rows merge into one integer coefficient per count
+    pattern (n_v, a).
+    """
+
+    def __init__(self, copula: SurvivalCopula, *structures: SystemStructure):
+        _check_dimensions(copula, structures)
+        self.theta = float(getattr(copula, "theta", 0.0))
+        self.n = copula.n
+        self._counts = [(coeff, [m.bit_count() for m in masks])
+                        for coeff, masks in _joint_terms(*structures)]
+
+    def partial(self, *variables):
+        """The `_Polynomial` of the mixed partial in `variables`.
+
+        They are the leading variables 0..k-1, and at most one is left free,
+        as in every law the predictors read.
+        """
+        k = len(variables)
+        acc = {}  # (power of z, undifferentiated counts, no pinned coordinate) -> coeff
+        for coeff, counts in self._counts:
+            rows = prod(counts[:k])
+            if rows:
+                key = (sum(counts[k:]), tuple(m - 1 for m in counts[:k]), sum(counts) == self.n)
+                acc[key] = acc.get(key, 0) + coeff * rows
+        patterns = sorted((a, counts, coeff, full and self.theta != 0.0)
+                          for (a, counts, full), coeff in acc.items() if coeff)
+        return _Polynomial(patterns, k, self.theta)
+
+
+class _Polynomial:
+    """Evaluator ``(*values) -> sum`` of one count-pattern partial (see `_PatternSum`).
+
+    `fold(*c)` reduces the factors of the differentiated variables c once, to
+    (kept, bent) per pattern; the free variable z then costs, per pattern,
+    coeff * (kept * z^a + bent * (z (1 - z))^a), the coefficient applied last
+    as the row kernel applies it.  Powers are repeated products and nothing
+    but + and x touches z, so a float and an array entry give the same bits.
+    """
+
+    def __init__(self, patterns, k, theta):
+        self._patterns = patterns
+        self._k = k
+        self._theta = theta
+
+    def fold(self, *c):
+        """z -> the partial at (c, z); with no free variable it ignores z."""
+        sign = self._theta
+        for v in c:
+            sign = sign * (1.0 - 2.0 * v)
+        spread = [v * (1.0 - v) for v in c]
+        terms = []
+        for a, counts, coeff, bends in self._patterns:
+            kept, bent = 1.0, sign if bends else None
+            for v, s, n in zip(c, spread, counts):
+                for _ in range(n):
+                    kept = kept * v
+                    bent = None if bent is None else bent * s
+            terms.append((a, coeff, kept, bent))
+        bends = any(bent is not None for *_, bent in terms) and terms[-1][0] > 0
+
+        def at(z):
+            w = z * (1.0 - z) if bends else None
+            total, power, zp, wp = 0.0, 0, 1.0, 1.0
+            for a, coeff, kept, bent in terms:
+                for _ in range(a - power):
+                    zp = zp * z
+                    wp = wp * w if bends else wp
+                power = a
+                part = kept * zp
+                if bent is not None:
+                    part = part + bent * wp
+                total = total + coeff * part
+            return total
+
+        return at
+
+    def __call__(self, *values):
+        for v in values:
+            _check_unit(np.asarray(v))
+        free = values[self._k] if len(values) > self._k else None
+        return self.fold(*values[:self._k])(free)
+
+
+def _law_sum(copula: SurvivalCopula, *structures: SystemStructure):
+    """The sum the predictors read their laws from: by count pattern where one exists."""
+    if isinstance(copula, (ProductCopula, FGMCopula)):
+        return _PatternSum(copula, *structures)
+    return _TermSum(copula, *structures)
 
 
 class UnivariateDistortion:

@@ -6,9 +6,17 @@ function and its inverse, so any family with an exact inverse plugs in.
 
 The exponential law is the shape-1 Weibull and shares its code and its
 bits: `x ** 1.0` is exact.  Shape and scale are positive normal doubles.
-`sf` lets (t/scale)^shape overflow, where F-bar is 0; `inv_sf` raises
+`sf` is 0 where (t/scale)^shape would overflow; `inv_sf` raises
 OutOfRange where the lifetime it returns would overflow, be subnormal or
 underflow to 0 from a level below 1.
+
+Both guards are decided once, at construction, from shape and scale.  `sf`
+caps t at a time whose F-bar is already 0, so neither t/scale nor the
+power can overflow.  `inv_sf` skips its range check where the lifetimes of
+the smallest and largest positive hazards, -log(1 - 2^-53) and
+-log(5e-324), are normal with a factor 2 to spare, since every other
+lifetime lies between them.  Only parameters near the ends of the double
+range keep the per-call `np.errstate` and range check.
 
 The range checks keep a scalar 0-d, so the arithmetic after them gives a
 float64 scalar, which numpy's `**` raises with the C library's pow; an
@@ -53,13 +61,42 @@ class Weibull:
         if not (_TINY <= self.shape <= _HUGE and _TINY <= self.scale <= _HUGE):
             raise OutOfRange("shape and scale must be positive normal doubles, "
                              f"got {self.shape} and {self.scale}")
+        object.__setattr__(self, "_cap", self._sf_cap())
+        object.__setattr__(self, "_inverse_in_range", self._normal_lifetimes())
+
+    def _sf_cap(self):
+        """A time past which F-bar is 0 and below which nothing overflows, or None.
+
+        At t = scale * 1000^(1/shape) the hazard is about 1000, past the
+        745 where exp(-hazard) rounds to 0, so min(t, cap) gives the same
+        F-bar for every t.  None where no such double exists or its hazard
+        misses either bound, in the scalar or the array power.
+        """
+        with np.errstate(all="ignore"):
+            cap = np.float64(self.scale) * np.float64(1000.0) ** (1.0 / self.shape)
+            hazards = [(cap / self.scale) ** self.shape,
+                       (np.full(2, cap) / self.scale) ** self.shape]
+        return cap if all(np.all((h >= 800.0) & (h <= _HUGE)) for h in hazards) else None
+
+    def _normal_lifetimes(self):
+        """True where `inv_sf` cannot overflow or underflow at any level."""
+        hazards = -np.log(np.array([1.0 - 2.0 ** -53, 5e-324]))
+        with np.errstate(all="ignore"):
+            lifetimes = [self.scale * hazards[i] ** (1.0 / self.shape) for i in range(2)]
+            lifetimes.append(self.scale * hazards ** (1.0 / self.shape))
+        return all(np.all((t >= 2.0 * _TINY) & (t <= 0.5 * _HUGE)) for t in lifetimes)
 
     def sf(self, t):
+        t = _check_times(t)
+        if self._cap is not None:
+            return np.exp(-((np.minimum(t, self._cap) / self.scale) ** self.shape))
         with np.errstate(over="ignore"):  # an overflowed hazard is F-bar = 0
-            return np.exp(-((_check_times(t) / self.scale) ** self.shape))
+            return np.exp(-((t / self.scale) ** self.shape))
 
     def inv_sf(self, p):
         hazard = -np.log(_check_probs(p))
+        if self._inverse_in_range:
+            return self.scale * hazard ** (1.0 / self.shape)
         with np.errstate(over="ignore"):
             t = self.scale * hazard ** (1.0 / self.shape)
         # a positive hazard must give a normal lifetime: 0 is right only at p = 1

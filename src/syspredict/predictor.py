@@ -22,7 +22,14 @@ survived and renormalizes the law by alpha(t).
 
 Each conditioning point's law is built once per solve: den and alpha
 depend only on c, so every solver step and quadrature node evaluates
-just the numerator.  Subclasses name their observed structures; the map
+just the numerator.  Under the product and FGM copulas num and den go by
+count pattern (`distortion._PatternSum`): the numerator's c factors are
+folded once per point too, and a law evaluation is a short polynomial in
+z with + and x only, on Python floats for a one-entry law (every c a
+scalar) and on numpy arrays otherwise, with the same bits.  The Clayton
+pair sums its rows (`distortion._TermSum`), whose powers differ in the last
+bits between the C library and numpy's SIMD loop.  Subclasses name their
+observed structures; the map
 from conditioning times to (horizon, c), quantiles, means, survival,
 alpha and bands are shared.  The k-of-n shortcut `kofn_quantile_factor`
 inverts its scalar binomial law by bisection over the ordered doubles of
@@ -36,7 +43,8 @@ It stops once the bracket is within a relative 1e-12 of its upper end (at
 most 200 iterations), so the stopping point does not depend on the scale
 of F-bar(horizon).  Stacked solves step in numpy; a one-entry solve, the
 scalar `quantile(w, t)`, takes the same steps with the same arithmetic in
-Python floats, which spares it numpy's per-call cost.  The earlier solver
+Python floats, law included under product and FGM, which spares it
+numpy's per-call cost.  The earlier solver
 kept in tests/solver_oracle.py is the reference for both forms, bit for
 bit.  Over the test designs (t up to 60, Exp and Weibull
 shapes 0.5-4) a level in [0.01, 0.99] takes a median of 7 law
@@ -68,7 +76,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distortion import UnivariateDistortion, _TermSum
+from .distortion import UnivariateDistortion, _law_sum
 from .errors import (
     DegenerateDenominator,
     InvalidOrder,
@@ -105,6 +113,13 @@ def _scalar_like(out, *inputs):
     if all(np.ndim(x) == 0 for x in inputs):
         return float(np.asarray(out))
     return out
+
+
+def _clip_unit(x):
+    """x clipped to [0, 1] as numpy clips, a Python float in Python (NaN and -0 pass)."""
+    if type(x) is float:
+        return min(max(x, 0.0), 1.0)
+    return x.clip(0.0, 1.0)
 
 
 def _solve_increasing(f, hi, target, skip=None):
@@ -181,14 +196,13 @@ def _solve_one(f, hi, target, skip):
     so the trial points and the root agree bit for bit.  numpy's clip passes
     a NaN trial point through to the midpoint test; here that test comes
     first.  The clip's bounds are never NaN and a trial point is never -0, so
-    two comparisons clip as numpy does.  f still gets 0-d float64 arrays,
-    under the caller's error state.
+    two comparisons clip as numpy does.  f gets Python floats, under the
+    caller's error state.
     """
-    target = float(target)
+    target, hi = float(target), float(hi)
     g_hi = float(f(hi)) - target
     if g_hi < 0 and not skip:
         raise NotInvertible("survival level cannot be bracketed on (0, F-bar(t)]")
-    hi = float(hi)
     lo = hi if skip else 0.0
     g_lo = -target
     was_up = was_down = False
@@ -204,7 +218,7 @@ def _solve_one(f, hi, target, skip):
             pad = BISECT_TOL / 3 * hi
             z = z if z > lo + pad else lo + pad
             z = z if z < hi - pad else hi - pad
-        g = float(f(np.array(z))) - target
+        g = float(f(z)) - target
         up = g >= 0
         # an end kept while the other moves twice in a row has its value scaled by m
         if up:
@@ -284,8 +298,8 @@ class _PredictorCore:
         # num(*c, z), den(*c): the mixed partial in the k observed variables
         # of the ordered sum with the system, and of the observed sum alone
         variables = range(len(observed))
-        self._num = _TermSum(copula, *observed, system).partial(*variables)
-        self._den = _TermSum(copula, *observed).partial(*variables)
+        self._num = _law_sum(copula, *observed, system).partial(*variables)
+        self._den = _law_sum(copula, *observed).partial(*variables)
         self.marginal = marginal
 
     def _point(self, *times):
@@ -301,13 +315,17 @@ class _PredictorCore:
         alpha = S(F-bar(horizon) | c) before any renormalization; it is None
         in strict mode, where neither an atom nor the alive condition needs it.
         """
+        if all(np.ndim(x) == 0 for x in c):
+            c = tuple(float(x) for x in c)  # a one-entry law steps in Python floats
         den = self._den(*c)
         # a subnormal den has lost digits, and the law divided by it drifts
         if not np.all(np.isfinite(den) & (np.abs(den) >= np.finfo(float).tiny)):
             raise DegenerateDenominator(self._degenerate)
+        fold = getattr(self._num, "fold", None)
+        num = fold(*c) if fold else lambda z: self._num(*c, z)
 
         def law(z):
-            return (self._num(*c, z) / den).clip(0.0, 1.0)
+            return _clip_unit(num(z) / den)
 
         if self.mode == "strict":
             return law, None
@@ -319,7 +337,7 @@ class _PredictorCore:
         def alive(z):
             if void:
                 raise ZeroAlpha("system cannot survive the conditioning time")
-            return (law(z) / alpha).clip(0.0, 1.0)
+            return _clip_unit(law(z) / alpha)
 
         return alive, alpha
 

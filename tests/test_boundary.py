@@ -1,8 +1,9 @@
 """Right or raise at the API boundary, over the whole double range.
 
 Every public call below either returns finite values in range or raises a
-SysPredictError: survival lies in [0, 1], a quantile and a mean at or past
-the horizon, lifetimes at or past 0.  Parameters are drawn log-uniform over
+SysPredictError: survival and alpha lie in [0, 1], a quantile, a mean and
+both band edges at or past the horizon (the last observed failure; one or
+two failures observed), lifetimes at or past 0.  Parameters are drawn log-uniform over
 the normal doubles, times from 0 to the largest double, and levels down to
 5e-324 and up to 1 - 2^-53.  Two identities are exact where a call answers:
 scaling by a power of two, and the product relay's closed-form mean.
@@ -24,9 +25,12 @@ from syspredict import (
     Exponential,
     FGMCopula,
     ProductCopula,
+    TwoFailurePredictor,
     Weibull,
     fit_lqr,
     fit_ols,
+    k_out_of_n,
+    parallel,
     series,
     simulate,
 )
@@ -49,6 +53,13 @@ marginals = st.one_of(st.builds(Exponential, normals), st.builds(Weibull, normal
 def _relay(copula, marginal):
     """The strict relay observed at its first failure, one per design."""
     return EarlyFailurePredictor(series(3), RELAY, COPULAS[copula], marginal)
+
+
+@functools.lru_cache(maxsize=None)
+def _two(copula, marginal):
+    """series(3) / 2-of-3 / parallel(3): the system observed at its first two failures."""
+    return TwoFailurePredictor(series(3), k_out_of_n(2, 3), parallel(3), COPULAS[copula],
+                               marginal)
 
 
 def _answer(call, *args):
@@ -77,14 +88,35 @@ def test_marginal_answers_in_range_or_raises(marginal, t, p, seed):
     assert _in_range(sample, 0.0)
 
 
+def _check_predictor(p, cond, y, w, kind):
+    """survival, alpha in [0, 1]; quantile, mean and band edges at or past the horizon."""
+    horizon = cond[-1]
+    assert _in_range(_answer(p.survival, y, *cond), 0.0, 1.0)
+    assert _in_range(_answer(p.alpha, *cond), 0.0, 1.0)
+    assert _in_range(_answer(p.quantile, w, *cond), horizon)
+    assert _in_range(_answer(p.mean, *cond), horizon)
+    try:
+        band = p.band(kind, w)
+    except SysPredictError:
+        return
+    lower, upper = _answer(band.lower, *cond), _answer(band.upper, *cond)
+    assert _in_range(lower, horizon) and _in_range(upper, horizon)
+    if lower is not None and upper is not None:
+        assert lower <= upper
+
+
 @given(copula=st.sampled_from(sorted(COPULAS)), marginal=marginals, t=times, y=times,
-       w=levels)
+       w=levels, kind=st.sampled_from(["centered", "bottom"]))
 @settings(max_examples=150, deadline=None)
-def test_relay_answers_in_range_or_raises(copula, marginal, t, y, w):
-    p = _relay(copula, marginal)
-    assert _in_range(_answer(p.survival, y, t), 0.0, 1.0)
-    assert _in_range(_answer(p.quantile, w, t), t)
-    assert _in_range(_answer(p.mean, t), t)
+def test_relay_answers_in_range_or_raises(copula, marginal, t, y, w, kind):
+    _check_predictor(_relay(copula, marginal), (t,), y, w, kind)
+
+
+@given(copula=st.sampled_from(sorted(COPULAS)), marginal=marginals, t1=times, t2=times,
+       y=times, w=levels, kind=st.sampled_from(["centered", "bottom"]))
+@settings(max_examples=150, deadline=None)
+def test_two_failure_answers_in_range_or_raises(copula, marginal, t1, t2, y, w, kind):
+    _check_predictor(_two(copula, marginal), (min(t1, t2), max(t1, t2)), y, w, kind)
 
 
 @given(j=st.integers(-1022, 1023), t=times, w=levels)

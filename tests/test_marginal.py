@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syspredict import Exponential, Weibull
 from syspredict.errors import ConfigError, NegativeTime, OutOfRange
@@ -134,3 +138,43 @@ def test_parameters_and_values_at_the_ends_of_the_double_range():
         Exponential(tiny).inv_sf(0.5)  # was a subnormal
     with pytest.raises(OutOfRange, match="underflows"):
         Weibull(0.01, 1.0).inv_sf(0.99999)  # was 0
+
+
+_normals = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1022, 1023))
+
+
+def _guarded_sf(m, t):
+    """F-bar as computed before the guards were decided at construction."""
+    with np.errstate(over="ignore"):
+        return np.exp(-((np.asarray(t, dtype=float) / m.scale) ** m.shape))
+
+
+def _guarded_inv_sf(m, p):
+    hazard = -np.log(np.asarray(p, dtype=float))
+    with np.errstate(over="ignore"):
+        t = m.scale * hazard ** (1.0 / m.shape)
+    if not np.all((t <= np.finfo(float).max) & ((t >= np.finfo(float).tiny) | (hazard == 0))):
+        return None
+    return t
+
+
+@given(shape=st.one_of(_normals, st.floats(0.3, 5.0)),
+       scale=st.one_of(_normals, st.floats(0.1, 10.0)),
+       t=st.lists(st.one_of(st.floats(0.0, 1e3), st.floats(0.0, np.inf), _normals), min_size=1,
+                  max_size=4),
+       p=st.lists(st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                            st.sampled_from([5e-324, 1.0 - 2.0 ** -53, 1.0])),
+                  min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_guards_decided_at_construction_keep_every_bit(shape, scale, t, p):
+    """The cap on t and the skipped range check change no bit and no raise."""
+    m = Weibull(shape, scale)
+    for x in (t[0], np.array(t)):
+        assert np.asarray(m.sf(x)).tobytes() == np.asarray(_guarded_sf(m, x)).tobytes()
+    for x in (p[0], np.array(p)):
+        want = _guarded_inv_sf(m, x)
+        if want is None:
+            with pytest.raises(OutOfRange):
+                m.inv_sf(x)
+        else:
+            assert np.asarray(m.inv_sf(x)).tobytes() == np.asarray(want).tobytes()

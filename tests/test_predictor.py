@@ -597,6 +597,13 @@ def test_zero_alpha(first3, product3, exp1):
     ).alpha(0.5) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ZeroAlpha):
         p.survival(1.0, 0.5)
+    # a one-entry law runs in Python floats, where a division by 0 would raise
+    # ZeroDivisionError: the void alpha raises first
+    law, alpha = p._law(*p._point(0.5)[1])
+    assert type(alpha) is float and alpha == 0.0
+    for call in (lambda: law(0.3), lambda: p.quantile(0.5, 0.5)):
+        with pytest.raises(ZeroAlpha):
+            call()
 
 
 def test_weibull_marginal_relay(first3, relay, product3):
@@ -786,6 +793,7 @@ def test_solver_matches_bisection(copula, shape, mode, t, frac, w):
     got = _solve_increasing(counted, c[-1], w, skip=atom)
     want = oracle_bisect(law, c[-1], w, skip=atom)
     assert len(calls) <= BISECT_MAX + 1
+    assert all(type(z) is float for z in calls)  # a one-entry solve steps in Python floats
     if atom is not None and atom:
         assert len(calls) == 1
     assert abs(got - want) <= 2 * BISECT_TOL * want

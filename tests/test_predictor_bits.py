@@ -31,6 +31,7 @@ from syspredict import (
 )
 from syspredict.distortion import _TermSum
 from syspredict.errors import SysPredictError
+from syspredict.predictor import _solve_increasing
 
 COPULAS = {
     "product": ProductCopula(3),
@@ -84,37 +85,37 @@ PINNED = {
     ('strict', 'product', 'exp', 0.0):
         ('0x1.15e55f6e98e07p-1', '0x1.501acd6ce4d62p+1', '0x1.3c288d40e7f72p-5', '0x1.aaaaaaaaaaaaap-1', '0x1.0000000000000p+0'),
     ('strict', 'product', 'exp', 0.4):
-        ('0x1.e2b22c3b65ad2p-1', '0x1.834e00a017da6p+1', '0x1.c11eab41b6987p-2', '0x1.3bbbbbbbbbbbcp+0', '0x1.0000000000000p+0'),
+        ('0x1.e2b22c3b65ad2p-1', '0x1.834e00a018095p+1', '0x1.c11eab41b6987p-2', '0x1.3bbbbbbbbbbbcp+0', '0x1.0000000000000p+0'),
     ('strict', 'product', 'exp', 3.0):
         ('0x1.c57957dba6382p+1', '0x1.680d66b6726b1p+2', '0x1.84f0a235039fdp+1', '0x1.eaaaaaaaaaaaap+1', '0x1.0000000000000p+0'),
     ('strict', 'product', 'weibull', 0.0):
         ('0x1.d0a017934a136p-1', '0x1.259dab5fe5113p+1', '0x1.8879771a5a9efp-3', '0x1.07cbd5abb6471p+0', '0x1.0000000000000p+0'),
     ('strict', 'product', 'weibull', 0.4):
-        ('0x1.08b3764c5843ap+0', '0x1.2e64a3b6da57ap+1', '0x1.daf80c02a9654p-2', '0x1.2c31555f9b900p+0', '0x1.0000000000000p+0'),
+        ('0x1.08b3764c5843ap+0', '0x1.2e64a3b6da57ap+1', '0x1.daf80c02a964cp-2', '0x1.2c31555f9b900p+0', '0x1.0000000000000p+0'),
     ('strict', 'product', 'weibull', 3.0):
         ('0x1.9cd58bdaa5de6p+1', '0x1.004437991b4c0p+2', '0x1.82198850526b9p+1', '0x1.aa3d58f85fa85p+1', '0x1.0000000000000p+0'),
     ('strict', 'fgm1', 'exp', 0.0):
-        ('0x1.062a26c3ec7f8p-1', '0x1.4c3cf6e9a1ffcp+1', '0x1.39542ee10b563p-5', '0x1.9c71c71c71c72p-1', '0x1.0000000000000p+0'),
+        ('0x1.062a26c3ed3b2p-1', '0x1.4c3cf6e9a1ffcp+1', '0x1.39542ee10b563p-5', '0x1.9c71c71c71c72p-1', '0x1.0000000000000p+0'),
     ('strict', 'fgm1', 'exp', 0.4):
-        ('0x1.cfebd959903aap-1', '0x1.790683a6f81f2p+1', '0x1.be40034e3ea10p-2', '0x1.31b570b27e84fp+0', '0x1.0000000000000p+0'),
+        ('0x1.cfebd959903aap-1', '0x1.790683a6f7f04p+1', '0x1.be40034e3ea10p-2', '0x1.31b570b27e850p+0', '0x1.0000000000000p+0'),
     ('strict', 'fgm1', 'exp', 3.0):
-        ('0x1.c6bf5bf79e237p+1', '0x1.696f8c8e0ac7ep+2', '0x1.850e73051dbacp+1', '0x1.ec01f7c2cd166p+1', '0x1.0000000000000p+0'),
+        ('0x1.c6bf5bf79e237p+1', '0x1.696f8c8e0adf5p+2', '0x1.850e73051dbacp+1', '0x1.ec01f7c2cd166p+1', '0x1.0000000000000p+0'),
     ('strict', 'fgm1', 'weibull', 0.0):
-        ('0x1.c0f7e8c2f6f0dp-1', '0x1.239fce8cf66fap+1', '0x1.86678877296f1p-3', '0x1.01e67de540d8ep+0', '0x1.0000000000000p+0'),
+        ('0x1.c0f7e8c2f7adep-1', '0x1.239fce8cf66fap+1', '0x1.86678877296f1p-3', '0x1.01e67de540d8ep+0', '0x1.0000000000000p+0'),
     ('strict', 'fgm1', 'weibull', 0.4):
-        ('0x1.f9ba6a918ff9dp-1', '0x1.27e6228b45615p+1', '0x1.d5f940d841055p-2', '0x1.21ecf2a851094p+0', '0x1.0000000000000p+0'),
+        ('0x1.f9ba6a918ff9dp-1', '0x1.27e6228b456b7p+1', '0x1.d5f940d841055p-2', '0x1.21ecf2a851094p+0', '0x1.0000000000000p+0'),
     ('strict', 'fgm1', 'weibull', 3.0):
         ('0x1.9d010853098bep+1', '0x1.006d56fab5057p+2', '0x1.821dab1345ed8p+1', '0x1.aa68e9767e230p+1', '0x1.0000000000000p+0'),
     ('strict', 'fgm-0.8', 'exp', 0.0):
         ('0x1.239861b11bcd1p-1', '0x1.52fdd371543c9p+1', '0x1.3e7e762c8f24ap-5', '0x1.b60b60b60b60cp-1', '0x1.0000000000000p+0'),
     ('strict', 'fgm-0.8', 'exp', 0.4):
-        ('0x1.f185ded5ff2c3p-1', '0x1.8a7bc0e1fee1ep+1', '0x1.c3919373e512cp-2', '0x1.433be23b48ee5p+0', '0x1.0000000000000p+0'),
+        ('0x1.f185ded5ff2c2p-1', '0x1.8a7bc0e1fee1ep+1', '0x1.c3919373e512cp-2', '0x1.433be23b48ee5p+0', '0x1.0000000000000p+0'),
     ('strict', 'fgm-0.8', 'exp', 3.0):
-        ('0x1.c062dd83a79a0p+1', '0x1.6200f2ba497c4p+2', '0x1.8481cb3e3dff3p+1', '0x1.e51a6783f0b62p+1', '0x1.0000000000000p+0'),
+        ('0x1.c062dd83a799fp+1', '0x1.6200f2ba497c4p+2', '0x1.8481cb3e3dff3p+1', '0x1.e51a6783f0b61p+1', '0x1.0000000000000p+0'),
     ('strict', 'fgm-0.8', 'weibull', 0.0):
         ('0x1.ddf6ff387cd4ep-1', '0x1.2718c3d9946ccp+1', '0x1.8a2d69cc88403p-3', '0x1.0c834f17476c1p+0', '0x1.0000000000000p+0'),
     ('strict', 'fgm-0.8', 'weibull', 0.4):
-        ('0x1.1295ed78008fcp+0', '0x1.32eb6c6699151p+1', '0x1.df81da46596c6p-2', '0x1.343b7016c7f6ap+0', '0x1.0000000000000p+0'),
+        ('0x1.1295ed78008fcp+0', '0x1.32eb6c66992c7p+1', '0x1.df81da46596c6p-2', '0x1.343b7016c7f6ap+0', '0x1.0000000000000p+0'),
     ('strict', 'fgm-0.8', 'weibull', 3.0):
         ('0x1.9bcbecc95d9d0p+1', '0x1.fe7ca76509e29p+1', '0x1.820126c0ee214p+1', '0x1.a92ef1bd92b3fp+1', '0x1.0000000000000p+0'),
     ('strict', 'clayton1', 'exp', 0.0):
@@ -156,7 +157,7 @@ PINNED = {
     ('weak', 'fgm1', 'exp', 0.0):
         ('0x1.15f5527ee526dp-3', '0x1.07626689f273bp+0', '0x0.0p+0', '0x1.1c71c71c71c72p-2', '0x1.5555555555555p-1'),
     ('weak', 'fgm1', 'exp', 0.4):
-        ('0x1.10c764f758710p-1', '0x1.979d5e601a63ap+0', '0x1.999999999999ap-2', '0x1.6a0d205e1563ep-1', '0x1.5555555555555p-1'),
+        ('0x1.10c764f7592cap-1', '0x1.979d5e601ac17p+0', '0x1.999999999999ap-2', '0x1.6a0d205e1563ep-1', '0x1.5555555555556p-1'),
     ('weak', 'fgm1', 'exp', 3.0):
         ('0x1.92d2b56799a43p+1', '0x1.13fd475b6080ep+2', '0x1.8000000000000p+1', '0x1.ab57ff8139988p+1', '0x1.5555555555555p-1'),
     ('weak', 'fgm1', 'weibull', 0.0):
@@ -216,7 +217,7 @@ PINNED = {
     ('alive', 'fgm1', 'exp', 0.0):
         ('0x1.3d34ad038cf00p-2', '0x1.2c7375417e006p+0', '0x1.9f11152cc282cp-6', '0x1.aaaaaaaaaaaabp-2', '0x1.5555555555555p-1'),
     ('alive', 'fgm1', 'exp', 0.4):
-        ('0x1.6fe7778c3570ep-1', '0x1.c84883ab96029p+0', '0x1.b1ef1068d9907p-2', '0x1.b8ad4a26b9af7p-1', '0x1.5555555555555p-1'),
+        ('0x1.6fe7778c35710p-1', '0x1.c84883ab96029p+0', '0x1.b1ef1068d9907p-2', '0x1.b8ad4a26b9af8p-1', '0x1.5555555555556p-1'),
     ('alive', 'fgm1', 'exp', 3.0):
         ('0x1.ad41ff5a4b26ep+1', '0x1.210a06a504786p+2', '0x1.835c578c1803fp+1', '0x1.c103ff41d664cp+1', '0x1.5555555555555p-1'),
     ('alive', 'fgm1', 'weibull', 0.0):
@@ -262,41 +263,41 @@ PINNED = {
     ('alive', 'clayton2.5', 'weibull', 3.0):
         ('0x1.8c74d2de17fdfp+1', '0x1.ac56ea5a6f1cap+1', '0x1.8102244c39606p+1', '0x1.903b97ac715dcp+1', '0x1.000084e881a19p-1'),
     ('two', 'product', 'exp', 0.0):
-        ('0x1.62e42fefa3fccp-1', '0x1.7f7427b73e507p+1', '0x1.a431d5bcc770fp-5', '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+        ('0x1.62e42fefa3fccp-1', '0x1.7f7427b73e507p+1', '0x1.a431d5bcbb67ep-5', '0x1.0000000000000p+0', '0x1.0000000000000p+0'),
     ('two', 'product', 'exp', 0.4):
-        ('0x1.17d87e5e3864cp+0', '0x1.b2a75aea7183bp+1', '0x1.ce1fd45131069p-2', '0x1.6666666666666p+0', '0x1.0000000000000p+0'),
+        ('0x1.17d87e5e3864cp+0', '0x1.b2a75aea7183bp+1', '0x1.ce1fd4513287bp-2', '0x1.6666666666666p+0', '0x1.0000000000000p+0'),
     ('two', 'product', 'exp', 3.0):
         ('0x1.d8b90bfbe8ff3p+1', '0x1.7fba13db9f282p+2', '0x1.8690c756f31dcp+1', '0x1.0000000000000p+2', '0x1.0000000000000p+0'),
     ('two', 'product', 'weibull', 0.0):
-        ('0x1.0c41d1bb9ce4fp+0', '0x1.3d48e5989b445p+1', '0x1.cff7181de1cd3p-3', '0x1.28f0605dc0629p+0', '0x1.0000000000000p+0'),
+        ('0x1.0c41d1bb9ce4fp+0', '0x1.3d48e5989b445p+1', '0x1.cff7181dd9fc0p-3', '0x1.28f0605dc0629p+0', '0x1.0000000000000p+0'),
     ('two', 'product', 'weibull', 0.4):
-        ('0x1.29d2fd6a061ccp+0', '0x1.459bdc6fcf074p+1', '0x1.ef214eb094189p-2', '0x1.4aa32a4c09839p+0', '0x1.0000000000000p+0'),
+        ('0x1.29d2fd6a061ccp+0', '0x1.459bdc6fcf074p+1', '0x1.ef214eb094189p-2', '0x1.4aa32a4c09838p+0', '0x1.0000000000000p+0'),
     ('two', 'product', 'weibull', 3.0):
-        ('0x1.a49361bb263b9p+1', '0x1.0869cc5e6b320p+2', '0x1.82c9f7c4555e3p+1', '0x1.b25161c408275p+1', '0x1.0000000000000p+0'),
+        ('0x1.a49361bb263b9p+1', '0x1.0869cc5e6b320p+2', '0x1.82c9f7c45549cp+1', '0x1.b25161c408275p+1', '0x1.0000000000000p+0'),
     ('two', 'fgm1', 'exp', 0.0):
-        ('0x1.3a5abf07b75a9p+0', '0x1.d68bb38c22974p+1', '0x1.032ba55655dcap-2', '0x1.8000000000000p+0', '0x1.0000000000000p+0'),
+        ('0x1.3a5abf07b75abp+0', '0x1.d68bb38c22c62p+1', '0x1.032ba55655dc0p-2', '0x1.8000000000000p+0', '0x1.0000000000000p+0'),
     ('two', 'fgm1', 'exp', 0.4):
-        ('0x1.29c3fe033f966p+0', '0x1.c24700553981dp+1', '0x1.d611bf1594ae1p-2', '0x1.77c95caeb55e8p+0', '0x1.0000000000000p+0'),
+        ('0x1.29c3fe033f966p+0', '0x1.c24700553981dp+1', '0x1.d611bf1596259p-2', '0x1.77c95caeb55e8p+0', '0x1.0000000000000p+0'),
     ('two', 'fgm1', 'exp', 3.0):
-        ('0x1.d9ce29d163316p+1', '0x1.80be62ac40dcap+2', '0x1.86accfd37809bp+1', '0x1.0089fbdb43a54p+2', '0x1.0000000000000p+0'),
+        ('0x1.d9ce29d163315p+1', '0x1.80be62ac40dcap+2', '0x1.86accfd37809bp+1', '0x1.0089fbdb43a54p+2', '0x1.0000000000000p+0'),
     ('two', 'fgm1', 'weibull', 0.0):
-        ('0x1.778716227117ep+0', '0x1.65e123a5dca81p+1', '0x1.289f7db3983ddp-1', '0x1.8c5e0073deb50p+0', '0x1.0000000000000p+0'),
+        ('0x1.7787162271181p+0', '0x1.65e123a5dcbd0p+1', '0x1.289f7db3983d7p-1', '0x1.8c5e0073deb50p+0', '0x1.0000000000000p+0'),
     ('two', 'fgm1', 'weibull', 0.4):
-        ('0x1.64e51b0a4f7ecp+0', '0x1.5f1c38f5ded37p+1', '0x1.1f3c7be3afcd1p-1', '0x1.7d177f85a544cp+0', '0x1.0000000000000p+0'),
+        ('0x1.64e51b0a4fc30p+0', '0x1.5f1c38f5ded37p+1', '0x1.1f3c7be3afcd5p-1', '0x1.7d177f85a544cp+0', '0x1.0000000000000p+0'),
     ('two', 'fgm1', 'weibull', 3.0):
         ('0x1.a4b2a80686391p+1', '0x1.088306ac9ace7p+2', '0x1.82cd4b8f75289p+1', '0x1.b26efcb1b639ap+1', '0x1.0000000000000p+0'),
     ('two', 'fgm-0.8', 'exp', 0.0):
-        ('0x1.91e22225dadc5p-2', '0x1.de14e2aab7c82p+0', '0x1.d37aaab6b4f81p-6', '0x1.3333333333332p-1', '0x1.0000000000000p+0'),
+        ('0x1.91e22225dadc2p-2', '0x1.de14e2aab839dp+0', '0x1.d37aaab69d832p-6', '0x1.3333333333332p-1', '0x1.0000000000000p+0'),
     ('two', 'fgm-0.8', 'exp', 0.4):
-        ('0x1.088f82ceee6edp+0', '0x1.a2cb8376e6b46p+1', '0x1.c873b1904f520p-2', '0x1.5696eb39453d3p+0', '0x1.0000000000000p+0'),
+        ('0x1.088f82ceee6eep+0', '0x1.a2cb8376e6b46p+1', '0x1.c873b1904f520p-2', '0x1.5696eb39453d4p+0', '0x1.0000000000000p+0'),
     ('two', 'fgm-0.8', 'exp', 3.0):
-        ('0x1.d6b15b4d0aff6p+1', '0x1.7dc16f95c1be1p+2', '0x1.865de3c6cb4d3p+1', '0x1.fdf408725723ap+1', '0x1.0000000000000p+0'),
+        ('0x1.d6b15b4d0aff5p+1', '0x1.7dc16f95c1be1p+2', '0x1.865de3c6cb4d3p+1', '0x1.fdf408725723ap+1', '0x1.0000000000000p+0'),
     ('two', 'fgm-0.8', 'weibull', 0.0):
-        ('0x1.7ff2a1a909c30p-1', '0x1.e08fd0e855043p+0', '0x1.48966b852f20fp-3', '0x1.b2caf3cb50413p-1', '0x1.0000000000000p+0'),
+        ('0x1.7ff2a1a909c2dp-1', '0x1.e08fd0e855477p+0', '0x1.48966b85256e2p-3', '0x1.b2caf3cb50413p-1', '0x1.0000000000000p+0'),
     ('two', 'fgm-0.8', 'weibull', 0.4):
-        ('0x1.f1f69b1cb8a86p-1', '0x1.1d4721c00cf83p+1', '0x1.d369c133db5b1p-2', '0x1.1b82700709657p+0', '0x1.0000000000000p+0'),
+        ('0x1.f1f69b1cb9583p-1', '0x1.1d4721c00cdf8p+1', '0x1.d369c133db5b1p-2', '0x1.1b82700709657p+0', '0x1.0000000000000p+0'),
     ('two', 'fgm-0.8', 'weibull', 3.0):
-        ('0x1.a45df976d5646p+1', '0x1.083e55c0c3789p+2', '0x1.82c45623307eap+1', '0x1.b21eacd0e0b86p+1', '0x1.0000000000000p+0'),
+        ('0x1.a45df976d5646p+1', '0x1.083e55c0c3709p+2', '0x1.82c45623307eap+1', '0x1.b21eacd0e0b87p+1', '0x1.0000000000000p+0'),
     ('two', 'clayton1', 'exp', 0.0):
         ('0x1.ecc2caec521c6p-2', '0x1.31f3487a98928p+1', '0x1.18eebdfe14591p-5', '0x1.8000000000000p-1', '0x1.0000000000000p+0'),
     ('two', 'clayton1', 'exp', 0.4):
@@ -369,9 +370,39 @@ def test_stacked_levels_match_the_pinned_bits(key):
         assert np.all(np.abs(ulps) <= 2)
 
 
+def _roots(p, w, cond):
+    """The quantile solve's roots in z = F-bar(y), the marginal's inverse left out."""
+    _, c = p._point(*cond)
+    law, alpha = p._law(*c)
+    atom = w >= alpha if p.mode == "weak" else None
+    return _solve_increasing(law, np.broadcast_to(c[-1], np.shape(w)), w, skip=atom)
+
+
+PATTERN_CASES = tuple(key for key in CASES if not key[1].startswith("clayton"))
+
+
+@pytest.mark.parametrize("key", PATTERN_CASES, ids=lambda c: "/".join(map(str, c)))
+def test_scalar_and_stacked_solves_agree_in_z(key):
+    """Product and FGM: the one-entry solve and a stacked one find the same z.
+
+    The scalar call's law takes Python floats and the stacked call's numpy
+    arrays; both run the same count-pattern law, with + and x only, so their
+    roots agree bit for bit (the Weibull F-bar^-1 after them need not).
+    """
+    p, cond = predictor_at(*key)
+    alone = tuple(float(_roots(p, w, cond)).hex() for w in LEVELS)
+    stacked = tuple(np.broadcast_to(x, len(LEVELS)) for x in cond)
+    assert _hexes(lambda: _roots(p, np.array(LEVELS), stacked)) == alone
+
+
 def test_chunked_stacked_solve_matches_level_by_level(monkeypatch):
-    """A stack large enough that the term sums add their rows in chunks changes no bit."""
-    copula = FGMCopula(theta=1.0, n=3)
+    """A stack large enough that the term sums add their rows in chunks changes no bit.
+
+    Only the Clayton pair still sums rows (product and FGM laws go by count
+    pattern); at theta = 1 its powers are exact, so the length of the array
+    numpy's loop sees cannot move a bit either.
+    """
+    copula = COPULAS["clayton1"]
     p = predictor("two", copula, MARGINALS["weibull"])
     t2 = np.linspace(0.0, 3.0, 1500)
     cond = (0.5 * t2, t2)
@@ -385,9 +416,9 @@ def test_chunked_stacked_solve_matches_level_by_level(monkeypatch):
         kernel_calls[-1] += 1
         return kernel(self, mask, points)
 
-    term_sum, kernel = _TermSum._sum, FGMCopula._partial
+    term_sum, kernel = _TermSum._sum, ClaytonPairCopula._partial
     monkeypatch.setattr(_TermSum, "_sum", counting_sum)
-    monkeypatch.setattr(FGMCopula, "_partial", counting_kernel)
+    monkeypatch.setattr(ClaytonPairCopula, "_partial", counting_kernel)
     alone = [_hexes(lambda: p.quantile(w, *cond)) for w in LEVELS]
     assert max(kernel_calls) == 1
     kernel_calls.clear()

@@ -29,7 +29,7 @@ from syspredict import (
     validate_structure,
 )
 from syspredict import distortion
-from syspredict.distortion import _joint_terms, _TermSum
+from syspredict.distortion import _joint_terms, _PatternSum, _TermSum
 from syspredict.errors import OutOfUnitInterval
 from syspredict.structure import SystemStructure
 
@@ -225,12 +225,13 @@ def _count(monkeypatch, cls, name, counts, key=None):
 
 @pytest.mark.parametrize("mode", ["one", "weak", "two"])
 def test_scalar_quantile_call_budget(monkeypatch, mode):
-    """One copula call per term sum, one term sum per law evaluation, den once.
+    """No copula kernel call, den and the fold once, one polynomial per law call.
 
-    A law's one z-free sum is its denominator; the numerator is evaluated
-    only at the solver's points, and a weak law adds one numerator
-    evaluation at the horizon for alpha, which both the atom mask and the
-    law reuse.
+    Under FGM the law goes by count pattern: den is evaluated once per
+    conditioning point and the numerator's c factors are folded once; every
+    later law evaluation, the bracket check and each solver step, is one call
+    of the folded polynomial in z.  A weak law adds one evaluation at the
+    horizon for alpha, which both the atom mask and the law reuse.
     """
     copula = FGMCopula(theta=0.5, n=4)
     if mode == "two":
@@ -251,9 +252,22 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     _count(monkeypatch, FGMCopula, "_partial", counts)
     _count(monkeypatch, FGMCopula, "eval", counts)
     _count(monkeypatch, _TermSum, "_sum", counts)
-    _count(monkeypatch, pred, "_num", counts, key="num")
     _count(monkeypatch, pred, "_den", counts, key="den")
-    extra_nums = 1 if mode == "weak" else 0
+    fold = pred._num.fold
+
+    def counted_fold(*c):
+        counts["fold"] = counts.get("fold", 0) + 1
+        polynomial = fold(*c)
+
+        def evaluate(z):
+            assert type(z) is float  # a one-entry solve steps in Python floats
+            counts["polynomial"] = counts.get("polynomial", 0) + 1
+            return polynomial(z)
+
+        return evaluate
+
+    monkeypatch.setattr(pred._num, "fold", counted_fold)
+    extra = 1 if mode == "weak" else 0
     build = pred._law
 
     def counted_build(*c):
@@ -268,10 +282,9 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     monkeypatch.setattr(pred, "_law", counted_build)
     pred.quantile(0.5, *cond)
     assert counts["law"] <= 16  # the bracket check and every solver step
-    assert counts["num"] == counts["law"] + extra_nums
-    assert counts["den"] == 1
-    assert counts["_sum"] == counts["num"] + counts["den"]
-    assert counts["_partial"] + counts.get("eval", 0) == counts["_sum"]
+    assert counts["polynomial"] == counts["law"] + extra
+    assert counts["den"] == counts["fold"] == 1
+    assert "_partial" not in counts and "eval" not in counts and "_sum" not in counts
 
 
 @given(data=st.data(), n=st.integers(2, 5), k=st.sampled_from([1, 2]),
@@ -343,9 +356,10 @@ def test_build_expands_each_structure_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(SystemStructure, "_expand", counted)
-    # each predictor builds its two term sums and no distortion
+    # each predictor builds its two sums (by count pattern here) and no distortion
     counts = {}
     _count(monkeypatch, _TermSum, "__init__", counts, key="term sums")
+    _count(monkeypatch, _PatternSum, "__init__", counts, key="term sums")
     _count(monkeypatch, distortion.UnivariateDistortion, "__init__", counts, key="distortions")
     first, second, system = series(4), k_out_of_n(3, 4), k_out_of_n(2, 4)
     TwoFailurePredictor(first, second, system, ProductCopula(4), Exponential(1.0))
