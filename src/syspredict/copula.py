@@ -10,10 +10,10 @@ its mask marks, so a stack of points with a different set per row costs one
 call, and an unmarked row is the value (`eval`).  Each family also samples
 itself by closed-form conditional inversion.
 
-The predictors call these kernels under the Clayton pair only.  Product
-and FGM are exchangeable, so their conditional laws go by count pattern
-(`distortion._PatternSum`), which restates the FGM kernel, with theta = 0
-for the product, as a polynomial in the count of coordinates per variable.
+The predictors and q-bar go by count pattern (`distortion._PatternSum`):
+the FGM kernel restated as a polynomial in the counts of coordinates per
+variable, and under the Clayton pair one `_clayton_pair` call over all
+patterns.
 
 Families:
 
@@ -160,8 +160,9 @@ def _clayton_pair(p, q, dp, dq, theta):
         # where r^theta underflows take (r / M^a)^theta M^(a theta - 1), a the
         # power of 2 putting a theta in [1, 2), so every exponent is exact
         low = (rt < np.finfo(rt.dtype).tiny) & (r > 0)
-        a = math.ldexp(1.0, 1 - math.frexp(theta)[1])
-        d12[low] = (r[low] / big[low] ** a) ** theta * big[low] ** (a * theta - 1.0)
+        if low.any():
+            a = math.ldexp(1.0, 1 - math.frexp(theta)[1])
+            d12[low] = (r[low] / big[low] ** a) ** theta * big[low] ** (a * theta - 1.0)
         lead = np.where(dp & dq, (1.0 + theta) * d12 / (e * e), np.where(dp | dq, d1 / e, m))
     return lead * e ** (-1.0 / theta)
 

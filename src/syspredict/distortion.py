@@ -16,21 +16,12 @@ containing it (u_k for the system's union, else u_(k-1), and so on), and
 the coordinates in no union are pinned to 1.  The package evaluates only
 this region; the region rules beyond it live with the test oracles.
 
-All of these are one object, `_TermSum`: the signed sum over the joint
-expansion of k structures, whose `partial(*variables)` evaluates any mixed
-partial in distinct variables (none: the value).  `UnivariateDistortion`
-names q-bar for one system lifetime.
-
-Under the exchangeable product and FGM copulas a row's value depends only
-on how many of its coordinates carry each variable, undifferentiated, and
-on whether it pins any coordinate to 1.  `_PatternSum` merges the rows of a
-partial by that count pattern (the signature view of Samaniego 1985 and
-of Navarro, Samaniego & Balakrishnan 2010) into exact integer
-coefficients, and folds the values of the differentiated variables into
-per-point coefficients of a polynomial in the free one, which it then
-evaluates with + and x alone: in Python floats or in numpy arrays, with the
-same bits.  The predictors read their laws from `_law_sum`: a `_PatternSum`
-under product and FGM, a `_TermSum` under the Clayton pair.
+All of these are one object, `_PatternSum`: the signed sum over the joint
+expansion of k structures, its rows merged by count pattern under every
+copula (the signature view of Samaniego 1985 and of Navarro, Samaniego &
+Balakrishnan 2010).  Its `partial(*variables)` evaluates a mixed partial in
+the leading variables, at most one left free; the predictors' laws and
+`UnivariateDistortion`, q-bar for one system lifetime, read it.
 
 Every expansion is the product of the structures' merged univariate
 expansions (SystemStructure.inclusion_exclusion), merged again over equal
@@ -45,11 +36,11 @@ from math import prod
 
 import numpy as np
 
-from .copula import FGMCopula, ProductCopula, SurvivalCopula, _check_unit
+from .copula import SurvivalCopula, _check_unit, _clayton_pair
 from .errors import DimensionMismatch, TermLimitExceeded
 from .structure import TERM_BUDGET, SystemStructure, _indices
 
-CELLS = 1 << 16  # copula-argument cells (points x rows x n) per stacked call
+CELLS = 1 << 16  # Clayton pair-kernel cells (points x patterns) per call
 
 
 def _joint_terms(*structures):
@@ -65,9 +56,7 @@ def _joint_terms(*structures):
     expansions = [s.inclusion_exclusion() for s in structures]
     size = prod(len(e) for e in expansions)
     if size > TERM_BUDGET:
-        raise TermLimitExceeded(
-            f"{size} joint terms exceed the 2^20 term budget"
-        )
+        raise TermLimitExceeded(f"{size} joint terms exceed the 2^20 term budget")
     acc = {}
     for combo in product(*reversed(expansions)):
         coeff, taken, masks = 1, 0, []
@@ -81,117 +70,44 @@ def _joint_terms(*structures):
     return tuple((coeff, key) for key, coeff in items if coeff != 0)
 
 
-def _check_dimensions(copula, structures):
-    for s in structures:
-        if s.n != copula.n:
-            raise DimensionMismatch(
-                f"structure has {s.n} components but the copula has {copula.n}"
-            )
-
-
-class _TermSum:
-    """Signed sum of copula slices over the joint expansion of some structures.
-
-    Term k is the copula at the point whose coordinate i carries variable
-    ``layout[k, i]``, or 1 where that entry is -1; the variables follow the
-    structures' order.  Each evaluation writes its values, broadcast, one
-    per column into a table of ones with one column more, checks it once,
-    gathers from it the points of all its rows (one per term and choice of
-    differentiated coordinates) into one stacked array and makes one call
-    of the copula's law kernel per chunk of at most CELLS cells (points x
-    rows x n); a row's mask marks the coordinates it differentiates, none
-    for the value.  Rows are added in term order by a running sum, so a
-    total equals the term-by-term loop bit for bit.
-    """
-
-    def __init__(self, copula: SurvivalCopula, *structures: SystemStructure):
-        _check_dimensions(copula, structures)
-        self.copula = copula
-        self._nvars = len(structures)
-        terms = _joint_terms(*structures)
-        self._coeffs = np.array([c for c, _ in terms], dtype=float)
-        self._layout = np.full((len(terms), copula.n), -1, dtype=np.intp)
-        for row, (_, masks) in zip(self._layout, terms):
-            for var, m in enumerate(masks):
-                row[[i - 1 for i in _indices(m)]] = var
-
-    def _sum(self, layout, mask, coeffs, values):
-        shape = np.broadcast(*values).shape
-        table = np.ones(shape + (len(values) + 1,))  # slot -1 keeps the 1 of pinned coordinates
-        for slot, v in enumerate(values):
-            table[..., slot] = v
-        _check_unit(table)
-        total = np.zeros(shape)
-        step = max(1, CELLS // (max(1, total.size) * self.copula.n))
-        for lo in range(0, len(coeffs), step):
-            rows = slice(lo, lo + step)
-            points = table[..., layout[rows]]
-            summands = coeffs[rows] * self.copula._partial(mask[rows], points)
-            summands[..., 0] += total
-            total = summands.cumsum(axis=-1)[..., -1]
-        return total
-
-    def partial(self, *variables):
-        """Evaluator ``(*values) -> sum`` of the mixed partial in `variables`.
-
-        Its rows are built here, once: a row per term and choice of one
-        coordinate carrying each given variable (a row per term when none is
-        given), differentiated in the chosen coordinates, in term order and
-        lexicographic order within a term.  With no variable the evaluator
-        gives the sum's value.
-        """
-        # row r is (term, its coordinate carrying each variable in turn)
-        choices = [(k, *coords) for k, term in enumerate(self._layout)
-                   for coords in product(*(np.flatnonzero(term == v) for v in variables))]
-        rows = np.array(choices, dtype=np.intp).reshape(-1, 1 + len(variables))
-        mask = np.zeros((len(rows), self.copula.n), dtype=bool)
-        np.put_along_axis(mask, rows[:, 1:], True, axis=1)
-        layout, coeffs = self._layout[rows[:, 0]], self._coeffs[rows[:, 0]]
-        return lambda *values: self._sum(layout, mask, coeffs, values)
-
-    @property
-    def terms(self):
-        """(coeff, per-variable 1-based index tuples) for inspection."""
-        return tuple(
-            (int(c), tuple(tuple((np.flatnonzero(row == var) + 1).tolist())
-                           for var in range(self._nvars)))
-            for c, row in zip(self._coeffs, self._layout)
-        )
-
-
 class _PatternSum:
-    """`_TermSum`'s sum under a product or FGM copula, by count pattern.
+    """The signed sum over the joint expansion of some structures, by count pattern.
 
     A row of the mixed partial in the leading variables 0..k-1 chooses one
-    coordinate carrying each of them; the variable after them, if any, is
-    free.  With n_v undifferentiated coordinates per differentiated
-    variable and a carrying the free one, the row's value is the FGM kernel
+    coordinate carrying each of them; the next variable, if any, is free.
+    Under product and FGM a row's value is the FGM kernel
 
         prod c_v^n_v z^a + theta prod (1 - 2 c_v) (c_v (1 - c_v))^n_v (z (1 - z))^a,
 
-    whose theta part is 0 where the row pins a coordinate to 1, and for the
-    product copula (theta = 0).  A term whose masks hold m_v coordinates per
-    variable has prod m_v rows over the differentiated v, all with
-    n_v = m_v - 1, so its rows merge into one integer coefficient per count
-    pattern (n_v, a).
+    n_v its undifferentiated coordinates per differentiated variable and a
+    those carrying z; the theta part is 0 where the row pins a coordinate to
+    1, and for the product (theta = 0).  A term with m_v coordinates per
+    variable has prod m_v rows, all with n_v = m_v - 1: one integer
+    coefficient per count pattern (n_v, a).  Under the Clayton pair the
+    counts run over the independent coordinates, and a pattern adds what each
+    pair coordinate carries and whether it is differentiated (`_PairSum`).
     """
 
     def __init__(self, copula: SurvivalCopula, *structures: SystemStructure):
-        _check_dimensions(copula, structures)
+        for s in (s for s in structures if s.n != copula.n):
+            raise DimensionMismatch(f"structure has {s.n} components but the copula has {copula.n}")
         self.theta = float(getattr(copula, "theta", 0.0))
         self.n = copula.n
-        self._counts = [(coeff, [m.bit_count() for m in masks])
-                        for coeff, masks in _joint_terms(*structures)]
+        self.pair = tuple(i - 1 for i in getattr(copula, "pair", ()))  # the Clayton pair's
+        self.terms = _joint_terms(*structures)
 
     def partial(self, *variables):
-        """The `_Polynomial` of the mixed partial in `variables`.
+        """The evaluator of the mixed partial in `variables`: a `_Polynomial` or a `_PairSum`.
 
         They are the leading variables 0..k-1, and at most one is left free,
         as in every law the predictors read.
         """
         k = len(variables)
+        if self.pair:
+            return _PairSum(self._pair_patterns(k), k, self.theta)
         acc = {}  # (power of z, undifferentiated counts, no pinned coordinate) -> coeff
-        for coeff, counts in self._counts:
+        for coeff, masks in self.terms:
+            counts = [m.bit_count() for m in masks]
             rows = prod(counts[:k])
             if rows:
                 key = (sum(counts[k:]), tuple(m - 1 for m in counts[:k]), sum(counts) == self.n)
@@ -199,6 +115,37 @@ class _PatternSum:
         patterns = sorted((a, counts, coeff, full and self.theta != 0.0)
                           for (a, counts, full), coeff in acc.items() if coeff)
         return _Polynomial(patterns, k, self.theta)
+
+    def _pair_patterns(self, k):
+        """(a, counts, slots, marks, coeff) per Clayton-pair pattern of the partial in 0..k-1.
+
+        A pair coordinate's slot is its variable (k if free, k + 1 if pinned to
+        1); its mark, that the row differentiates it.  Patterns go in the order
+        of their keys at z = c_(k-1), where num's sum repeats den's term by term.
+        """
+        rest = ((1 << self.n) - 1) & ~sum(1 << i for i in self.pair)
+        acc = {}
+        for coeff, masks in self.terms:
+            counts = [(m & rest).bit_count() for m in masks]
+            slots = tuple(next((min(v, k) for v, m in enumerate(masks) if m >> i & 1), k + 1)
+                          for i in self.pair)
+            # each differentiated variable in one of its independent coordinates
+            # (None) or in pair coordinate j where that one carries it
+            for chosen in product(*([None] * (counts[v] > 0) + [j for j in (0, 1) if slots[j] == v]
+                                    for v in range(k))):
+                indep = [(n, j is None) for n, j in zip(counts, chosen)]
+                key = (sum(counts[k:]), tuple(n - one for n, one in indep),
+                       slots, (0 in chosen, 1 in chosen))
+                acc[key] = acc.get(key, 0) + coeff * prod(n for n, one in indep if one)
+
+        def at_horizon(pattern):
+            a, counts, slots, marks, _ = pattern
+            if k:
+                counts = (*counts[:-1], counts[-1] + a)
+                slots = tuple(k - 1 if s == k else s for s in slots)
+            return counts, slots, marks, pattern
+
+        return sorted(((*key, coeff) for key, coeff in acc.items() if coeff), key=at_horizon)
 
 
 class _Polynomial:
@@ -212,12 +159,13 @@ class _Polynomial:
     """
 
     def __init__(self, patterns, k, theta):
-        self._patterns = patterns
-        self._k = k
-        self._theta = theta
+        self._patterns, self._k, self._theta = patterns, k, theta
 
     def fold(self, *c):
         """z -> the partial at (c, z); with no free variable it ignores z."""
+        if not self._patterns:  # no row reaches this partial: 0 at every point
+            shape = lambda z: np.broadcast_shapes(np.shape(z), *map(np.shape, c))
+            return lambda z: np.zeros(shape(z)) if shape(z) else 0.0
         sign = self._theta
         for v in c:
             sign = sign * (1.0 - 2.0 * v)
@@ -255,11 +203,63 @@ class _Polynomial:
         return self.fold(*values[:self._k])(free)
 
 
-def _law_sum(copula: SurvivalCopula, *structures: SystemStructure):
-    """The sum the predictors read their laws from: by count pattern where one exists."""
-    if isinstance(copula, (ProductCopula, FGMCopula)):
-        return _PatternSum(copula, *structures)
-    return _TermSum(copula, *structures)
+def _powers(x, exponents):
+    """x^e for each e in `exponents`, x with a last axis of 1, by repeated products."""
+    power = np.where(exponents > 0, x, 1.0)
+    for j in range(2, max(exponents) + 1):
+        power = np.where(exponents >= j, power * x, power)
+    return power
+
+
+class _PairSum(_Polynomial):
+    """`_Polynomial`'s evaluator for a Clayton-pair partial (see `_PatternSum`).
+
+    Pattern (a, counts, slots, marks, coeff) is coeff * (kept * pair), kept =
+    prod c_v^n_v z^a and pair the pair factor at its slots' values (c_v, z or
+    1), differentiated where marked.  `fold(*c)` reads c once; each evaluation
+    at z makes one `_clayton_pair` call over all patterns per chunk of at most
+    CELLS cells (points x patterns).  No pattern is one zero pattern.
+    """
+
+    def __init__(self, patterns, k, theta):
+        a, counts, slots, marks, coeffs = (np.array(x) for x in zip(
+            *patterns or [(0, (0,) * k, (k + 1,) * 2, (False,) * 2, 0)]))
+        self._k, self._theta, self._a, self._coeffs = k, theta, a, coeffs.astype(float)
+        self._powered = [(v, e) for v, e in enumerate(counts.reshape(len(a), k).T) if e.any()]
+        self._slots, self._marks = slots.T, marks.T
+        self._free = self._slots == k
+
+    def fold(self, *c):
+        """z -> the partial at (c, z); with no free variable it ignores z."""
+        table = np.ones(np.broadcast_shapes(*map(np.shape, c)) + (self._k + 2,))
+        for v, x in enumerate(c):
+            table[..., v] = x
+        reads = [table[..., slots] for slots in self._slots]  # per pair coordinate
+        kept = 1.0
+        for v, exponents in self._powered:
+            kept = kept * _powers(table[..., v, None], exponents)
+
+        def at(z):
+            zc = None if z is None else np.asarray(z, dtype=float)[..., None]
+            cells = np.broadcast_shapes(np.shape(zc), reads[0].shape)
+            step = max(1, CELLS // prod(cells[1:]))
+            if len(cells) == 1 or step >= cells[0]:
+                return self._sum(zc, *reads, kept)[()]
+            parts = [np.broadcast_to(x, cells[:-1] + x.shape[-1:]) if np.ndim(x) > 1 else x
+                     for x in (zc, *reads, kept)]  # sliced along the leading axis
+            cut = lambda x, lo: x[lo:lo + step] if np.ndim(x) > 1 else x
+            return np.concatenate([self._sum(*(cut(x, lo) for x in parts))
+                                   for lo in range(0, cells[0], step)])
+
+        return at
+
+    def _sum(self, zc, p, q, kept):
+        """The patterns' sum at z (a last axis of 1; None for no free variable)."""
+        if zc is not None:  # z at the patterns that read it
+            p, q = (np.where(f, zc, x) if f.any() else x for x, f in zip((p, q), self._free))
+            kept = kept * _powers(zc, self._a) if self._a.any() else kept
+        pair = _clayton_pair(p, q, self._marks[0], self._marks[1], self._theta)
+        return (self._coeffs * (kept * pair)).cumsum(axis=-1)[..., -1]
 
 
 class UnivariateDistortion:
@@ -269,8 +269,8 @@ class UnivariateDistortion:
     """
 
     def __init__(self, structure: SystemStructure, copula: SurvivalCopula):
-        self._ordered = _TermSum(copula, structure)
-        self._value = self._ordered.partial()
+        self._sum = _PatternSum(copula, structure)
+        self._value = self._sum.partial()
         self.structure = structure
         self.copula = copula
         self.n = copula.n
@@ -278,7 +278,7 @@ class UnivariateDistortion:
     @property
     def terms(self):
         """Expansion terms as (coeff, per-variable 1-based indices)."""
-        return self._ordered.terms
+        return tuple((coeff, tuple(_indices(m) for m in masks)) for coeff, masks in self._sum.terms)
 
     def value(self, u):
         return self._value(u)

@@ -20,20 +20,17 @@ failure) starts from S(F-bar(t) | c) = alpha(t) < 1, leaving an atom of
 size 1 - alpha(t) at y = t; mode "alive" conditions on the system having
 survived and renormalizes the law by alpha(t).
 
-Each conditioning point's law is built once per solve: den and alpha
-depend only on c, so every solver step and quadrature node evaluates
-just the numerator.  Under the product and FGM copulas num and den go by
-count pattern (`distortion._PatternSum`): the numerator's c factors are
-folded once per point too, and a law evaluation is a short polynomial in
-z with + and x only, on Python floats for a one-entry law (every c a
-scalar) and on numpy arrays otherwise, with the same bits.  The Clayton
-pair sums its rows (`distortion._TermSum`), whose powers differ in the last
-bits between the C library and numpy's SIMD loop.  Subclasses name their
-observed structures; the map
-from conditioning times to (horizon, c), quantiles, means, survival,
-alpha and bands are shared.  The k-of-n shortcut `kofn_quantile_factor`
-inverts its scalar binomial law by bisection over the ordered doubles of
-[0, 1] in Python floats, the search `qr` uses for its slopes.
+Each conditioning point's law is built once per solve: den, alpha and
+num's c factors depend only on c (`distortion._PatternSum` folds them), so
+every solver step and quadrature node evaluates just the rest of num in z:
+under product and FGM a short polynomial with + and x only, the same bits
+on Python floats (a one-entry law, every c a scalar) as on numpy arrays;
+under the Clayton pair one pair-kernel call in numpy.  Subclasses name
+their observed structures; the map from conditioning times to (horizon,
+c), quantiles, means, survival, alpha and bands are shared.  The k-of-n
+shortcut `kofn_quantile_factor` inverts its scalar binomial law by
+bisection over the ordered doubles of [0, 1] in Python floats, the search
+`qr` uses for its slopes.
 
 Quantiles invert the survival level in z space, where every law is
 monotone on (0, F-bar(horizon)], by Anderson-Bjorck regula falsi
@@ -44,11 +41,11 @@ most 200 iterations), so the stopping point does not depend on the scale
 of F-bar(horizon).  Stacked solves step in numpy; a one-entry solve, the
 scalar `quantile(w, t)`, takes the same steps with the same arithmetic in
 Python floats, law included under product and FGM, which spares it
-numpy's per-call cost.  The earlier solver
-kept in tests/solver_oracle.py is the reference for both forms, bit for
-bit.  Over the test designs (t up to 60, Exp and Weibull
-shapes 0.5-4) a level in [0.01, 0.99] takes a median of 7 law
-evaluations and at most 24; levels within 1e-14 of 0 or 1 at most 63.
+numpy's per-call cost.  The earlier solver kept in tests/solver_oracle.py
+is the reference for both forms, bit for bit.  Over the test designs (t up
+to 60, Exp and Weibull shapes 0.5-4) a level in [0.01, 0.99] takes a
+median of 7 law evaluations and at most 24; levels within 1e-14 of 0 or 1
+at most 63.
 Band edges are the quantiles at the survival levels `_band_edges` gives;
 a bottom band's lower edge is the horizon.
 
@@ -76,7 +73,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distortion import UnivariateDistortion, _law_sum
+from .distortion import UnivariateDistortion, _PatternSum
 from .errors import (
     DegenerateDenominator,
     InvalidOrder,
@@ -298,8 +295,8 @@ class _PredictorCore:
         # num(*c, z), den(*c): the mixed partial in the k observed variables
         # of the ordered sum with the system, and of the observed sum alone
         variables = range(len(observed))
-        self._num = _law_sum(copula, *observed, system).partial(*variables)
-        self._den = _law_sum(copula, *observed).partial(*variables)
+        self._num = _PatternSum(copula, *observed, system).partial(*variables)
+        self._den = _PatternSum(copula, *observed).partial(*variables)
         self.marginal = marginal
 
     def _point(self, *times):
@@ -321,8 +318,7 @@ class _PredictorCore:
         # a subnormal den has lost digits, and the law divided by it drifts
         if not np.all(np.isfinite(den) & (np.abs(den) >= np.finfo(float).tiny)):
             raise DegenerateDenominator(self._degenerate)
-        fold = getattr(self._num, "fold", None)
-        num = fold(*c) if fold else lambda z: self._num(*c, z)
+        num = self._num.fold(*c)
 
         def law(z):
             return _clip_unit(num(z) / den)

@@ -1,10 +1,10 @@
-"""Exact conditional laws under the product and FGM copulas.
+"""Exact conditional laws under the product, FGM and Clayton-pair copulas.
 
-`ExactLaw(copula, *structures)` holds the rows of num and den that
-`distortion._TermSum` sums for a predictor with observed structures
-`structures[:-1]` and system `structures[-1]`: a row per joint term and
-choice of one coordinate carrying each observed variable.  It evaluates
-every row's FGM kernel, prod_{j not in S} u_j + theta prod_{i in S} (1 - 2u_i)
+`ExactLaw(copula, *structures)` holds the rows of num and den for a
+predictor with observed structures `structures[:-1]` and system
+`structures[-1]`: a row per joint term and choice of one coordinate carrying
+each observed variable, as the per-term loop (`law_oracle.oracle_sum`) sums
+them.  Under product and FGM it evaluates every row's FGM kernel, prod_{j not in S} u_j + theta prod_{i in S} (1 - 2u_i)
 prod_{j not in S} u_j (1 - u_j) (theta = 0 for the product copula), at the
 exact values of the float inputs, so num, den and their ratio carry no
 rounding.
@@ -16,15 +16,34 @@ no gcd per operation as `Fraction` would take.  All rows of a partial in k
 of n coordinates have n - k kept factors and 1 + 2n - k in
 theta * bent * spread, so the kept part is shifted by E (n + 1) bits to the
 same unit; num and den share it, and their ratio is one `Fraction`.
+Under a Clayton pair a row is the product of its undifferentiated
+independent coordinates times the pair factor or its partial, which is not
+rational: those rows are summed in `decimal` at 60 digits, with powers taken
+as exp(y ln x), within about 1e-55 of the exact value, and the ratio is
+held as the `Fraction` of the `Decimal` quotient.
 `relative_error(got, want)` is |got - want| / |want| in exact arithmetic,
 rounded once.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
-from syspredict import FGMCopula
+from syspredict import ClaytonPairCopula, FGMCopula
 from syspredict.distortion import _joint_terms
+
+DIGITS = 60
+
+
+def _clayton(p, q, theta):
+    """(value, d/dp, d/dq, d2/dp dq) of the Clayton pair factor at Decimals p, q."""
+    if p == 0 or q == 0:
+        return 0, int(p == 0 < q), int(q == 0 < p), 0
+    a, b = (-theta * p.ln()).exp(), (-theta * q.ln()).exp()  # p^-theta, q^-theta
+    s = a + b - 1
+    value = (-s.ln() / theta).exp()
+    return (value, a / p * value / s, b / q * value / s,
+            (1 + theta) * a / p * b / q * value / (s * s))
 
 def _exponent(x):
     """The E for which x * 2^E is the smallest integer multiple: x's finest bit."""
@@ -58,6 +77,8 @@ class ExactLaw:
 
     def __init__(self, copula, *structures):
         self.theta = copula.theta if isinstance(copula, FGMCopula) else 0.0
+        self.pair = copula.pair if isinstance(copula, ClaytonPairCopula) else None
+        self.clayton_theta = getattr(copula, "theta", 0.0)
         self.n = copula.n
         k = len(structures) - 1
         self._num = _rows(_joint_terms(*structures), k, copula.n)
@@ -84,11 +105,36 @@ class ExactLaw:
             total += coeff * ((kept << lift) + theta * bent * spread)
         return total
 
+    def _pair_sum(self, rows, values, theta):
+        """The rows' sum under the Clayton pair, in Decimal."""
+        j, k = (i - 1 for i in self.pair)
+        factors = {}  # (p, q) -> the pair factor and its partials
+        total = 0
+        for coeff, layout, chosen in rows:
+            u = [1 if var is None else values[var] for var in layout]
+            kept = 1
+            for i, x in enumerate(u):
+                if i not in (j, k) and i not in chosen:
+                    kept *= x
+            if (u[j], u[k]) not in factors:
+                factors[u[j], u[k]] = _clayton(Decimal(u[j]), Decimal(u[k]), theta)
+            pair = factors[u[j], u[k]][(j in chosen) + 2 * (k in chosen)]
+            total += coeff * kept * pair
+        return total
+
     def law(self, z, *c):
         """S(z | c) = num(c, z) / den(c), clipped to [0, 1] as the package clips."""
-        exponent = max(_exponent(x) for x in (*c, z, self.theta))
-        value = Fraction(self._sum(self._num, (*c, z), exponent),
-                         self._sum(self._den, c, exponent))
+        if self.pair is None:
+            exponent = max(_exponent(x) for x in (*c, z, self.theta))
+            value = Fraction(self._sum(self._num, (*c, z), exponent),
+                             self._sum(self._den, c, exponent))
+        else:
+            with localcontext() as ctx:
+                ctx.prec = DIGITS
+                values = [Decimal(x) for x in (*c, z)]
+                theta = Decimal(self.clayton_theta)
+                value = Fraction(self._pair_sum(self._num, values, theta)
+                                 / self._pair_sum(self._den, values, theta))
         return min(max(value, Fraction(0)), Fraction(1))
 
 

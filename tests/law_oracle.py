@@ -1,14 +1,18 @@
 """Test-side views of the laws the package evaluates without naming them.
 
 `pdf(marginal, t)` is the closed-form density of an `Exponential` or
-`Weibull` marginal, which checks `sf` by its slope.  `BivariateDistortion`
-and `TrivariateDistortion` give named access to the joint distortions of
-two and three ordered lifetimes: the predictors read the same laws from the
-ordered term sums (`distortion._TermSum`) directly, and these classes add
-only the region rules, so the closed forms in the tests check those sums.
-`empirical_conditional_check` is the Monte Carlo oracle: the empirical
-conditional survival of a simulated sample in a thin conditioning bin
-against a predictor's analytic law.
+`Weibull` marginal, which checks `sf` by its slope.  `oracle_sum` is the
+term-by-term loop over an ordered expansion: one copula point and one `eval`
+or `fd_oracle.partial` call per term and differentiated coordinate (or
+pair), added in term order.  `BivariateDistortion` and
+`TrivariateDistortion` give named access to the joint distortions of two
+and three ordered lifetimes: the predictors read the same laws from the
+count-pattern sums (`distortion._PatternSum`) directly, and these classes
+read those sums where at most one variable is free, `oracle_sum` otherwise,
+and add only the region rules, so the closed forms in the tests check those
+sums.  `empirical_conditional_check` is the Monte Carlo oracle: the
+empirical conditional survival of a simulated sample in a thin conditioning
+bin against a predictor's analytic law.
 """
 
 from dataclasses import dataclass
@@ -17,9 +21,12 @@ from functools import cached_property
 import numpy as np
 
 from syspredict import Exponential, UnivariateDistortion
-from syspredict.distortion import _TermSum
+from syspredict.distortion import _joint_terms, _PatternSum
 from syspredict.errors import OutOfRange, SysPredictError
 from syspredict.marginal import _check_times
+from syspredict.structure import _indices
+
+from fd_oracle import partial
 
 MIN_BIN_ROWS = 500
 
@@ -35,6 +42,34 @@ def pdf(marginal, t):
     return (k / lam) * z * np.exp(-((t / lam) ** k))
 
 
+def oracle_sum(copula, terms, values, var_a=None, var_b=None):
+    """The per-term loop: the value with no variable, a partial in one or two.
+
+    Also returns the sum of |coeff * part| over the summands, the scale of
+    the rounding in the sum.
+    """
+    shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+    vals = [np.broadcast_to(np.asarray(v), shape) for v in values]
+    total = np.zeros(shape)
+    scale = np.zeros(shape)
+    for coeff, masks in terms:
+        ids = [_indices(m) for m in masks]
+        point = np.ones(shape + (copula.n,))
+        for axis_ids, val in zip(ids, vals):
+            for i in axis_ids:
+                point[..., i - 1] = val
+        if var_a is None:
+            parts = [copula.eval(point)]
+        elif var_b is None:
+            parts = [partial(copula, (i,), point) for i in ids[var_a]]
+        else:
+            parts = [partial(copula, (i, j), point) for i in ids[var_a] for j in ids[var_b]]
+        for part in parts:
+            total += coeff * part
+            scale += np.abs(coeff * part)
+    return total, scale
+
+
 class RegionError(SysPredictError, ValueError):
     """Evaluation point outside the supported region."""
 
@@ -44,12 +79,13 @@ class InsufficientBinCount(SysPredictError, ValueError):
 
 
 class _Distortion:
-    """The structures under the names in `roles`, the copula, and their term sum.
+    """The structures under the names in `roles`, the copula, and their sums.
 
     Built as ``cls(*structures, copula)`` with the structures in variable
-    order, the system last; the term sum is the law on the ordered region,
-    and `_sums` holds its evaluators for the partials in `variables`, bound
-    once here.
+    order, the system last; the sum is the law on the ordered region, and
+    `_sums` holds its evaluators for the partials in `variables`, bound once
+    here: the count-pattern sum's where at most one variable is free, else
+    the per-term loop.
     """
 
     roles = ()
@@ -57,8 +93,11 @@ class _Distortion:
 
     def __init__(self, *structures_and_copula):
         *structures, copula = structures_and_copula
-        self._ordered = _TermSum(copula, *structures)
-        self._sums = {v: self._ordered.partial(*v) for v in self.variables}
+        self._terms = _joint_terms(*structures)
+        ordered = _PatternSum(copula, *structures)
+        self._sums = {v: ordered.partial(*v) if len(structures) - len(v) <= 1
+                      else (lambda *values, v=v: oracle_sum(copula, self._terms, values, *v)[0])
+                      for v in self.variables}
         for role, structure in zip(self.roles, structures, strict=True):
             setattr(self, role, structure)
         self.copula = copula
@@ -67,7 +106,7 @@ class _Distortion:
     @property
     def terms(self):
         """Ordered-region terms as (coeff, per-variable 1-based indices)."""
-        return self._ordered.terms
+        return tuple((coeff, tuple(_indices(m) for m in masks)) for coeff, masks in self._terms)
 
 
 class BivariateDistortion(_Distortion):
@@ -87,7 +126,7 @@ class BivariateDistortion(_Distortion):
     @cached_property
     def tail_d1(self):
         """The T1 distortion's derivative, the v > u branch of `d1`."""
-        return _TermSum(self.copula, self.first).partial(0)
+        return _PatternSum(self.copula, self.first).partial(0)
 
     def value(self, u, v):
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)

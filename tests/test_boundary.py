@@ -3,10 +3,11 @@
 Every public call below either returns finite values in range or raises a
 SysPredictError: survival and alpha lie in [0, 1], a quantile, a mean and
 both band edges at or past the horizon (the last observed failure; one or
-two failures observed), lifetimes at or past 0.  Parameters are drawn log-uniform over
-the normal doubles, times from 0 to the largest double, and levels down to
-5e-324 and up to 1 - 2^-53.  Two identities are exact where a call answers:
-scaling by a power of two, and the product relay's closed-form mean.
+two failures observed), a system mean and lifetimes at or past 0.  Parameters are drawn
+log-uniform over the normal doubles, times from 0 to the largest double, and levels down
+to 5e-324 and up to 1 - 2^-53.  Three identities are exact where a call answers:
+scaling by a power of two, and the product relay's closed-form conditional and system
+means.
 
 The Clayton pair is left out: as theta -> 0 it collapses to the comonotone
 copula and answers wrongly without raising (ROADMAP item 12).
@@ -33,6 +34,7 @@ from syspredict import (
     parallel,
     series,
     simulate,
+    system_mean,
 )
 from syspredict.errors import OutOfRange, SysPredictError
 from syspredict.structure import validate_structure
@@ -119,6 +121,23 @@ def test_two_failure_answers_in_range_or_raises(copula, marginal, t1, t2, y, w, 
     _check_predictor(_two(copula, marginal), (min(t1, t2), max(t1, t2)), y, w, kind)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: the edges of a centered band at a "
+                   "tiny level come from two solves, each within 1e-12, and cross")
+@pytest.mark.parametrize("copula", sorted(COPULAS))
+@pytest.mark.parametrize("design, cond, level", [("relay", (0.0,), 2.0 ** -52),
+                                                 ("two", (0.0, 1.0), 2.5175622334542135e-15)],
+                         ids=["relay", "two"])
+def test_centered_band_at_a_tiny_level_is_ordered(design, cond, level, copula):
+    """Under Exp(1) each of these bands inverts: its lower edge exceeds its upper by ~1e-12.
+
+    The relay and two-failure tests above draw such levels under some
+    `--hypothesis-seed` values (117 and 126), so the cases are pinned here.
+    """
+    p = (_relay if design == "relay" else _two)(copula, Exponential(1.0))
+    band = p.band("centered", level)
+    assert band.lower(*cond) <= band.upper(*cond)
+
+
 @given(j=st.integers(-1022, 1023), t=times, w=levels)
 @settings(max_examples=150, deadline=None)
 def test_quantile_scales_with_a_power_of_two_mean(j, t, w):
@@ -149,6 +168,24 @@ def test_product_relay_mean_is_t_plus_five_sixths_of_the_mean(mu, t):
     assume(got is not None)
     want = t + mu * (5.0 / 6.0)
     assert abs(got - want) <= 1e-12 * want
+
+
+@given(j=st.integers(-1022, 1023))
+@settings(max_examples=150, deadline=None)
+def test_product_relay_system_mean_is_seven_sixths_of_the_mean(j):
+    """E(T) = mu (1 + 1/2 - 1/3) for q-bar(u) = u + u^2 - u^3 under Exp(mu = 2^j)."""
+    mu = math.ldexp(1.0, j)
+    got = _answer(system_mean, RELAY, COPULAS["product"], Exponential(mu))
+    with np.errstate(over="ignore"):
+        want = mu * (7.0 / 6.0)
+    if got is not None:
+        assert abs(got - want) <= 1e-12 * want
+
+
+@given(copula=st.sampled_from(sorted(COPULAS)), marginal=marginals)
+@settings(max_examples=150, deadline=None)
+def test_system_mean_in_range_or_raises(copula, marginal):
+    assert _in_range(_answer(system_mean, RELAY, COPULAS[copula], marginal), 0.0)
 
 
 SAMPLES = [np.array([(1.0, 1.0), (2.0, 2.5), (3.0, 2.9)]),

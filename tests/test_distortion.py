@@ -11,7 +11,7 @@ from syspredict import (
     series,
     validate_structure,
 )
-from syspredict.distortion import _TermSum
+from syspredict.distortion import _PatternSum
 from syspredict.errors import DimensionMismatch, TermLimitExceeded
 
 from law_oracle import BivariateDistortion, RegionError, TrivariateDistortion
@@ -52,7 +52,7 @@ def test_univariate_derivative(relay, first3, product3, clayton23):
     for cop in (product3, clayton23):
         for struct in (relay, first3):
             q = UnivariateDistortion(struct, cop)
-            derivative = _TermSum(cop, struct).partial(0)
+            derivative = _PatternSum(cop, struct).partial(0)
             for u in _interior(11, 30, 0.05, 0.95):
                 h = 1e-6
                 num = (q.value(u + h) - q.value(u - h)) / (2 * h)

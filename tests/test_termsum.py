@@ -1,11 +1,12 @@
-"""Stacked term sums and masked copula partials against per-term oracles.
+"""Count-pattern sums and masked copula partials against per-term oracles.
 
-`oracle_sum` is the term-by-term loop that `_TermSum` replaced: one copula
-point and one `eval` or `fd_oracle.partial` call per term and differentiated
-coordinate (or pair), added in term order.  The stacked sum makes one call per chunk of
-rows and must give the same bits, except under a Clayton pair with
-theta != 1, whose `**` may round differently in the last place with the
-length of the array numpy's SIMD loop sees.
+`law_oracle.oracle_sum` is the term-by-term loop: one copula point and one
+`eval` or `fd_oracle.partial` call per term and differentiated coordinate
+(or pair), added in term order.  The count-pattern sums
+(`distortion._PatternSum`) merge those rows into integer coefficients and
+add them in another order, so they agree with the loop to a few roundings
+of the summands' magnitudes, under the product, FGM and Clayton-pair
+copulas alike.
 """
 
 from itertools import combinations
@@ -29,47 +30,17 @@ from syspredict import (
     validate_structure,
 )
 from syspredict import distortion
-from syspredict.distortion import _joint_terms, _PatternSum, _TermSum
+from syspredict.distortion import _joint_terms, _PatternSum
 from syspredict.errors import OutOfUnitInterval
 from syspredict.structure import SystemStructure
 
 from fd_oracle import partial
-from law_oracle import BivariateDistortion
+from law_oracle import BivariateDistortion, oracle_sum
 
 CLAYTON_RTOL = 1e-15
-
-
-def _ids(mask):
-    return tuple(i for i in range(64) if mask >> i & 1)
-
-
-def oracle_sum(copula, terms, values, var_a=None, var_b=None):
-    """The per-term loop: the value with no variable, a partial in one or two.
-
-    Also returns the sum of |coeff * part| over the summands, the scale of
-    the rounding the Clayton tolerance is relative to.
-    """
-    shape = np.broadcast_shapes(*(np.shape(v) for v in values))
-    vals = [np.broadcast_to(np.asarray(v), shape) for v in values]
-    total = np.zeros(shape)
-    scale = np.zeros(shape)
-    for coeff, masks in terms:
-        ids = [_ids(m) for m in masks]
-        point = np.ones(shape + (copula.n,))
-        for axis_ids, val in zip(ids, vals):
-            for i in axis_ids:
-                point[..., i] = val
-        if var_a is None:
-            parts = [copula.eval(point)]
-        elif var_b is None:
-            parts = [partial(copula, (i + 1,), point) for i in ids[var_a]]
-        else:
-            parts = [partial(copula, (i + 1, j + 1), point)
-                     for i in ids[var_a] for j in ids[var_b]]
-        for part in parts:
-            total += coeff * part
-            scale += np.abs(coeff * part)
-    return total, scale
+# |pattern sum - per-term loop| <= SUM_ULPS * eps * sum |coeff * part|
+SUM_ULPS = 32
+EPS = np.finfo(float).eps
 
 
 def _copula(family, n, theta, pair):
@@ -115,66 +86,76 @@ def _sums(draw):
     return structures, _copula(family, n, theta, pair), values
 
 
-def _assert_matches(copula, got, want, scale):
-    if isinstance(copula, ClaytonPairCopula) and copula.theta != 1.0:
-        assert np.all(np.abs(got - want) <= CLAYTON_RTOL * scale)
-    else:
-        assert got.tobytes() == want.tobytes()
+def _rounding(got, want, scale):
+    """|got - want| in units of eps * scale (0 where both agree exactly)."""
+    diff = np.abs(got - want)
+    with np.errstate(divide="ignore"):  # a nonzero diff at a zero scale is inf
+        ratio = np.divide(diff, EPS * scale, out=np.zeros_like(diff), where=diff > 0.0)
+    return float(np.max(ratio, initial=0.0))
 
 
 @given(_sums())
 @settings(max_examples=150, deadline=None)
 def test_stacked_sum_matches_per_term_loop(case):
+    """The value, d1 and d12 by count pattern, wherever at most one variable is free."""
     structures, copula, values = case
     terms = _joint_terms(*structures)
-    stacked = _TermSum(copula, *structures)
-    nvars = len(structures)
-    got = stacked.partial()(*values)
-    want, scale = oracle_sum(copula, terms, values)
-    assert got.shape == want.shape
-    _assert_matches(copula, got, want, scale)
-    for var in range(nvars):
-        want, scale = oracle_sum(copula, terms, values, var)
-        _assert_matches(copula, stacked.partial(var)(*values), want, scale)
-    for a, b in combinations(range(nvars), 2):
-        want, scale = oracle_sum(copula, terms, values, a, b)
-        _assert_matches(copula, stacked.partial(a, b)(*values), want, scale)
+    sums = _PatternSum(copula, *structures)
+    for variables in ((), (0,), (0, 1)):
+        if not 0 <= len(structures) - len(variables) <= 1:
+            continue
+        got = sums.partial(*variables)(*values)
+        want, scale = oracle_sum(copula, terms, values, *variables)
+        # a partial that no array value reaches is a constant, which broadcasts
+        assert np.broadcast_shapes(np.shape(got), want.shape) == want.shape
+        assert _rounding(got, want, scale) <= SUM_ULPS
 
 
 def test_chunked_sum_matches_one_call(monkeypatch):
-    """Row chunks add in the same order as one stacked call."""
-    system = k_out_of_n(2, 5)
-    copula = FGMCopula(theta=0.7, n=5)
-    structures = (series(5), k_out_of_n(3, 5), system)
+    """Clayton pair patterns stacked in chunks add as in one call, bit for bit.
+
+    At theta = 1 the pair kernel's powers are exact, so the length of the
+    array numpy's loop sees cannot move a bit either.
+    """
+    copula = ClaytonPairCopula(pair=(1, 5), theta=1.0, n=5)
+    structures = (series(5), k_out_of_n(3, 5), k_out_of_n(2, 5))
     u = np.linspace(0.05, 1.0, 9)
     values = (u, 0.6 * u, 0.2 * u)
-    whole = _TermSum(copula, *structures)
-    before = [whole.partial(*variables)(*values) for variables in ((), (0,), (0, 1))]
-    monkeypatch.setattr(distortion, "CELLS", 5 * 9 * 3)  # three rows per chunk
-    chunked = _TermSum(copula, *structures)
-    after = [chunked.partial(*variables)(*values) for variables in ((), (0,), (0, 1))]
+    cases = ((structures[:2], (0,)), (structures[:2], (0, 1)), (structures, (0, 1)))
+    before = [_PatternSum(copula, *s).partial(*v)(*values[:len(s)]) for s, v in cases]
+    calls = []
+    kernel = distortion._clayton_pair
+
+    def counted(p, *args):
+        calls.append(np.size(p))
+        return kernel(p, *args)
+
+    monkeypatch.setattr(distortion, "_clayton_pair", counted)
+    monkeypatch.setattr(distortion, "CELLS", 3)  # a point per chunk
+    after = [_PatternSum(copula, *s).partial(*v)(*values[:len(s)]) for s, v in cases]
+    assert len(calls) == 3 * len(u)
     for x, y in zip(before, after):
         assert x.tobytes() == y.tobytes()
-    want, _ = oracle_sum(copula, _joint_terms(*structures), values, 0, 1)
-    assert after[2].tobytes() == want.tobytes()
+    want, scale = oracle_sum(copula, _joint_terms(*structures), values, 0, 1)
+    assert _rounding(after[2], want, scale) <= SUM_ULPS
 
 
 def test_large_grid_stays_within_cell_budget(monkeypatch):
-    """A 2000-point grid on 2-of-10 (5,020 d1 rows) is evaluated in chunks of at most CELLS cells."""
+    """A 2000-point grid on 2-of-10 (58 d1 patterns under a Clayton pair) goes in chunks of at most CELLS cells."""
     first, system = series(10), k_out_of_n(2, 10)
-    copula = ProductCopula(10)
+    copula = ClaytonPairCopula(pair=(2, 7), theta=2.5, n=10)
     d = BivariateDistortion(first, system, copula)
-    largest = []
-    original = ProductCopula._partial
+    sizes = []
+    kernel = distortion._clayton_pair
 
-    def spy(self, mask, arr):
-        largest.append(np.size(arr))
-        return original(self, mask, arr)
+    def spy(p, q, *args):
+        sizes.append(np.broadcast(p, q).size)
+        return kernel(p, q, *args)
 
-    monkeypatch.setattr(ProductCopula, "_partial", spy)
+    monkeypatch.setattr(distortion, "_clayton_pair", spy)
     u = np.linspace(0.0, 1.0, 2000)
     got = d.d1(u, 0.5 * u)
-    assert max(largest) <= distortion.CELLS
+    assert len(sizes) > 1 and max(sizes) <= distortion.CELLS
     assert np.all(np.isfinite(got))
 
 
@@ -210,7 +191,7 @@ def test_mask_form_equals_index_form(n):
                 assert stacked[:, r].tobytes() == want.tobytes(), (cop, idx)
 
 
-# -- call budget: one copula call per term sum, normalizers once per solve ---
+# -- call budget: normalizers once per solve, one evaluation per law call ---
 
 def _count(monkeypatch, cls, name, counts, key=None):
     original = getattr(cls, name)
@@ -223,17 +204,23 @@ def _count(monkeypatch, cls, name, counts, key=None):
     monkeypatch.setattr(cls, name, counted)
 
 
-@pytest.mark.parametrize("mode", ["one", "weak", "two"])
+@pytest.mark.parametrize("mode", ["one", "weak", "two", "clayton-one", "clayton-weak",
+                                  "clayton-two"])
 def test_scalar_quantile_call_budget(monkeypatch, mode):
-    """No copula kernel call, den and the fold once, one polynomial per law call.
+    """No copula kernel call, den and the fold once, one evaluation per law call.
 
-    Under FGM the law goes by count pattern: den is evaluated once per
-    conditioning point and the numerator's c factors are folded once; every
-    later law evaluation, the bracket check and each solver step, is one call
-    of the folded polynomial in z.  A weak law adds one evaluation at the
-    horizon for alpha, which both the atom mask and the law reuse.
+    The law goes by count pattern: den is evaluated once per conditioning
+    point and the numerator's c factors are folded once; every later law
+    evaluation, the bracket check and each solver step, is one call of the
+    folded evaluator in z.  Under FGM that is a polynomial in Python floats;
+    under a Clayton pair it makes one pair-kernel call over all its patterns,
+    as den does once.  A weak law adds one evaluation at the horizon for
+    alpha, which both the atom mask and the law reuse.
     """
-    copula = FGMCopula(theta=0.5, n=4)
+    clayton = mode.startswith("clayton")
+    mode = mode.removeprefix("clayton-")
+    copula = (ClaytonPairCopula(pair=(1, 3), theta=2.5, n=4) if clayton
+              else FGMCopula(theta=0.5, n=4))
     if mode == "two":
         pred = TwoFailurePredictor(series(4), k_out_of_n(3, 4), k_out_of_n(2, 4),
                                    copula, Exponential(1.0))
@@ -249,20 +236,20 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
                                      mode="weak")
         cond = (0.3,)
     counts = {}
-    _count(monkeypatch, FGMCopula, "_partial", counts)
-    _count(monkeypatch, FGMCopula, "eval", counts)
-    _count(monkeypatch, _TermSum, "_sum", counts)
+    _count(monkeypatch, type(copula), "_partial", counts)
+    _count(monkeypatch, type(copula), "eval", counts)
+    _count(monkeypatch, distortion, "_clayton_pair", counts, key="pair")
     _count(monkeypatch, pred, "_den", counts, key="den")
     fold = pred._num.fold
 
     def counted_fold(*c):
         counts["fold"] = counts.get("fold", 0) + 1
-        polynomial = fold(*c)
+        folded = fold(*c)
 
         def evaluate(z):
             assert type(z) is float  # a one-entry solve steps in Python floats
-            counts["polynomial"] = counts.get("polynomial", 0) + 1
-            return polynomial(z)
+            counts["folded"] = counts.get("folded", 0) + 1
+            return folded(z)
 
         return evaluate
 
@@ -282,9 +269,10 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     monkeypatch.setattr(pred, "_law", counted_build)
     pred.quantile(0.5, *cond)
     assert counts["law"] <= 16  # the bracket check and every solver step
-    assert counts["polynomial"] == counts["law"] + extra
+    assert counts["folded"] == counts["law"] + extra
     assert counts["den"] == counts["fold"] == 1
-    assert "_partial" not in counts and "eval" not in counts and "_sum" not in counts
+    assert counts.get("pair", 0) == (counts["folded"] + 1 if clayton else 0)
+    assert "_partial" not in counts and "eval" not in counts
 
 
 @given(data=st.data(), n=st.integers(2, 5), k=st.sampled_from([1, 2]),
@@ -321,14 +309,16 @@ def test_numerator_vanishes_at_zero(data, n, k, family):
     assert num == 0.0
 
 
-def test_out_of_range_values_raise_on_every_call():
+@pytest.mark.parametrize("copula", [FGMCopula(theta=0.5, n=3),
+                                    ClaytonPairCopula(pair=(1, 3), theta=2.5, n=3)],
+                         ids=["fgm", "clayton"])
+def test_out_of_range_values_raise_on_every_call(copula):
     """Every call checks all its values, also one that no term carries."""
-    copula = FGMCopula(theta=0.5, n=3)
     q = UnivariateDistortion(k_out_of_n(2, 3), copula)
-    q_d1 = _TermSum(copula, k_out_of_n(2, 3)).partial(0)
-    pair = _TermSum(copula, series(3), k_out_of_n(2, 3)).partial(0)
+    q_d1 = _PatternSum(copula, k_out_of_n(2, 3)).partial(0)
+    pair = _PatternSum(copula, series(3), k_out_of_n(2, 3)).partial(0)
     # series(3) inside series(3): every coordinate carries the system's variable
-    unused = _TermSum(copula, series(3), series(3)).partial()
+    unused = _PatternSum(copula, series(3), series(3)).partial(0)
     calls = [(q.value, (1.5,)), (q_d1, (-0.1,)),
              (pair, (1.5, 0.3)), (pair, (0.5, -0.1)), (unused, (1.5, 0.3))]
     for evaluate, bad in calls:
@@ -338,9 +328,12 @@ def test_out_of_range_values_raise_on_every_call():
                 evaluate(*bad)
 
 
-def test_nan_in_any_variable_raises():
+@pytest.mark.parametrize("copula", [FGMCopula(theta=0.5, n=3),
+                                    ClaytonPairCopula(pair=(1, 3), theta=2.5, n=3)],
+                         ids=["fgm", "clayton"])
+def test_nan_in_any_variable_raises(copula):
     """NaN fails the range check in either variable of a two-variable partial."""
-    pair = _TermSum(FGMCopula(theta=0.5, n=3), series(3), k_out_of_n(2, 3)).partial(0)
+    pair = _PatternSum(copula, series(3), k_out_of_n(2, 3)).partial(0)
     pair(0.5, 0.3)
     for bad in ((np.nan, 0.3), (0.5, np.nan), (np.array([0.5, np.nan]), 0.3)):
         with pytest.raises(OutOfUnitInterval):
@@ -358,7 +351,6 @@ def test_build_expands_each_structure_once(monkeypatch):
     monkeypatch.setattr(SystemStructure, "_expand", counted)
     # each predictor builds its two sums (by count pattern here) and no distortion
     counts = {}
-    _count(monkeypatch, _TermSum, "__init__", counts, key="term sums")
     _count(monkeypatch, _PatternSum, "__init__", counts, key="term sums")
     _count(monkeypatch, distortion.UnivariateDistortion, "__init__", counts, key="distortions")
     first, second, system = series(4), k_out_of_n(3, 4), k_out_of_n(2, 4)
