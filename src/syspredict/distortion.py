@@ -19,9 +19,10 @@ this region; the region rules beyond it live with the test oracles.
 All of these are one object, `_PatternSum`: the signed sum over the joint
 expansion of k structures, its rows merged by count pattern under every
 copula (the signature view of Samaniego 1985 and of Navarro, Samaniego &
-Balakrishnan 2010).  Its `partial(*variables)` evaluates a mixed partial in
-the leading variables, at most one left free; the predictors' laws and
-`UnivariateDistortion`, q-bar for one system lifetime, read it.
+Balakrishnan 2010).  One loop builds the patterns of its mixed partial in
+the leading variables, at most one left free, for every family; the
+predictors' laws and `UnivariateDistortion`, q-bar for one system
+lifetime, read it.
 
 Every expansion is the product of the structures' merged univariate
 expansions (SystemStructure.inclusion_exclusion), merged again over equal
@@ -31,8 +32,9 @@ than TERM_BUDGET = 2^20 merged terms is refused.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product
 from math import prod
+from operator import sub
 
 import numpy as np
 
@@ -80,12 +82,13 @@ class _PatternSum:
         prod c_v^n_v z^a + theta prod (1 - 2 c_v) (c_v (1 - c_v))^n_v (z (1 - z))^a,
 
     n_v its undifferentiated coordinates per differentiated variable and a
-    those carrying z; the theta part is 0 where the row pins a coordinate to
-    1, and for the product (theta = 0).  A term with m_v coordinates per
-    variable has prod m_v rows, all with n_v = m_v - 1: one integer
-    coefficient per count pattern (n_v, a).  Under the Clayton pair the
-    counts run over the independent coordinates, and a pattern adds what each
-    pair coordinate carries and whether it is differentiated (`_PairSum`).
+    those carrying z; the theta part (bends) is there unless the row pins a
+    coordinate to 1 or theta = 0 (the product).  A term with m_v coordinates
+    per variable has prod m_v rows, all with n_v = m_v - 1: one integer
+    coefficient per count pattern.  The Clayton pair's counts run over the
+    independent coordinates, and its pattern adds what each pair coordinate
+    carries and whether it is differentiated (`_PairSum`); product and FGM
+    patterns have no pair coordinates.
     """
 
     def __init__(self, copula: SurvivalCopula, *structures: SystemStructure):
@@ -95,57 +98,55 @@ class _PatternSum:
         self.n = copula.n
         self.pair = tuple(i - 1 for i in getattr(copula, "pair", ()))  # the Clayton pair's
         self.terms = _joint_terms(*structures)
+        self.variables = len(structures)
 
     def partial(self, *variables):
         """The evaluator of the mixed partial in `variables`: a `_Polynomial` or a `_PairSum`.
 
         They are the leading variables 0..k-1, and at most one is left free,
-        as in every law the predictors read.
+        as in every law the predictors read.  A pattern is (a, counts, slots,
+        marks, bends, coeff), a pair coordinate's slot its variable (k if
+        free, k + 1 if pinned to 1) and its mark that the row differentiates
+        it.  A partial that no row reaches is one pattern with coefficient 0
+        that reads each value once (counts 1, a = 1 if a variable is free,
+        the pair pinned), so its evaluator returns 0 at their broadcast shape.
         """
-        k = len(variables)
-        if self.pair:
-            return _PairSum(self._pair_patterns(k), k, self.theta)
-        acc = {}  # (power of z, undifferentiated counts, no pinned coordinate) -> coeff
-        for coeff, masks in self.terms:
-            counts = [m.bit_count() for m in masks]
-            rows = prod(counts[:k])
-            if rows:
-                key = (sum(counts[k:]), tuple(m - 1 for m in counts[:k]), sum(counts) == self.n)
-                acc[key] = acc.get(key, 0) + coeff * rows
-        patterns = sorted((a, counts, coeff, full and self.theta != 0.0)
-                          for (a, counts, full), coeff in acc.items() if coeff)
-        return _Polynomial(patterns, k, self.theta)
-
-    def _pair_patterns(self, k):
-        """(a, counts, slots, marks, coeff) per Clayton-pair pattern of the partial in 0..k-1.
-
-        A pair coordinate's slot is its variable (k if free, k + 1 if pinned to
-        1); its mark, that the row differentiates it.  Patterns go in the order
-        of their keys at z = c_(k-1), where num's sum repeats den's term by term.
-        """
-        rest = ((1 << self.n) - 1) & ~sum(1 << i for i in self.pair)
+        k, pair = len(variables), range(len(self.pair))
+        every = (1 << self.n) - 1
+        rest = every & ~sum(1 << i for i in self.pair)
         acc = {}
         for coeff, masks in self.terms:
+            if not all(masks[:k]):  # no row: a differentiated variable has no coordinate
+                continue
             counts = [(m & rest).bit_count() for m in masks]
-            slots = tuple(next((min(v, k) for v, m in enumerate(masks) if m >> i & 1), k + 1)
-                          for i in self.pair)
+            slots = tuple([next((min(v, k) for v, m in enumerate(masks) if m >> i & 1), k + 1)
+                           for i in self.pair])
+            a, bends = sum(counts[k:]), self.theta != 0.0 and sum(masks) == every
             # each differentiated variable in one of its independent coordinates
             # (None) or in pair coordinate j where that one carries it
-            for chosen in product(*([None] * (counts[v] > 0) + [j for j in (0, 1) if slots[j] == v]
-                                    for v in range(k))):
-                indep = [(n, j is None) for n, j in zip(counts, chosen)]
-                key = (sum(counts[k:]), tuple(n - one for n, one in indep),
-                       slots, (0 in chosen, 1 in chosen))
-                acc[key] = acc.get(key, 0) + coeff * prod(n for n, one in indep if one)
+            options = [[None] * (n > 0) for n in counts[:k]]
+            for j, v in enumerate(slots):
+                if v < k:
+                    options[v].append(j)
+            for chosen in product(*options):
+                one = [j is None for j in chosen]  # in an independent coordinate
+                key = (a, tuple(map(sub, counts, one)), slots, tuple([j in chosen for j in pair]),
+                       bends)
+                acc[key] = acc.get(key, 0) + coeff * prod(compress(counts, one))
+        free = int(self.variables > k)
+        patterns = [(*key, coeff) for key, coeff in acc.items() if coeff] or [
+            (free, (1,) * k, (k + 1,) * len(pair), (False,) * len(pair), False, 0)]
+        if not self.pair:  # in ascending powers of z
+            return _Polynomial(sorted(patterns), k, self.theta)
 
-        def at_horizon(pattern):
-            a, counts, slots, marks, _ = pattern
+        def at_horizon(pattern):  # the key at z = c_(k-1): num's sum repeats den's in order
+            a, counts, slots, marks = pattern[:4]
             if k:
                 counts = (*counts[:-1], counts[-1] + a)
                 slots = tuple(k - 1 if s == k else s for s in slots)
             return counts, slots, marks, pattern
 
-        return sorted(((*key, coeff) for key, coeff in acc.items() if coeff), key=at_horizon)
+        return _PairSum(sorted(patterns, key=at_horizon), k, self.theta)
 
 
 class _Polynomial:
@@ -163,15 +164,12 @@ class _Polynomial:
 
     def fold(self, *c):
         """z -> the partial at (c, z); with no free variable it ignores z."""
-        if not self._patterns:  # no row reaches this partial: 0 at every point
-            shape = lambda z: np.broadcast_shapes(np.shape(z), *map(np.shape, c))
-            return lambda z: np.zeros(shape(z)) if shape(z) else 0.0
         sign = self._theta
         for v in c:
             sign = sign * (1.0 - 2.0 * v)
         spread = [v * (1.0 - v) for v in c]
         terms = []
-        for a, counts, coeff, bends in self._patterns:
+        for a, counts, _, _, bends, coeff in self._patterns:
             kept, bent = 1.0, sign if bends else None
             for v, s, n in zip(c, spread, counts):
                 for _ in range(n):
@@ -214,16 +212,15 @@ def _powers(x, exponents):
 class _PairSum(_Polynomial):
     """`_Polynomial`'s evaluator for a Clayton-pair partial (see `_PatternSum`).
 
-    Pattern (a, counts, slots, marks, coeff) is coeff * (kept * pair), kept =
-    prod c_v^n_v z^a and pair the pair factor at its slots' values (c_v, z or
-    1), differentiated where marked.  `fold(*c)` reads c once; each evaluation
+    Pattern (a, counts, slots, marks, bends, coeff) is coeff * (kept * pair),
+    kept = prod c_v^n_v z^a and pair the pair factor at its slots' values (c_v,
+    z or 1), differentiated where marked; bends is FGM's and goes unread.  `fold(*c)` reads c once; each evaluation
     at z makes one `_clayton_pair` call over all patterns per chunk of at most
-    CELLS cells (points x patterns).  No pattern is one zero pattern.
+    CELLS cells (points x patterns).
     """
 
     def __init__(self, patterns, k, theta):
-        a, counts, slots, marks, coeffs = (np.array(x) for x in zip(
-            *patterns or [(0, (0,) * k, (k + 1,) * 2, (False,) * 2, 0)]))
+        a, counts, slots, marks, _, coeffs = (np.array(x) for x in zip(*patterns))
         self._k, self._theta, self._a, self._coeffs = k, theta, a, coeffs.astype(float)
         self._powered = [(v, e) for v, e in enumerate(counts.reshape(len(a), k).T) if e.any()]
         self._slots, self._marks = slots.T, marks.T

@@ -478,7 +478,9 @@ def kofn_survival(n, r, s, t, y, marginal):
 
     Binomial form: the residual is the (s-r)-th order statistic of n-r fresh
     lifetimes, so with rho = F-bar(y)/F-bar(t) the survival is
-    sum_{j<s-r} C(n-r, j) (1-rho)^j rho^(n-r-j).
+    sum_{j<s-r} C(n-r, j) (1-rho)^j rho^(n-r-j).  As in `_binomial_root`, it
+    sums the smaller tail: above 1/2 it is 1 - P(at least s-r of them fail),
+    that tail taken as P(fewer than n-s+1 survive), so it never exceeds 1.
     """
     _check_kofn(n, r, s)
     t = np.asarray(t, dtype=float)
@@ -489,4 +491,6 @@ def kofn_survival(n, r, s, t, y, marginal):
     if np.any(sft == 0.0):
         raise DegenerateDenominator("F-bar(t) = 0 at the conditioning time")
     rho = marginal.sf(y) / sft
-    return _scalar_like(_fewer_than(n - r, s - r, rho), t, y)
+    lower = _fewer_than(n - r, s - r, rho)
+    upper = _fewer_than(n - r, n - s + 1, 1.0 - rho)
+    return _scalar_like(np.where(lower > 0.5, 1.0 - upper, lower), t, y)

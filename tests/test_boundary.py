@@ -3,7 +3,8 @@
 Every public call below either returns finite values in range or raises a
 SysPredictError: survival and alpha lie in [0, 1], a quantile, a mean and
 both band edges at or past the horizon (the last observed failure; one or
-two failures observed), a system mean and lifetimes at or past 0.  Parameters are drawn
+two failures observed), a system mean and lifetimes at or past 0, a k-of-n
+survival in [0, 1] and its quantile factor in (0, 1].  Parameters are drawn
 log-uniform over the normal doubles, times from 0 to the largest double, and levels down
 to 5e-324 and up to 1 - 2^-53.  Three identities are exact where a call answers:
 scaling by a power of two, and the product relay's closed-form conditional and system
@@ -31,6 +32,8 @@ from syspredict import (
     fit_lqr,
     fit_ols,
     k_out_of_n,
+    kofn_quantile_factor,
+    kofn_survival,
     parallel,
     series,
     simulate,
@@ -49,6 +52,14 @@ times = st.one_of(st.sampled_from([0.0, 5e-324, 1.0, HUGE]), normals, st.floats(
 levels = st.one_of(st.sampled_from([5e-324, 0.5, 1.0 - 2.0 ** -53]),
                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 marginals = st.one_of(st.builds(Exponential, normals), st.builds(Weibull, normals, normals))
+
+
+@st.composite
+def kofn_orders(draw):
+    """(n, r, s) with n <= 40 and 1 <= r < s <= n."""
+    n = draw(st.integers(2, 40))
+    s = draw(st.integers(2, n))
+    return n, draw(st.integers(1, s - 1)), s
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,6 +147,15 @@ def test_centered_band_at_a_tiny_level_is_ordered(design, cond, level, copula):
     p = (_relay if design == "relay" else _two)(copula, Exponential(1.0))
     band = p.band("centered", level)
     assert band.lower(*cond) <= band.upper(*cond)
+
+
+@given(order=kofn_orders(), marginal=st.builds(Weibull, normals, normals), t=times, y=times,
+       w=levels)
+@settings(max_examples=150, deadline=None)
+def test_kofn_answers_in_range_or_raise(order, marginal, t, y, w):
+    assert _in_range(_answer(kofn_survival, *order, min(t, y), max(t, y), marginal), 0.0, 1.0)
+    factor = _answer(kofn_quantile_factor, *order, w)
+    assert factor is None or 0.0 < factor <= 1.0
 
 
 @given(j=st.integers(-1022, 1023), t=times, w=levels)

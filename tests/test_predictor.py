@@ -506,6 +506,17 @@ def test_kofn_survival(exp1):
     assert kofn_survival(10, 2, 5, t, y, exp1) == pytest.approx(0.5, abs=1e-8)
 
 
+def test_kofn_survival_stays_at_or_below_one(exp1):
+    # the lower tail summed to 1.0000000000000002 here: near 1 it is the upper
+    # tail's complement
+    assert kofn_survival(11, 1, 11, 0.0, 0.01, exp1) <= 1.0
+    y = np.linspace(0.0, 0.05, 101)
+    for n in range(2, 41):
+        for s in range(2, n + 1):
+            got = kofn_survival(n, 1, s, 0.0, y, exp1)
+            assert np.all((got >= 0.0) & (got <= 1.0))
+
+
 def test_kofn_errors(exp1):
     with pytest.raises(InvalidOrder):
         kofn_quantile_factor(3, 2, 2, 0.5)
@@ -587,20 +598,31 @@ def test_nan_fails_every_range_check(relay_strict, twofail_fgm, exp1):
     assert exp1.sf(np.empty(0)).shape == exp1.inv_sf(np.empty(0)).shape == (0,)
 
 
-def test_zero_alpha(first3, product3, exp1):
+ZERO_ALPHA_COPULAS = {"product": ProductCopula(3), "fgm": FGMCopula(theta=0.5, n=3),
+                      "clayton": ClaytonPairCopula(pair=(2, 3), theta=2.5, n=3)}
+
+
+@pytest.mark.parametrize("copula", list(ZERO_ALPHA_COPULAS))
+def test_zero_alpha(first3, exp1, copula):
     # observed failure IS the system failure: conditioning on survival is void
     p = EarlyFailurePredictor(
-        first3, first3, product3, exp1, mode="alive"
+        first3, first3, ZERO_ALPHA_COPULAS[copula], exp1, mode="alive"
     )
-    assert EarlyFailurePredictor(
-        first3, first3, product3, exp1, mode="weak"
-    ).alpha(0.5) == pytest.approx(0.0, abs=1e-15)
+    weak = EarlyFailurePredictor(first3, first3, ZERO_ALPHA_COPULAS[copula], exp1, mode="weak")
+    assert weak.alpha(0.5) == pytest.approx(0.0, abs=1e-15)
+    # num has no row, so the weak law is all atom: the mean is the horizon at a
+    # scalar and at an array time, and the survival past it is 0
+    assert weak.mean(0.5) == 0.5
+    np.testing.assert_array_equal(weak.mean(np.array([0.25, 0.5, 2.0])), [0.25, 0.5, 2.0])
+    np.testing.assert_array_equal(weak.survival(np.array([0.75, 1.0, 3.0]), 0.5), [0.0] * 3)
     with pytest.raises(ZeroAlpha):
         p.survival(1.0, 0.5)
-    # a one-entry law runs in Python floats, where a division by 0 would raise
-    # ZeroDivisionError: the void alpha raises first
+    # a one-entry product/FGM law runs in Python floats, where a division by 0
+    # would raise ZeroDivisionError: the void alpha raises first
     law, alpha = p._law(*p._point(0.5)[1])
-    assert type(alpha) is float and alpha == 0.0
+    assert alpha == 0.0
+    if copula != "clayton":  # the Clayton pattern law evaluates its pair in numpy
+        assert type(alpha) is float
     for call in (lambda: law(0.3), lambda: p.quantile(0.5, 0.5)):
         with pytest.raises(ZeroAlpha):
             call()
