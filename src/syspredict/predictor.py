@@ -24,13 +24,20 @@ Each conditioning point's law is built once per solve: den, alpha and
 num's c factors depend only on c (`distortion._PatternSum` folds them), so
 every solver step and quadrature node evaluates just the rest of num in z:
 under product and FGM a short polynomial with + and x only, the same bits
-on Python floats (a one-entry law, every c a scalar) as on numpy arrays;
-under the Clayton pair one pair-kernel call in numpy.  Subclasses name
-their observed structures; the map from conditioning times to (horizon,
-c), quantiles, means, survival, alpha and bands are shared.  The k-of-n
-shortcut `kofn_quantile_factor` inverts its scalar binomial law by
-bisection over the ordered doubles of [0, 1] in Python floats, the search
-`qr` uses for its slopes.
+on Python floats as on numpy arrays; under the Clayton pair one
+pair-kernel call in numpy.  Subclasses name their observed structures; the
+map from conditioning times to (horizon, c), quantiles, means, survival,
+alpha and bands are shared.  The k-of-n shortcut `kofn_quantile_factor`
+inverts its scalar binomial law by bisection over the ordered doubles of
+[0, 1] in Python floats, the search `qr` uses for its slopes.
+
+A one-entry call, every input 0-d, runs in Python floats from call to
+answer, which spares it numpy's per-call cost: Python comparisons check
+the level, the time order and den, and c_i is the float of the marginal's
+0-d F-bar(t_i).  Only the marginal's F-bar and its inverse (whose scalar
+and array powers may differ, ROADMAP 9(f)) and the Clayton pair's kernel
+call numpy; a one-point mean keeps its numpy quadrature and takes F-bar on
+(1, 1) columns, as a stacked mean does.
 
 Quantiles invert the survival level in z space, where every law is
 monotone on (0, F-bar(horizon)], by Anderson-Bjorck regula falsi
@@ -38,14 +45,12 @@ monotone on (0, F-bar(horizon)], by Anderson-Bjorck regula falsi
 with one bisection step after three steps in a row that fail to halve it.
 It stops once the bracket is within a relative 1e-12 of its upper end (at
 most 200 iterations), so the stopping point does not depend on the scale
-of F-bar(horizon).  Stacked solves step in numpy; a one-entry solve, the
-scalar `quantile(w, t)`, takes the same steps with the same arithmetic in
-Python floats, law included under product and FGM, which spares it
-numpy's per-call cost.  The earlier solver kept in tests/solver_oracle.py
-is the reference for both forms, bit for bit.  Over the test designs (t up
-to 60, Exp and Weibull shapes 0.5-4) a level in [0.01, 0.99] takes a
-median of 7 law evaluations and at most 24; levels within 1e-14 of 0 or 1
-at most 63.
+of F-bar(horizon).  Stacked solves step in numpy, a one-entry solve takes
+the same steps with the same arithmetic in Python floats, and the earlier
+solver kept in tests/solver_oracle.py is the reference for both forms, bit
+for bit.  Over the test designs (t up to 60, Exp and Weibull shapes 0.5-4)
+a level in [0.01, 0.99] takes a median of 7 law evaluations and at most
+24; levels within 1e-14 of 0 or 1 at most 63.
 Band edges are the quantiles at the survival levels `_band_edges` gives;
 a bottom band's lower edge is the horizon.
 
@@ -79,6 +84,7 @@ from .errors import (
     InvalidOrder,
     NotInvertible,
     OutOfRange,
+    OutOfUnitInterval,
     QuadratureFailure,
     ZeroAlpha,
 )
@@ -97,19 +103,31 @@ _NODES = np.exp(0.5 * np.pi * np.sinh(_K * QUAD_STEP))
 _WEIGHTS = QUAD_STEP * 0.5 * np.pi * np.cosh(_K * QUAD_STEP) * _NODES
 _COARSE_WEIGHTS = np.where(_K % 2 == 0, 2.0 * _WEIGHTS, 0.0)
 QUAD_TOL = 1e-8  # largest error estimate, relative to the tail integral
+_TINY = float(np.finfo(float).tiny)
+
+
+def _zero_d(x):
+    return type(x) is float or np.ndim(x) == 0
 
 
 def _as_level(w):
-    w = np.asarray(w, dtype=float)
-    if not np.logical_and.reduce((w > 0) & (w < 1), axis=None):  # NaN fails it too
+    """w checked to lie strictly inside (0, 1), a Python float if 0-d (NaN fails it)."""
+    w = float(w) if _zero_d(w) else np.asarray(w, dtype=float)
+    inside = (0.0 < w < 1.0 if type(w) is float
+              else np.logical_and.reduce((w > 0) & (w < 1), axis=None))
+    if not inside:
         raise OutOfRange("survival levels must lie strictly inside (0, 1)")
     return w
 
 
-def _scalar_like(out, *inputs):
-    if all(np.ndim(x) == 0 for x in inputs):
-        return float(np.asarray(out))
-    return out
+def _checked_times(times):
+    """Conditioning times checked 0 <= t1 <= t2 (NaN fails): Python floats if all are 0-d."""
+    one = all(map(_zero_d, times))
+    times = [float(t) if one else np.asarray(t, dtype=float) for t in times]
+    if len(times) > 1 and not (0.0 <= times[0] <= times[1] if one else
+                               all(np.all(a <= b) for a, b in zip([0.0, *times], times))):
+        raise OutOfRange("conditioning times must satisfy 0 <= t1 <= t2")
+    return times
 
 
 def _clip_unit(x):
@@ -300,23 +318,25 @@ class _PredictorCore:
         self.marginal = marginal
 
     def _point(self, *times):
-        """(horizon, c): the last observed time and F-bar at each observed time."""
-        times = [np.asarray(t, dtype=float) for t in times]
-        if len(times) > 1 and not all(np.all(a <= b) for a, b in zip([0.0, *times], times)):
-            raise OutOfRange("conditioning times must satisfy 0 <= t1 <= t2")
-        return times[-1], tuple(self.marginal.sf(t) for t in times)
+        """(horizon, c): the last observed time and F-bar at each; floats at a one-entry point."""
+        times = _checked_times(times)
+        c = tuple(self.marginal.sf(t) for t in times)
+        return times[-1], tuple(map(float, c)) if type(times[-1]) is float else c
 
     def _law(self, *c):
         """z -> S(z | c) with the normalizers of c computed once, and alpha.
 
         alpha = S(F-bar(horizon) | c) before any renormalization; it is None
         in strict mode, where neither an atom nor the alive condition needs it.
+        A one-entry point's c (Python floats) and its den are checked in Python.
         """
-        if all(np.ndim(x) == 0 for x in c):
-            c = tuple(float(x) for x in c)  # a one-entry law steps in Python floats
-        den = self._den(*c)
+        one = type(c[-1]) is float
+        if one and not all(0.0 <= x <= 1.0 for x in c):  # NaN fails it too
+            raise OutOfUnitInterval("copula arguments must lie in [0, 1]")
+        den = self._den.fold(*c)(None) if one else self._den(*c)
         # a subnormal den has lost digits, and the law divided by it drifts
-        if not np.all(np.isfinite(den) & (np.abs(den) >= np.finfo(float).tiny)):
+        if not (math.isfinite(den) and abs(den) >= _TINY if one else
+                np.all(np.isfinite(den) & (np.abs(den) >= _TINY))):
             raise DegenerateDenominator(self._degenerate)
         num = self._num.fold(*c)
 
@@ -328,7 +348,7 @@ class _PredictorCore:
         alpha = law(c[-1])
         if self.mode == "weak":
             return law, alpha
-        void = np.any(alpha == 0.0)
+        void = alpha == 0.0 if one else np.any(alpha == 0.0)
 
         def alive(z):
             if void:
@@ -341,50 +361,58 @@ class _PredictorCore:
         """P(T > y | cond): 1 before the horizon."""
         horizon, c = self._point(*cond)
         law, _ = self._law(*c)
-        y = np.asarray(y, dtype=float)
         # times before the horizon lie outside the ordered region: clamp,
         # then the y < horizon branch overrides with probability 1
+        if type(horizon) is float and _zero_d(y):
+            s = law(min(float(self.marginal.sf(y)), c[-1]))
+            return 1.0 if float(y) < horizon else float(s)
+        y = np.asarray(y, dtype=float)
         s = law(np.minimum(self.marginal.sf(y), c[-1]))
-        return _scalar_like(np.where(y < horizon, 1.0, s), y, *cond)
+        return np.where(y < horizon, 1.0, s)
 
     def alpha(self, *cond):
         """P(T > horizon | cond) before renormalization: the continuous share."""
-        _, c = self._point(*cond)
+        horizon, c = self._point(*cond)
         law, alpha = self._law(*c)
-        return _scalar_like(law(c[-1]) if alpha is None else alpha, *cond)
+        alpha = law(c[-1]) if alpha is None else alpha
+        return float(alpha) if type(horizon) is float else alpha
 
     def quantile(self, w, *cond):
         """Generalized inverse of the conditional survival at level w."""
         w = _as_level(w)
         horizon, c = self._point(*cond)
         law, alpha = self._law(*c)
-        # every time spans the solve: a 0-d bracket must mean a one-entry law
-        shape = np.broadcast_shapes(np.shape(w), *(np.shape(x) for x in c))
         # levels at or above alpha sit in the atom at the horizon
         atom = w >= alpha if self.mode == "weak" else None
+        if type(w) is float and type(horizon) is float:  # one entry
+            y = float(self.marginal.inv_sf(_solve_one(law, c[-1], w, atom)))
+            return horizon if atom else y
+        shape = np.broadcast_shapes(np.shape(w), *(np.shape(x) for x in c))
         root = _solve_increasing(law, np.broadcast_to(c[-1], shape), w, skip=atom)
         y = self.marginal.inv_sf(root)
-        if atom is not None:
-            y = np.where(atom, horizon, y)
-        return _scalar_like(y, w, *cond)
+        return y if atom is None else np.where(atom, horizon, y)
 
     def median(self, *cond):
         return self.quantile(0.5, *cond)
 
     def mean(self, *cond):
         """Conditional mean: horizon + integral of the survival tail."""
-        shape = np.broadcast_shapes(*(np.shape(x) for x in cond))
-        cols = [np.broadcast_to(np.asarray(x, dtype=float), shape).reshape(-1, 1) for x in cond]
-        horizon, c = self._point(*cols)
-        law, _ = self._law(*c)
-        out = _tail_mean(law, self.marginal, horizon, c[-1])
-        return _scalar_like(out.reshape(shape), *cond)
+        times = _checked_times(cond)
+        one = type(times[-1]) is float
+        shape = () if one else np.broadcast_shapes(*(np.shape(t) for t in times))
+        # (1, 1) columns even at one point: F-bar in the array power of every mean (9(f))
+        cols = [np.array([[t]]) if one else np.broadcast_to(t, shape).reshape(-1, 1)
+                for t in times]
+        sf = [self.marginal.sf(t) for t in cols]
+        c = [float(x[0, 0]) for x in sf] if one else sf
+        out = _tail_mean(self._law(*c)[0], self.marginal, cols[-1], sf[-1])
+        return float(out[0]) if one else out.reshape(shape)
 
     def band(self, kind, level) -> PredictionBand:
         """Prediction band evaluators at the given coverage level."""
         low, high = _band_edges(kind, level)
         if low is None:
-            lower = lambda *cond: _scalar_like(self._point(*cond)[0], *cond)
+            lower = lambda *cond: self._point(*cond)[0]
         else:
             lower = lambda *cond: self.quantile(low, *cond)
         upper = lambda *cond: self.quantile(high, *cond)
@@ -493,4 +521,5 @@ def kofn_survival(n, r, s, t, y, marginal):
     rho = marginal.sf(y) / sft
     lower = _fewer_than(n - r, s - r, rho)
     upper = _fewer_than(n - r, n - s + 1, 1.0 - rho)
-    return _scalar_like(np.where(lower > 0.5, 1.0 - upper, lower), t, y)
+    out = np.where(lower > 0.5, 1.0 - upper, lower)
+    return float(out) if out.ndim == 0 else out

@@ -35,6 +35,7 @@ from syspredict import (
     kofn_quantile_factor,
     kofn_survival,
     parallel,
+    sample_components,
     series,
     simulate,
     system_mean,
@@ -99,6 +100,16 @@ def test_marginal_answers_in_range_or_raises(marginal, t, p, seed):
     sample = _answer(lambda: simulate(series(3), RELAY, COPULAS["product"], marginal,
                                       size=4, seed=seed).components)
     assert _in_range(sample, 0.0)
+
+
+@given(copula=st.sampled_from(sorted(COPULAS)), marginal=marginals, size=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_sample_components_answers_in_range_or_raises(copula, marginal, size, seed):
+    rows = _answer(sample_components, COPULAS[copula], marginal, np.random.default_rng(seed),
+                   size)
+    assert rows is None or rows.shape == (size, 3)
+    assert _in_range(rows, 0.0)
 
 
 def _check_predictor(p, cond, y, w, kind):
@@ -176,6 +187,36 @@ def test_quantile_scales_with_a_power_of_two_mean(j, t, w):
     with np.errstate(over="ignore"):
         want = float(unit * mu)
     if got is None:  # only where the scaled quantile leaves the normal range
+        assert not TINY <= want <= HUGE
+    else:
+        assert float(got).hex() == want.hex()
+
+
+@given(copula=st.sampled_from(sorted(COPULAS)), design=st.sampled_from(["relay", "two"]),
+       shape=st.sampled_from([1.5, 3.0]), j=st.integers(-1022, 1023),
+       u1=st.one_of(st.floats(0.0, 8.0), times), u2=st.one_of(st.floats(0.0, 8.0), times),
+       w=levels)
+@settings(max_examples=100, deadline=None)
+def test_weibull_quantile_scales_with_a_power_of_two_scale(copula, design, shape, j, u1, u2, w):
+    """quantile(w, t; Weibull(k, 2^j)) = 2^j quantile(w, t / 2^j; Weibull(k, 1)), bit for bit.
+
+    t / 2^j = u is exact, so the capped hazard, F-bar(t) and the root in z
+    are those of scale 1, and inv_sf scales the lifetime by 2^j exactly; the
+    scaled call raises only where that lifetime leaves the normal range.
+    """
+    mu = math.ldexp(1.0, j)
+    units = (u2,) if design == "relay" else (min(u1, u2), max(u1, u2))
+    cond = tuple(u * mu for u in units)
+    assume(all(t / mu == u for t, u in zip(cond, units)))
+    build = _relay if design == "relay" else _two
+    got = _answer(build(copula, Weibull(shape, mu)).quantile, w, *cond)
+    unit = _answer(build(copula, Weibull(shape, 1.0)).quantile, w, *units)
+    if unit is None:
+        assert got is None
+        return
+    with np.errstate(over="ignore"):
+        want = float(unit * mu)
+    if got is None:
         assert not TINY <= want <= HUGE
     else:
         assert float(got).hex() == want.hex()

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from itertools import product
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from syspredict.errors import (
     OutOfRange,
     OutOfUnitInterval,
     QuadratureFailure,
+    SysPredictError,
     ZeroAlpha,
 )
 from syspredict.predictor import BISECT_MAX, BISECT_TOL, _solve_increasing, _tail_mean
@@ -1029,6 +1031,72 @@ def test_centered_bands_are_ordered(copula, shape, mode, t, level):
     band = p.band("centered", level)
     lower, median, upper = band.lower(*cond), p.median(*cond), band.upper(*cond)
     assert t <= lower < median < upper
+
+
+GLUE_COPULAS = {"product": ProductCopula, "fgm": lambda n: FGMCopula(theta=0.5, n=n),
+                "clayton": lambda n: ClaytonPairCopula(pair=(2, 3), theta=2.5, n=n)}
+GLUE_DESIGNS = {  # (observed structures, system, conditioning point)
+    "relay": ((series(3),), validate_structure(3, [[1], [2, 3]]), (0.4,)),
+    "two_of_four": ((series(4),), k_out_of_n(2, 4), (0.4,)),
+    "three_then_two_of_four": ((series(4), k_out_of_n(3, 4)), k_out_of_n(2, 4), (0.3, 0.7)),
+}
+# the one-entry input forms; the reference call gives every input the shape (1,)
+GLUE_FORMS = (float, np.float64, np.array)
+
+
+def _outcome(call, args):
+    try:
+        return call(*args)
+    except SysPredictError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("copula", list(GLUE_COPULAS))
+@pytest.mark.parametrize("design", list(GLUE_DESIGNS))
+def test_one_entry_calls_match_the_stacked_call_in_every_scalar_form(design, copula):
+    """A call whose inputs are all 0-d answers with a Python float.
+
+    Python floats, np.float64 and 0-d arrays give the same float, bit for
+    bit the entry of the same call with every input of shape (1,) (under
+    Exp(1) the marginal's scalar and array powers agree), or raise the same
+    error class.  The bad inputs are levels outside (0, 1) or NaN, negative
+    or NaN times (conditioning or prediction) and t1 > t2.
+    """
+    observed, system, cond = GLUE_DESIGNS[design]
+    cop = GLUE_COPULAS[copula](system.n)
+    p = (EarlyFailurePredictor(*observed, system, cop, Exponential(1.0)) if len(observed) == 1
+         else TwoFailurePredictor(*observed, system, cop, Exponential(1.0)))
+    centered, bottom = p.band("centered", 0.9), p.band("bottom", 0.9)
+    calls = {  # each takes (w, y, *cond)
+        "quantile": lambda w, y, *cond: p.quantile(w, *cond),
+        "centered lower": lambda w, y, *cond: centered.lower(*cond),
+        "centered upper": lambda w, y, *cond: centered.upper(*cond),
+        "bottom lower": lambda w, y, *cond: bottom.lower(*cond),
+        "bottom upper": lambda w, y, *cond: bottom.upper(*cond),
+        "survival": lambda w, y, *cond: p.survival(y, *cond),
+        "alpha": lambda w, y, *cond: p.alpha(*cond),
+        "mean": lambda w, y, *cond: p.mean(*cond),
+    }
+    # (w, y, *cond) and the calls that must raise there
+    good = (0.3, 1.1, *cond)
+    inputs = [((0.3, 0.1, *cond), ()), (good, ())]  # y before and after the horizon
+    inputs += [((w, *good[1:]), ("quantile",)) for w in (math.nan, 0.0, 1.0, -0.1)]
+    for i, t in product(range(1, len(good)), (-1.0, math.nan)):
+        inputs.append((good[:i] + (t,) + good[i + 1:], ("survival",) if i == 1 else calls))
+    if len(cond) == 2:
+        inputs.append(((0.3, 1.1, *cond[::-1]), calls))
+    for (name, call), (args, raising) in product(calls.items(), inputs):
+        want = _outcome(call, [np.array([x]) for x in args])
+        if name in raising:
+            assert isinstance(want, type), (name, args)
+        else:
+            want = float(want[0])
+        for form in GLUE_FORMS:
+            got = _outcome(call, [form(x) for x in args])
+            if name in raising:
+                assert got is want, (name, args, form)
+            else:
+                assert type(got) is float and got.hex() == want.hex(), (name, args, form)
 
 
 def _loaded_by_fresh_import(package):

@@ -215,7 +215,10 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     folded evaluator in z.  Under FGM that is a polynomial in Python floats;
     under a Clayton pair it makes one pair-kernel call over all its patterns,
     as den does once.  A weak law adds one evaluation at the horizon for
-    alpha, which both the atom mask and the law reuse.
+    alpha, which both the atom mask and the law reuse.  The glue around the
+    solve runs in Python too: the marginal's F-bar once per conditioning
+    time, its inverse once, and no unit-interval check of the copula values
+    (den is its folded partial).
     """
     clayton = mode.startswith("clayton")
     mode = mode.removeprefix("clayton-")
@@ -239,7 +242,10 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     _count(monkeypatch, type(copula), "_partial", counts)
     _count(monkeypatch, type(copula), "eval", counts)
     _count(monkeypatch, distortion, "_clayton_pair", counts, key="pair")
-    _count(monkeypatch, pred, "_den", counts, key="den")
+    _count(monkeypatch, pred._den, "fold", counts, key="den")
+    _count(monkeypatch, distortion, "_check_unit", counts)
+    _count(monkeypatch, type(pred.marginal), "sf", counts)
+    _count(monkeypatch, type(pred.marginal), "inv_sf", counts)
     fold = pred._num.fold
 
     def counted_fold(*c):
@@ -273,6 +279,8 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     assert counts["den"] == counts["fold"] == 1
     assert counts.get("pair", 0) == (counts["folded"] + 1 if clayton else 0)
     assert "_partial" not in counts and "eval" not in counts
+    assert counts["sf"] == len(cond) and counts["inv_sf"] == 1
+    assert "_check_unit" not in counts
 
 
 @given(data=st.data(), n=st.integers(2, 5), k=st.sampled_from([1, 2]),
