@@ -31,13 +31,14 @@ alpha and bands are shared.  The k-of-n shortcut `kofn_quantile_factor`
 inverts its scalar binomial law by bisection over the ordered doubles of
 [0, 1] in Python floats, the search `qr` uses for its slopes.
 
-A one-entry call, every input 0-d, runs in Python floats from call to
-answer, which spares it numpy's per-call cost: Python comparisons check
-the level, the time order and den, and c_i is the float of the marginal's
-0-d F-bar(t_i).  Only the marginal's F-bar and its inverse (whose scalar
-and array powers may differ, ROADMAP 9(f)) and the Clayton pair's kernel
-call numpy; a one-point mean keeps its numpy quadrature and takes F-bar on
-(1, 1) columns, as a stacked mean does.
+A one-entry quantile, band edge or alpha, every input 0-d, runs in Python
+floats from call to answer, which spares it numpy's per-call cost: Python
+comparisons check the level, the time order and den, and c_i is the float
+of the marginal's 0-d F-bar(t_i).  Only the marginal's F-bar and its
+inverse (whose scalar and array powers may differ, ROADMAP 9(f)) and the
+Clayton pair's kernel call numpy.  A one-point mean keeps its numpy
+quadrature and takes F-bar on (1, 1) columns, as a stacked mean does, and
+a one-entry survival keeps its numpy body on a 0-d y; both return a float.
 
 Quantiles invert the survival level in z space, where every law is
 monotone on (0, F-bar(horizon)], by Anderson-Bjorck regula falsi
@@ -150,15 +151,12 @@ def _solve_increasing(f, hi, target, skip=None):
     The loop keeps the bracket (lo, hi), the end values (g_lo, g_hi) of
     f - target, which end the last step moved (was_up, was_down: read only
     at live entries, which were live at every step before) and the count
-    of slow steps in a row.  A 0-d bracket goes to `_solve_one`, the same
-    steps in Python floats, which spares a scalar solve numpy's per-call
-    cost.  Step for step the arithmetic of both forms is that of the
-    earlier int-`last` form kept in tests/solver_oracle.py, the reference
-    for both.
+    of slow steps in a row.  A 0-d bracket is `_solve_one`'s, the same
+    steps in Python floats.  Step for step the arithmetic of both forms is
+    that of the earlier int-`last` form kept in tests/solver_oracle.py, the
+    reference for both.
     """
     hi = np.array(hi, dtype=float)
-    if hi.ndim == 0:
-        return _solve_one(f, hi, target, skip)
     target = np.broadcast_to(np.asarray(target, dtype=float), hi.shape)
     skip = np.zeros(hi.shape, dtype=bool) if skip is None else skip
     g_hi = f(hi) - target
@@ -361,14 +359,12 @@ class _PredictorCore:
         """P(T > y | cond): 1 before the horizon."""
         horizon, c = self._point(*cond)
         law, _ = self._law(*c)
+        y = np.asarray(y, dtype=float)
         # times before the horizon lie outside the ordered region: clamp,
         # then the y < horizon branch overrides with probability 1
-        if type(horizon) is float and _zero_d(y):
-            s = law(min(float(self.marginal.sf(y)), c[-1]))
-            return 1.0 if float(y) < horizon else float(s)
-        y = np.asarray(y, dtype=float)
         s = law(np.minimum(self.marginal.sf(y), c[-1]))
-        return np.where(y < horizon, 1.0, s)
+        out = np.where(y < horizon, 1.0, s)
+        return float(out) if type(horizon) is float and y.ndim == 0 else out
 
     def alpha(self, *cond):
         """P(T > horizon | cond) before renormalization: the continuous share."""

@@ -40,7 +40,7 @@ from syspredict.errors import (
     SysPredictError,
     ZeroAlpha,
 )
-from syspredict.predictor import BISECT_MAX, BISECT_TOL, _solve_increasing, _tail_mean
+from syspredict.predictor import BISECT_MAX, BISECT_TOL, _solve_increasing, _solve_one, _tail_mean
 
 from solver_oracle import solve_increasing as oracle_solve_increasing
 
@@ -814,7 +814,7 @@ def test_solver_matches_bisection(copula, shape, mode, t, frac, w):
         calls.append(z)
         return law(z)
 
-    got = _solve_increasing(counted, c[-1], w, skip=atom)
+    got = _solve_one(counted, c[-1], w, atom)
     want = oracle_bisect(law, c[-1], w, skip=atom)
     assert len(calls) <= BISECT_MAX + 1
     assert all(type(z) is float for z in calls)  # a one-entry solve steps in Python floats
@@ -863,7 +863,8 @@ def _traced_solve(solve, f, hi, target, skip):
 @settings(max_examples=300, deadline=None)
 def test_solver_matches_its_earlier_form_bit_for_bit(case):
     """Same trial points and roots as the int-`last` solver, step for step."""
-    assert _traced_solve(_solve_increasing, *case) == _traced_solve(oracle_solve_increasing, *case)
+    solve = _solve_one if np.ndim(case[1]) == 0 else _solve_increasing
+    assert _traced_solve(solve, *case) == _traced_solve(oracle_solve_increasing, *case)
 
 
 def _staircase(h, *values):
@@ -904,7 +905,7 @@ def test_solver_matches_its_earlier_form_at_ieee_corners(name, skip):
     # -0 ("up from a negative zero"): inf * -0 warns there, never in Python floats
     with np.errstate(invalid="ignore"):
         want = _traced_solve(oracle_solve_increasing, *case)
-    assert _traced_solve(_solve_increasing, *case) == want
+    assert _traced_solve(_solve_one, *case) == want
 
 
 @pytest.mark.parametrize("skip", [None, False, True])
@@ -921,7 +922,7 @@ def test_solver_matches_its_earlier_form_at_ieee_corners_stacked(name, skip):
 def test_solver_leaves_the_error_state_to_f():
     """f runs under the caller's error state, and a warning it raises gets out."""
     before = np.geterr()
-    for hi in (np.array([1.0, 0.5]), np.array(1.0)):  # the vector and the one-entry form
+    for solve, hi in ((_solve_increasing, np.array([1.0, 0.5])), (_solve_one, 1.0)):
         seen = []
 
         def f(z):
@@ -930,7 +931,7 @@ def test_solver_leaves_the_error_state_to_f():
             return z
 
         with pytest.warns(RuntimeWarning, match="divide by zero"):
-            _solve_increasing(f, hi, 0.25)
+            solve(f, hi, 0.25, None)
         assert np.geterr() == before
         assert len(seen) > 1 and all(state == before for state in seen)
 

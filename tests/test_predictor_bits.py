@@ -31,7 +31,7 @@ from syspredict import (
 )
 from syspredict import distortion
 from syspredict.errors import SysPredictError
-from syspredict.predictor import _solve_increasing
+from syspredict.predictor import _solve_increasing, _solve_one
 
 COPULAS = {
     "product": ProductCopula(3),
@@ -375,6 +375,8 @@ def _roots(p, w, cond):
     _, c = p._point(*cond)
     law, alpha = p._law(*c)
     atom = w >= alpha if p.mode == "weak" else None
+    if np.ndim(w) == 0:
+        return _solve_one(law, c[-1], w, atom)
     return _solve_increasing(law, np.broadcast_to(c[-1], np.shape(w)), w, skip=atom)
 
 
