@@ -11,9 +11,8 @@ call, and an unmarked row is the value (`eval`).  Each family also samples
 itself by closed-form conditional inversion.
 
 The predictors and q-bar go by count pattern (`distortion._PatternSum`):
-the FGM kernel restated as a polynomial in the counts of coordinates per
-variable, and under the Clayton pair one `_clayton_pair` call over all
-patterns.
+the FGM kernel as a polynomial in the counts of coordinates per variable,
+and one `_clayton_pair` call per distinct read of the Clayton pair.
 
 Families:
 
@@ -44,6 +43,13 @@ from .errors import (
     OutOfUnitInterval,
     UnsupportedCopula,
 )
+
+
+def _check_dimension(n, least):
+    if not isinstance(n, (int, np.integer)):
+        raise IndexOutOfRange(f"dimension must be an integer, got {n!r}")
+    if n < least:
+        raise IndexOutOfRange(f"dimension must be >= {least}")
 
 
 def _check_unit(arr):
@@ -95,8 +101,7 @@ class ProductCopula(SurvivalCopula):
     n: int = 3
 
     def __post_init__(self):
-        if self.n < 1:
-            raise IndexOutOfRange("dimension must be >= 1")
+        _check_dimension(self.n, 1)
 
     def _partial(self, mask, arr):
         # differentiated coordinates enter as exact 1.0 factors
@@ -116,8 +121,7 @@ class FGMCopula(SurvivalCopula):
     def __post_init__(self):
         if not -1.0 <= self.theta <= 1.0:
             raise OutOfRange(f"FGM needs |theta| <= 1, got {self.theta}")
-        if self.n < 2:
-            raise IndexOutOfRange("dimension must be >= 2")
+        _check_dimension(self.n, 2)
 
     def _partial(self, mask, arr):
         # d/du_S [prod u + theta prod u(1-u)]
@@ -140,31 +144,43 @@ class FGMCopula(SurvivalCopula):
         return V
 
 
-def _clayton_pair(p, q, dp, dq, theta):
-    """Clayton pair factor, or per row its partial in p (dp), q (dq) or both.
-
-    With m = min(p, q), M = max(p, q), r = m/M and E = 1 + r^theta - m^theta:
-    the factor is m E^(-1/theta), d/dp is (m/p)^(1+theta) E^(-1-1/theta) and
-    d2/dp dq is (1+theta) r^theta / M E^(-2-1/theta).
-    """
+def _clayton_values(p, q, theta):
+    """m = min(p, q), M = max(p, q), r = m/M, r^theta, E = 1 + r^theta - m^theta, E^(-1/theta)."""
     m, big = np.minimum(p, q), np.maximum(p, q)
     big = np.where(big > 0, big, 1.0)  # every form is 0 at p = q = 0
     r = m / big
-    rt = r ** theta
-    e = 1.0 + rt - m ** theta
-    # m over the differentiated coordinate is 1 where that one is the smaller
-    # (the limit 1 at p = 0 < q), else r (0 at a zero partner)
-    d1 = np.where(np.where(dp, p, q) < np.where(dp, q, p), 1.0, r * rt)
-    with np.errstate(over="ignore"):  # d2 leaves the double range only at a subnormal M
-        d12 = rt / big
-        # where r^theta underflows take (r / M^a)^theta M^(a theta - 1), a the
-        # power of 2 putting a theta in [1, 2), so every exponent is exact
-        low = (rt < np.finfo(rt.dtype).tiny) & (r > 0)
-        if low.any():
-            a = math.ldexp(1.0, 1 - math.frexp(theta)[1])
-            d12[low] = (r[low] / big[low] ** a) ** theta * big[low] ** (a * theta - 1.0)
-        lead = np.where(dp & dq, (1.0 + theta) * d12 / (e * e), np.where(dp | dq, d1 / e, m))
-    return lead * e ** (-1.0 / theta)
+    rt = np.power(r, theta)
+    e = 1.0 + rt - np.power(m, theta)
+    return m, big, r, rt, e, np.power(e, -1.0 / theta)
+
+
+def _clayton_pair(p, q, dp, dq, theta, shared=None):
+    """Clayton pair factor m E^(-1/theta), or its partial in p (dp), q (dq) or both.
+
+    Over `_clayton_values` (or `shared`), d/dp is (m/p)^(1+theta) E^(-1-1/theta)
+    and d2/dp dq (1+theta) r^theta / M E^(-2-1/theta).  Every power is
+    `np.power`, which gives a numpy scalar the array loop's bits (ROADMAP 9(f)).
+    """
+    m, big, r, rt, e, scale = _clayton_values(p, q, theta) if shared is None else shared
+    if dp and dq:
+        # d2 overflows only at a subnormal M; the fix-up's values off `low` are dropped
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d12 = rt / big
+            # where r^theta underflows take (r / M^a)^theta M^(a theta - 1), a the
+            # power of 2 putting a theta in [1, 2), so every exponent is exact
+            low = (rt < np.finfo(rt.dtype).tiny) & (r > 0)
+            if np.any(low):
+                a = math.ldexp(1.0, 1 - math.frexp(theta)[1])
+                fix = np.power(r / np.power(big, a), theta) * np.power(big, a * theta - 1.0)
+                d12 = np.where(low, fix, d12)
+            lead = (1.0 + theta) * d12 / (e * e)
+    elif dp or dq:
+        # m over the differentiated coordinate is 1 where that one is the smaller
+        # (the limit 1 at p = 0 < q), else r (0 at a zero partner)
+        lead = np.where(p < q if dp else q < p, 1.0, r * rt) / e
+    else:
+        lead = m
+    return lead * scale
 
 
 @dataclass(frozen=True)
@@ -176,10 +192,10 @@ class ClaytonPairCopula(SurvivalCopula):
     n: int = 3
 
     def __post_init__(self):
-        if self.n < 2:
-            raise IndexOutOfRange("dimension must be >= 2")
+        _check_dimension(self.n, 2)
         j, k = self.pair
-        if not (1 <= j <= self.n and 1 <= k <= self.n) or j == k:
+        whole = all(isinstance(i, (int, np.integer)) for i in (j, k))
+        if not (whole and 1 <= j <= self.n and 1 <= k <= self.n) or j == k:
             raise IndexOutOfRange(f"pair {self.pair} must be two distinct indices in 1..{self.n}")
         if j > k:
             object.__setattr__(self, "pair", (k, j))
@@ -191,8 +207,12 @@ class ClaytonPairCopula(SurvivalCopula):
         skip = mask.copy()
         skip[:, [j - 1, k - 1]] = True
         indep = np.multiply.reduce(np.where(skip, 1.0, arr), axis=-1)
-        return indep * _clayton_pair(arr[..., j - 1], arr[..., k - 1],
-                                     mask[:, j - 1], mask[:, k - 1], self.theta)
+        p, q, marks = arr[..., j - 1], arr[..., k - 1], mask[:, [j - 1, k - 1]]
+        pair = np.empty(p.shape, np.result_type(arr, 1.0))
+        for dp, dq in set(map(tuple, marks.tolist())):  # one kernel call per kind of row
+            rows = (marks[:, 0] == dp) & (marks[:, 1] == dq)
+            pair[..., rows] = _clayton_pair(p[..., rows], q[..., rows], dp, dq, self.theta)
+        return indep * pair
 
     def _from_uniforms(self, V):
         # the partner coordinate solves d/dp of the pair factor = w, taken as

@@ -19,10 +19,10 @@ this region; the region rules beyond it live with the test oracles.
 All of these are one object, `_PatternSum`: the signed sum over the joint
 expansion of k structures, its rows merged by count pattern under every
 copula (the signature view of Samaniego 1985 and of Navarro, Samaniego &
-Balakrishnan 2010).  One loop builds the patterns of its mixed partial in
-the leading variables, at most one left free, for every family; the
-predictors' laws and `UnivariateDistortion`, q-bar for one system
-lifetime, read it.
+Balakrishnan 2010).  For every family one loop builds the patterns of its
+mixed partial in the leading variables, at most one left free, and one
+evaluator, `_Polynomial`, sums them, with the same bits on Python floats
+and numpy arrays; the predictors' laws and q-bar read it.
 
 Every expansion is the product of the structures' merged univariate
 expansions (SystemStructure.inclusion_exclusion), merged again over equal
@@ -32,17 +32,16 @@ than TERM_BUDGET = 2^20 merged terms is refused.
 
 from __future__ import annotations
 
-from itertools import compress, product
+from functools import reduce
+from itertools import accumulate, compress, product
 from math import prod
-from operator import sub
+from operator import add, mul, sub
 
 import numpy as np
 
-from .copula import SurvivalCopula, _check_unit, _clayton_pair
+from .copula import SurvivalCopula, _check_unit, _clayton_pair, _clayton_values
 from .errors import DimensionMismatch, TermLimitExceeded
 from .structure import TERM_BUDGET, SystemStructure, _indices
-
-CELLS = 1 << 16  # Clayton pair-kernel cells (points x patterns) per call
 
 
 def _joint_terms(*structures):
@@ -87,8 +86,8 @@ class _PatternSum:
     per variable has prod m_v rows, all with n_v = m_v - 1: one integer
     coefficient per count pattern.  The Clayton pair's counts run over the
     independent coordinates, and its pattern adds what each pair coordinate
-    carries and whether it is differentiated (`_PairSum`); product and FGM
-    patterns have no pair coordinates.
+    carries and whether it is differentiated; product and FGM patterns have
+    no pair coordinates.
     """
 
     def __init__(self, copula: SurvivalCopula, *structures: SystemStructure):
@@ -101,7 +100,7 @@ class _PatternSum:
         self.variables = len(structures)
 
     def partial(self, *variables):
-        """The evaluator of the mixed partial in `variables`: a `_Polynomial` or a `_PairSum`.
+        """The evaluator of the mixed partial in `variables`, a `_Polynomial`.
 
         They are the leading variables 0..k-1, and at most one is left free,
         as in every law the predictors read.  A pattern is (a, counts, slots,
@@ -136,8 +135,6 @@ class _PatternSum:
         free = int(self.variables > k)
         patterns = [(*key, coeff) for key, coeff in acc.items() if coeff] or [
             (free, (1,) * k, (k + 1,) * len(pair), (False,) * len(pair), False, 0)]
-        if not self.pair:  # in ascending powers of z
-            return _Polynomial(sorted(patterns), k, self.theta)
 
         def at_horizon(pattern):  # the key at z = c_(k-1): num's sum repeats den's in order
             a, counts, slots, marks = pattern[:4]
@@ -146,7 +143,8 @@ class _PatternSum:
                 slots = tuple(k - 1 if s == k else s for s in slots)
             return counts, slots, marks, pattern
 
-        return _PairSum(sorted(patterns, key=at_horizon), k, self.theta)
+        # product and FGM in ascending powers of z, a Clayton pair in `at_horizon` order
+        return _Polynomial(sorted(patterns, key=at_horizon if self.pair else None), k, self.theta)
 
 
 class _Polynomial:
@@ -157,13 +155,30 @@ class _Polynomial:
     coeff * (kept * z^a + bent * (z (1 - z))^a), the coefficient applied last
     as the row kernel applies it.  Powers are repeated products and nothing
     but + and x touches z, so a float and an array entry give the same bits.
+
+    Under a Clayton pair a pattern is coeff * ((kept * z^a) * pair), kept the
+    product of each variable's power.  `fold(*c)` makes the pair's reads off
+    z (slot values c_v or 1, and marks; a mirror image is the same read), each
+    evaluation the others, one `_clayton_pair` call per read; its powers are
+    ufuncs, so a float and an array entry give the same bits here too.
     """
 
     def __init__(self, patterns, k, theta):
         self._patterns, self._k, self._theta = patterns, k, theta
+        self._pair = bool(patterns[0][2])  # Clayton patterns have pair slots
+        # each pattern's read of the pair (slot p, slot q, mark p, mark q), a mirror
+        # image as one, and the reads by value pair: off z (fold) and at z
+        self._reads = [min((*s, *m), (*s[::-1], *m[::-1])) for _, _, s, m, _, _ in patterns]
+        groups = {}
+        for read in self._reads if self._pair else ():
+            groups.setdefault(read[:2], {})[read[2:]] = None
+        self._fixed, self._moving = ([(s, g) for s, g in groups.items() if (k in s) == at_z]
+                                     for at_z in (False, True))
 
     def fold(self, *c):
         """z -> the partial at (c, z); with no free variable it ignores z."""
+        if self._pair:
+            return self._fold_pair(*c)
         sign = self._theta
         for v in c:
             sign = sign * (1.0 - 2.0 * v)
@@ -194,69 +209,34 @@ class _Polynomial:
 
         return at
 
+    def _fold_pair(self, *c):
+        def make(groups, pairs, values):  # pairs with the reads of `groups` made at values
+            for (i, j), marks in groups:
+                p, q = values[i], values[j]
+                shared = _clayton_values(p, q, self._theta)
+                for dp, dq in marks:
+                    pairs[i, j, dp, dq] = _clayton_pair(p, q, dp, dq, self._theta, shared)
+            return pairs
+
+        made = make(self._fixed, {}, (*c, None, 1.0))
+        # kept: each variable's power by repeated products, then their product
+        terms = [(a, reduce(mul, [reduce(mul, [v] * n) for v, n in zip(c, counts) if n], 1.0),
+                  r, float(coeff))
+                 for (a, counts, *_, coeff), r in zip(self._patterns, self._reads)]
+        top = max(a for a, *_ in terms)
+
+        def at(z):
+            zs = [1.0, *accumulate([z] * top, mul)]  # z^a by repeated products
+            pair = make(self._moving, dict(made), (*c, z, 1.0))
+            return reduce(add, [coeff * ((kept * zs[a]) * pair[r]) for a, kept, r, coeff in terms])
+
+        return at
+
     def __call__(self, *values):
         for v in values:
             _check_unit(np.asarray(v))
         free = values[self._k] if len(values) > self._k else None
         return self.fold(*values[:self._k])(free)
-
-
-def _powers(x, exponents):
-    """x^e for each e in `exponents`, x with a last axis of 1, by repeated products."""
-    power = np.where(exponents > 0, x, 1.0)
-    for j in range(2, max(exponents) + 1):
-        power = np.where(exponents >= j, power * x, power)
-    return power
-
-
-class _PairSum(_Polynomial):
-    """`_Polynomial`'s evaluator for a Clayton-pair partial (see `_PatternSum`).
-
-    Pattern (a, counts, slots, marks, bends, coeff) is coeff * (kept * pair),
-    kept = prod c_v^n_v z^a and pair the pair factor at its slots' values (c_v,
-    z or 1), differentiated where marked; bends is FGM's and goes unread.  `fold(*c)` reads c once; each evaluation
-    at z makes one `_clayton_pair` call over all patterns per chunk of at most
-    CELLS cells (points x patterns).
-    """
-
-    def __init__(self, patterns, k, theta):
-        a, counts, slots, marks, _, coeffs = (np.array(x) for x in zip(*patterns))
-        self._k, self._theta, self._a, self._coeffs = k, theta, a, coeffs.astype(float)
-        self._powered = [(v, e) for v, e in enumerate(counts.reshape(len(a), k).T) if e.any()]
-        self._slots, self._marks = slots.T, marks.T
-        self._free = self._slots == k
-
-    def fold(self, *c):
-        """z -> the partial at (c, z); with no free variable it ignores z."""
-        table = np.ones(np.broadcast_shapes(*map(np.shape, c)) + (self._k + 2,))
-        for v, x in enumerate(c):
-            table[..., v] = x
-        reads = [table[..., slots] for slots in self._slots]  # per pair coordinate
-        kept = 1.0
-        for v, exponents in self._powered:
-            kept = kept * _powers(table[..., v, None], exponents)
-
-        def at(z):
-            zc = None if z is None else np.asarray(z, dtype=float)[..., None]
-            cells = np.broadcast_shapes(np.shape(zc), reads[0].shape)
-            step = max(1, CELLS // prod(cells[1:]))
-            if len(cells) == 1 or step >= cells[0]:
-                return self._sum(zc, *reads, kept)[()]
-            parts = [np.broadcast_to(x, cells[:-1] + x.shape[-1:]) if np.ndim(x) > 1 else x
-                     for x in (zc, *reads, kept)]  # sliced along the leading axis
-            cut = lambda x, lo: x[lo:lo + step] if np.ndim(x) > 1 else x
-            return np.concatenate([self._sum(*(cut(x, lo) for x in parts))
-                                   for lo in range(0, cells[0], step)])
-
-        return at
-
-    def _sum(self, zc, p, q, kept):
-        """The patterns' sum at z (a last axis of 1; None for no free variable)."""
-        if zc is not None:  # z at the patterns that read it
-            p, q = (np.where(f, zc, x) if f.any() else x for x, f in zip((p, q), self._free))
-            kept = kept * _powers(zc, self._a) if self._a.any() else kept
-        pair = _clayton_pair(p, q, self._marks[0], self._marks[1], self._theta)
-        return (self._coeffs * (kept * pair)).cumsum(axis=-1)[..., -1]
 
 
 class UnivariateDistortion:

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .copula import ProductCopula
+from .copula import ProductCopula, _check_unit
 from .errors import InvalidK, LengthMismatch, OutOfRange
 from .marginal import Exponential
 from .structure import series, validate_structure
@@ -65,10 +65,21 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
+def _whole(value, name, error, least):
+    """value as an int; raises `error` unless it is integral (10.0 passes) and >= least."""
+    if not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and value.is_integer())):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {int(value)}")
+    return int(value)
+
+
 def _seed_sequence(seed):
+    """seed itself if a `SeedSequence`, else the sequence of an integer seed >= 0."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(seed)
+    return np.random.SeedSequence(_whole(seed, "seed", OutOfRange, 0))
 
 
 def _words(x):
@@ -134,21 +145,13 @@ def survival_uniforms(copula, U):
     U = np.asarray(U, dtype=float)
     if U.shape[-1:] != (copula.n,):
         raise OutOfRange(f"uniform block must have {copula.n} columns")
-    return copula._from_uniforms(U.copy())
-
-
-def _whole(value, name, error):
-    """value as an int; raises `error` unless it is integral (10.0 passes)."""
-    if isinstance(value, (int, np.integer)) or (
-            isinstance(value, (float, np.floating)) and value.is_integer()):
-        return int(value)
-    raise error(f"{name} must be an integer, got {value!r}")
+    return copula._from_uniforms(_check_unit(U).copy())
 
 
 def sample_components(copula, marginal, rng, size):
     """Draw `size` joint component-lifetime rows."""
-    U = rng.random((_whole(size, "size", OutOfRange), copula.n))
-    return marginal.inv_sf(survival_uniforms(copula, U))
+    U = rng.random((_whole(size, "size", OutOfRange, 0), copula.n))
+    return marginal.inv_sf(copula._from_uniforms(U))
 
 
 # -- CSV output --------------------------------------------------------------
@@ -375,9 +378,7 @@ class SampleSet:
 
 def simulate(first, system, copula, marginal, size, seed, second=None) -> SampleSet:
     """Simulate component lifetimes and the ordered system lifetimes."""
-    size = _whole(size, "size", OutOfRange)
-    if size < 1:
-        raise OutOfRange(f"size must be >= 1, got {size}")
+    size = _whole(size, "size", OutOfRange, 1)
     rng = np.random.default_rng(_seed_sequence(seed))
     X = sample_components(copula, marginal, rng, size)
     meta = {
@@ -446,16 +447,14 @@ def coverage_experiment(k, replications, seed, *, score="same",
 
 def _coverage(k, replications, seed, offs, *, score="same", eval_draws=None,
               exact_mu=False):
-    k = _whole(k, "k", InvalidK)
-    replications = _whole(replications, "replications", InvalidK)
-    if k < 1 or replications < 1:
-        raise InvalidK("need k >= 1 and replications >= 1")
+    k = _whole(k, "k", InvalidK, 1)
+    replications = _whole(replications, "replications", InvalidK, 1)
     if score not in ("same", "fresh"):
         raise OutOfRange(f"score must be 'same' or 'fresh', got {score!r}")
     if eval_draws is not None:
-        eval_draws = _whole(eval_draws, "eval_draws", OutOfRange)
-        if score != "fresh" or eval_draws < 1:
-            raise OutOfRange(f"eval_draws needs score='fresh' and >= 1, got {eval_draws!r}")
+        eval_draws = _whole(eval_draws, "eval_draws", OutOfRange, 1)
+        if score != "fresh":
+            raise OutOfRange(f"eval_draws needs score='fresh', got score={score!r}")
     m = (k if eval_draws is None else eval_draws) if score == "fresh" else 0
     scored = slice(k, None) if m else slice(None)
     states = _child_states(_seed_sequence(seed), replications)

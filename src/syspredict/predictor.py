@@ -22,38 +22,31 @@ survived and renormalizes the law by alpha(t).
 
 Each conditioning point's law is built once per solve: den, alpha and
 num's c factors depend only on c (`distortion._PatternSum` folds them), so
-every solver step and quadrature node evaluates just the rest of num in z:
-under product and FGM a short polynomial with + and x only, the same bits
-on Python floats as on numpy arrays; under the Clayton pair one
-pair-kernel call in numpy.  Subclasses name their observed structures; the
-map from conditioning times to (horizon, c), quantiles, means, survival,
-alpha and bands are shared.  The k-of-n shortcut `kofn_quantile_factor`
-inverts its scalar binomial law by bisection over the ordered doubles of
-[0, 1] in Python floats, the search `qr` uses for its slopes.
+every solver step and quadrature node evaluates just the rest of num in z,
+one `distortion._Polynomial` closure for every family, with the same bits
+on Python floats as on numpy arrays.  Subclasses name their observed
+structures; the map from conditioning times to (horizon, c), quantiles,
+means, survival, alpha and bands are shared.  The k-of-n shortcut
+`kofn_quantile_factor` inverts its scalar binomial law by bisection over
+the ordered doubles of [0, 1] in Python floats, the search `qr` uses for
+its slopes.
 
 A one-entry quantile, band edge or alpha, every input 0-d, runs in Python
-floats from call to answer, which spares it numpy's per-call cost: Python
-comparisons check the level, the time order and den, and c_i is the float
-of the marginal's 0-d F-bar(t_i).  Only the marginal's F-bar and its
-inverse (whose scalar and array powers may differ, ROADMAP 9(f)) and the
-Clayton pair's kernel call numpy.  A one-point mean keeps its numpy
-quadrature and takes F-bar on (1, 1) columns, as a stacked mean does, and
-a one-entry survival keeps its numpy body on a 0-d y; both return a float.
+floats from call to answer: Python comparisons check the level, the time
+order and den, and c_i is the float of the marginal's 0-d F-bar(t_i).  Only
+the marginal's F-bar and its inverse (whose scalar and array powers may
+differ, ROADMAP 9(f)) and the Clayton kernel, on numpy scalars, call numpy.
+A one-point mean takes F-bar on (1, 1) columns, as a stacked mean does,
+and a one-entry survival keeps its numpy body; both return a float.
 
 Quantiles invert the survival level in z space, where every law is
-monotone on (0, F-bar(horizon)], by Anderson-Bjorck regula falsi
-(Anderson & Bjorck 1973) on a bracket that starts as [0, F-bar(horizon)],
-with one bisection step after three steps in a row that fail to halve it.
-It stops once the bracket is within a relative 1e-12 of its upper end (at
-most 200 iterations), so the stopping point does not depend on the scale
-of F-bar(horizon).  Stacked solves step in numpy, a one-entry solve takes
-the same steps with the same arithmetic in Python floats, and the earlier
-solver kept in tests/solver_oracle.py is the reference for both forms, bit
-for bit.  Over the test designs (t up to 60, Exp and Weibull shapes 0.5-4)
-a level in [0.01, 0.99] takes a median of 7 law evaluations and at most
-24; levels within 1e-14 of 0 or 1 at most 63.
-Band edges are the quantiles at the survival levels `_band_edges` gives;
-a bottom band's lower edge is the horizon.
+monotone on (0, F-bar(horizon)], by safeguarded Anderson-Bjorck regula
+falsi (Anderson & Bjorck 1973; `_solve_increasing`, `_solve_one`) to a
+relative 1e-12 of F-bar(horizon), whatever its scale.  Over the test
+designs (t up to 60, Exp and Weibull shapes 0.5-4) a level in [0.01, 0.99]
+takes a median of 7 law evaluations and at most 24; levels within 1e-14 of
+0 or 1 at most 63.  Band edges are the quantiles at the survival levels
+`_band_edges` gives; a bottom band's lower edge is the horizon.
 
 Means add to the horizon the integral over y > horizon of the survival,
 S(y | c) = law(min(F-bar(y), F-bar(horizon))), substituting
@@ -61,14 +54,17 @@ y = horizon + sigma * s with sigma = F-bar^-1(F-bar(horizon) / e) - horizon,
 the marginal's residual scale at the horizon, so the rule does not depend
 on units or on how far out the horizon lies.  The s integral over (0, inf)
 uses one fixed exp-sinh rule (Takahasi & Mori 1974), s = exp(pi/2 sinh(x))
-on a uniform x grid, for every conditioning point in one law call; the
-integrand stays in [0, 1] and needs neither the density nor a singular
-Jacobian.  Nodes where F-bar(y) underflows to 0 add law(0) = 0.  The rule at
-half the nodes (every other one) estimates the error, the last node's
-term the tail cut off beyond it; a point whose estimate exceeds 1e-8 of
-the integral raises QuadratureFailure, as does a horizon whose F-bar
-underflows.  A sigma whose F-bar^-1 overflows raises OutOfRange, and a
-node y that overflows counts as F-bar(y) = 0 under the error estimate.
+on a uniform x grid.  A grid of points folds and evaluates its law in
+blocks of MEAN_ROWS = 120 points (2^16 node cells, which bounds a grid
+mean's memory under every family), every block's den checked before any
+integral, and one matmul integrates all points.  The integrand stays in
+[0, 1] and needs neither the density nor a singular Jacobian.  Nodes where
+F-bar(y) underflows to 0 add law(0) = 0.  The rule at half the nodes
+(every other one) estimates the error, the last node's term the tail cut
+off beyond it; a point whose estimate exceeds 1e-8 of the integral raises
+QuadratureFailure, as does a horizon whose F-bar underflows.  A sigma
+whose F-bar^-1 overflows raises OutOfRange, and a node y that overflows
+counts as F-bar(y) = 0 under the error estimate.
 """
 
 from __future__ import annotations
@@ -85,7 +81,6 @@ from .errors import (
     InvalidOrder,
     NotInvertible,
     OutOfRange,
-    OutOfUnitInterval,
     QuadratureFailure,
     ZeroAlpha,
 )
@@ -104,6 +99,7 @@ _NODES = np.exp(0.5 * np.pi * np.sinh(_K * QUAD_STEP))
 _WEIGHTS = QUAD_STEP * 0.5 * np.pi * np.cosh(_K * QUAD_STEP) * _NODES
 _COARSE_WEIGHTS = np.where(_K % 2 == 0, 2.0 * _WEIGHTS, 0.0)
 QUAD_TOL = 1e-8  # largest error estimate, relative to the tail integral
+MEAN_ROWS = (1 << 16) // _NODES.size  # points a mean folds and integrates at once: 120
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -145,16 +141,16 @@ def _solve_increasing(f, hi, target, skip=None):
     [0, hi].  A trial point within BISECT_TOL * hi / 3 of either end is
     pushed out to that distance, so a root near an end closes the bracket;
     after three steps in a row that fail to halve the bracket, one step
-    bisects it.  Entries stop once hi - lo <= BISECT_TOL * hi; `skip`
-    entries start there.  Returns the bracket midpoints.
+    bisects it.  Entries stop once hi - lo <= BISECT_TOL * hi (at most
+    BISECT_MAX steps); `skip` entries start there.  Returns the bracket
+    midpoints.
 
     The loop keeps the bracket (lo, hi), the end values (g_lo, g_hi) of
     f - target, which end the last step moved (was_up, was_down: read only
     at live entries, which were live at every step before) and the count
-    of slow steps in a row.  A 0-d bracket is `_solve_one`'s, the same
-    steps in Python floats.  Step for step the arithmetic of both forms is
-    that of the earlier int-`last` form kept in tests/solver_oracle.py, the
-    reference for both.
+    of slow steps in a row.  `_solve_one` takes the same steps on a 0-d
+    bracket in Python floats; the earlier int-`last` form kept in
+    tests/solver_oracle.py is the reference for both, bit for bit.
     """
     hi = np.array(hi, dtype=float)
     target = np.broadcast_to(np.asarray(target, dtype=float), hi.shape)
@@ -249,20 +245,24 @@ def _solve_one(f, hi, target, skip):
     return np.float64(0.5 * (lo + hi))
 
 
-def _tail_mean(law, marginal, horizon, zmax):
+def _tail_mean(laws, marginal, horizon, zmax):
     """horizon + the integral over y > horizon of law(min(F-bar(y), zmax)).
 
-    horizon and zmax = F-bar(horizon) are (P, 1) columns; law maps a
-    (P, nodes) array of survival values to survival probabilities.
-    Returns the P means.
+    horizon and zmax = F-bar(horizon) are (P, 1) columns; `laws` holds one
+    law per block of MEAN_ROWS points, in order, from survival values to
+    survival probabilities.  One matmul integrates all blocks: a row's sum
+    order depends on P (OpenBLAS), not on the blocks.  Returns the P means.
     """
     edge = zmax * math.exp(-1.0)
     if np.any(edge == 0.0):
         raise QuadratureFailure("F-bar(horizon) underflows to 0: the tail has no scale")
     sigma = marginal.inv_sf(edge) - horizon
-    with np.errstate(over="ignore"):  # sigma * s can overflow at far nodes: sf(inf) = 0
-        z = np.minimum(marginal.sf(horizon + sigma * _NODES), zmax)
-    f = np.ascontiguousarray(law(z))  # matmul adds a strided operand in another order
+    f = np.empty((len(horizon), _NODES.size))
+    for start, law in zip(range(0, len(horizon), MEAN_ROWS), laws):
+        rows = slice(start, start + MEAN_ROWS)
+        with np.errstate(over="ignore"):  # sigma * s can overflow at far nodes: sf(inf) = 0
+            z = np.minimum(marginal.sf(horizon[rows] + sigma[rows] * _NODES), zmax[rows])
+        f[rows] = law(z)
     fine = f @ _WEIGHTS
     # the last node's term estimates the tail cut off beyond it
     err = np.abs(fine - f @ _COARSE_WEIGHTS) + f[:, -1] * _WEIGHTS[-1]
@@ -326,12 +326,10 @@ class _PredictorCore:
 
         alpha = S(F-bar(horizon) | c) before any renormalization; it is None
         in strict mode, where neither an atom nor the alive condition needs it.
-        A one-entry point's c (Python floats) and its den are checked in Python.
+        c is F-bar, in [0, 1]; den is checked, in Python at a one-entry point.
         """
         one = type(c[-1]) is float
-        if one and not all(0.0 <= x <= 1.0 for x in c):  # NaN fails it too
-            raise OutOfUnitInterval("copula arguments must lie in [0, 1]")
-        den = self._den.fold(*c)(None) if one else self._den(*c)
+        den = self._den.fold(*c)(None)
         # a subnormal den has lost digits, and the law divided by it drifts
         if not (math.isfinite(den) and abs(den) >= _TINY if one else
                 np.all(np.isfinite(den) & (np.abs(den) >= _TINY))):
@@ -400,8 +398,10 @@ class _PredictorCore:
         cols = [np.array([[t]]) if one else np.broadcast_to(t, shape).reshape(-1, 1)
                 for t in times]
         sf = [self.marginal.sf(t) for t in cols]
-        c = [float(x[0, 0]) for x in sf] if one else sf
-        out = _tail_mean(self._law(*c)[0], self.marginal, cols[-1], sf[-1])
+        # every block's law, its den checked, before any integral (floats at one point)
+        laws = [self._law(*(float(x[0, 0]) if one else x[i:i + MEAN_ROWS] for x in sf))[0]
+                for i in range(0, len(sf[-1]), MEAN_ROWS)]
+        out = _tail_mean(laws, self.marginal, cols[-1], sf[-1])
         return float(out[0]) if one else out.reshape(shape)
 
     def band(self, kind, level) -> PredictionBand:
@@ -446,7 +446,7 @@ class TwoFailurePredictor(_PredictorCore):
 def system_mean(structure, copula, marginal):
     """E(T): the mean rule of the predictors with horizon 0 and law q-bar."""
     law = UnivariateDistortion(structure, copula).value
-    return float(_tail_mean(law, marginal, np.zeros((1, 1)), np.ones((1, 1)))[0])
+    return float(_tail_mean([law], marginal, np.zeros((1, 1)), np.ones((1, 1)))[0])
 
 
 def _check_kofn(n, r, s):

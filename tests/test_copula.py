@@ -1,4 +1,5 @@
 from decimal import Decimal, localcontext
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syspredict import ClaytonPairCopula, FGMCopula, ProductCopula
-from syspredict.copula import copula_from_config
+from syspredict.copula import _clayton_pair, _clayton_values, copula_from_config
 from syspredict.errors import (
     IndexOutOfRange,
     LengthMismatch,
@@ -202,6 +203,28 @@ def test_clayton_pair_at_subnormal_arguments(theta):
                 assert abs(Decimal(have) - exact) <= Decimal("1e-13") * exact, (p, q)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, 8.0])
+def test_clayton_kernel_gives_a_scalar_the_array_bits(theta):
+    """Each read of the pair kernel on Python floats or numpy scalars, and on
+    its mirror image (q, p, dq, dp), has the bits of the same read in an array:
+    the one-entry count-pattern law rests on this.  The points reach the
+    underflow fix-up of the density (r^theta below the normal doubles)."""
+    rng = np.random.default_rng(15)
+    pts = 10.0 ** rng.uniform(-300.0, 0.0, (200, 2))
+    pts[rng.random(pts.shape) < 0.05] = 0.0
+    pts[rng.random(pts.shape) < 0.05] = 1.0
+    pts[:4] = [[1e-310, 1e-310], [5e-324, 1e-300], [0.5, 1e-320], [1e-200, 0.3]]
+    p, q = pts.T
+    for dp, dq in product([False, True], repeat=2):
+        want = _clayton_pair(p, q, dp, dq, theta)
+        for cast in (float, np.float64):
+            got = [_clayton_pair(cast(a), cast(b), dp, dq, theta) for a, b in pts]
+            assert np.array(got).tobytes() == want.tobytes(), (dp, dq, cast)
+        mirror = _clayton_pair(q, p, dq, dp, theta, _clayton_values(q, p, theta))
+        assert mirror.tobytes() == want.tobytes(), (dp, dq)
+
+
 def test_fgm_zero_theta_is_product():
     fgm = FGMCopula(theta=0.0, n=3)
     prod = ProductCopula(3)
@@ -303,6 +326,25 @@ def test_argument_validation():
                           (lambda: ClaytonPairCopula(n=1), "dimension must be >= 2")):
         with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
             make()
+
+
+@pytest.mark.parametrize("make", [lambda: ProductCopula(n=3.5), lambda: ProductCopula(n=3.0),
+                                  lambda: FGMCopula(theta=0.5, n=2.5),
+                                  lambda: ClaytonPairCopula(pair=(2, 3), theta=1.0, n=3.0),
+                                  lambda: ClaytonPairCopula(pair=(2.5, 3), theta=1.0, n=3),
+                                  lambda: ClaytonPairCopula(pair=(1, 3.0), theta=1.0, n=3)],
+                         ids=["product-3.5", "product-3.0", "fgm-2.5", "clayton-n", "clayton-2.5",
+                              "clayton-3.0"])
+def test_a_dimension_or_pair_index_that_is_not_an_integer_is_refused(make):
+    """As `structure._check_n` refuses it: at construction, not deep in a later call."""
+    with pytest.raises(IndexOutOfRange):
+        make()
+
+
+def test_integer_types_build_a_copula():
+    cop = ClaytonPairCopula(pair=(np.int64(3), 1), theta=1.0, n=np.int64(3))
+    assert cop.pair == (1, 3)
+    assert ProductCopula(n=np.int32(2)).eval([0.5, 0.5]) == 0.25
 
 
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(-1.0, 1.0))

@@ -31,6 +31,7 @@ from syspredict.errors import (
     InvalidK,
     LengthMismatch,
     OutOfRange,
+    OutOfUnitInterval,
     SysPredictError,
     UnsupportedCopula,
 )
@@ -237,6 +238,51 @@ def test_sampler_joint_law(copula):
 def test_uniform_block_shape_check(fgm1):
     with pytest.raises(OutOfRange):
         survival_uniforms(fgm1, np.random.random((10, 2)))
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan, -1e-300])
+def test_survival_uniforms_rejects_values_outside_the_unit_interval(fgm1, bad):
+    U = np.full((2, 3), 0.5)
+    U[1, 2] = bad
+    with pytest.raises(OutOfUnitInterval):
+        survival_uniforms(fgm1, U)
+    U[1, 2] = 1.0  # the ends are uniforms too
+    U[0, 0] = 0.0
+    assert np.all(np.isfinite(survival_uniforms(fgm1, U)))
+
+
+@pytest.mark.parametrize("copula", [ProductCopula(3), FGMCopula(theta=-0.7, n=3),
+                                    ClaytonPairCopula(pair=(1, 3), theta=2.5, n=3)],
+                         ids=["product", "fgm", "clayton"])
+def test_sample_components_maps_its_own_draws(copula):
+    """The fresh draws go to the copula's map as they are: the bits of the public path."""
+    marginal = Weibull(1.5, 2.0)
+    got = sample_components(copula, marginal, np.random.default_rng(9), 500)
+    U = np.random.default_rng(9).random((500, 3))
+    assert got.tobytes() == marginal.inv_sf(survival_uniforms(copula, U)).tobytes()
+
+
+@pytest.mark.parametrize("size", [-1, -1.0, 2.5])
+def test_sample_components_rejects_a_bad_size(exp1, fgm1, size):
+    with pytest.raises(OutOfRange, match="size"):
+        sample_components(fgm1, exp1, np.random.default_rng(0), size)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, -2.0])
+def test_a_bad_seed_is_out_of_range(first3, relay, fgm1, exp1, seed):
+    """simulate, coverage_experiment and coverage_table read their seed alike."""
+    with pytest.raises(OutOfRange, match="seed"):
+        simulate(first3, relay, fgm1, exp1, size=10, seed=seed)
+    with pytest.raises(OutOfRange, match="seed"):
+        coverage_experiment(3, 10, seed)
+    with pytest.raises(OutOfRange, match="seed"):
+        coverage_table([3, 5], 10, seed)
+
+
+def test_an_integral_float_seed_is_its_integer(first3, relay, fgm1, exp1):
+    a = simulate(first3, relay, fgm1, exp1, size=50, seed=10.0)
+    b = simulate(first3, relay, fgm1, exp1, size=50, seed=10)
+    assert a.components.tobytes() == b.components.tobytes() and a.meta["seed"] == 10
 
 
 def test_sample_components_marginal(exp1, fgm1):

@@ -380,16 +380,15 @@ def _roots(p, w, cond):
     return _solve_increasing(law, np.broadcast_to(c[-1], np.shape(w)), w, skip=atom)
 
 
-PATTERN_CASES = tuple(key for key in CASES if not key[1].startswith("clayton"))
-
-
-@pytest.mark.parametrize("key", PATTERN_CASES, ids=lambda c: "/".join(map(str, c)))
+@pytest.mark.parametrize("key", CASES, ids=lambda c: "/".join(map(str, c)))
 def test_scalar_and_stacked_solves_agree_in_z(key):
-    """Product and FGM: the one-entry solve and a stacked one find the same z.
+    """The one-entry solve and a stacked one find the same z, bit for bit.
 
     The scalar call's law takes Python floats and the stacked call's numpy
-    arrays; both run the same count-pattern law, with + and x only, so their
-    roots agree bit for bit (the Weibull F-bar^-1 after them need not).
+    arrays.  Both run the same count-pattern law: under product and FGM with
+    + and x only, and under the Clayton pair with its kernel's powers taken
+    by `np.power`, which gives a numpy scalar the array loop's bits.  So
+    their roots agree bit for bit (the Weibull F-bar^-1 after them need not).
     """
     p, cond = predictor_at(*key)
     alone = tuple(float(_roots(p, w, cond)).hex() for w in LEVELS)
@@ -397,40 +396,49 @@ def test_scalar_and_stacked_solves_agree_in_z(key):
     assert _hexes(lambda: _roots(p, np.array(LEVELS), stacked)) == alone
 
 
-def test_chunked_stacked_solve_matches_level_by_level(monkeypatch):
-    """A stack large enough that the Clayton pair's patterns go in chunks changes no bit.
+def test_stacked_solve_matches_level_by_level(monkeypatch):
+    """A stack of 4,000 points by 3 levels solves as each level does alone, bit for bit.
 
-    At theta = 1 its powers are exact, so the length of the array numpy's
-    loop sees cannot move a bit either.
+    Each evaluation of the folded law makes one Clayton kernel call per
+    distinct read of the pair that touches z, whatever the size of the
+    stack: no pattern axis, no chunks.  At theta = 1 the kernel's powers are
+    exact, so the length of the array numpy's loop sees cannot move a bit
+    either.  No copula value is range-checked on the way: c is F-bar.
     """
     copula = COPULAS["clayton1"]
     p = predictor("two", copula, MARGINALS["weibull"])
     t2 = np.linspace(0.0, 3.0, 4000)
     cond = (0.5 * t2, t2)
-    kernel_calls = []  # pair-kernel calls made by each evaluation of a folded sum
+    kernel_calls = []  # pair-kernel calls made by each evaluation of the folded num
+    fold, kernel, checks, calls = p._num.fold, distortion._clayton_pair, [], [0]
 
-    def counting_fold(self, *c):
-        at = fold(self, *c)
+    def counting_fold(*c):
+        at = fold(*c)
 
         def evaluate(z):
-            kernel_calls.append(0)
-            return at(z)
+            before = calls[0]
+            out = at(z)
+            kernel_calls.append(calls[0] - before)
+            return out
 
         return evaluate
 
     def counting_kernel(*args):
-        kernel_calls[-1] += 1
+        calls[0] += 1
         return kernel(*args)
 
-    fold, kernel = distortion._PairSum.fold, distortion._clayton_pair
-    monkeypatch.setattr(distortion._PairSum, "fold", counting_fold)
+    monkeypatch.setattr(p._num, "fold", counting_fold)
     monkeypatch.setattr(distortion, "_clayton_pair", counting_kernel)
+    monkeypatch.setattr(distortion, "_check_unit", lambda x: checks.append(x))
+    reads = {min((*s, *m), (*s[::-1], *m[::-1]))
+             for _, _, s, m, *_ in p._num._patterns if 2 in s}  # slot 2 is z
     alone = [_hexes(lambda: p.quantile(w, *cond)) for w in LEVELS]
-    assert max(kernel_calls) == 1
+    assert set(kernel_calls) == {len(reads)}
     kernel_calls.clear()
     stacked = _hexes(lambda: p.quantile(np.array(LEVELS)[:, None], *cond).ravel())
-    assert max(kernel_calls) > 1
+    assert set(kernel_calls) == {len(reads)}
     assert stacked == sum(alone, ())
+    assert checks == []
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from syspredict import (
     series,
     validate_structure,
 )
-from syspredict import distortion
+from syspredict import distortion, predictor
 from syspredict.distortion import _joint_terms, _PatternSum
 from syspredict.errors import OutOfUnitInterval
 from syspredict.structure import SystemStructure
@@ -111,37 +111,47 @@ def test_stacked_sum_matches_per_term_loop(case):
         assert _rounding(got, want, scale) <= SUM_ULPS
 
 
-def test_chunked_sum_matches_one_call(monkeypatch):
-    """Clayton pair patterns stacked in chunks add as in one call, bit for bit.
+@pytest.mark.parametrize("copula", [ClaytonPairCopula(pair=(1, 5), theta=1.0, n=5),
+                                    ClaytonPairCopula(pair=(2, 4), theta=2.5, n=5),
+                                    FGMCopula(theta=0.5, n=5)],
+                         ids=["clayton1", "clayton2.5", "fgm"])
+def test_mean_row_blocks_match_one_block(monkeypatch, copula):
+    """A grid mean folded and integrated a point per block has the bits of one block.
 
-    At theta = 1 the pair kernel's powers are exact, so the length of the
-    array numpy's loop sees cannot move a bit either.
+    Each block folds its own law (den checked once per block) and fills its
+    rows of the node array; one matmul then integrates all rows, so the
+    blocks cannot move a bit.  The law itself sums the pattern rows of the
+    per-term loop to rounding.
     """
-    copula = ClaytonPairCopula(pair=(1, 5), theta=1.0, n=5)
     structures = (series(5), k_out_of_n(3, 5), k_out_of_n(2, 5))
+    t = np.linspace(0.25, 2.0, 8)
+    preds = [(EarlyFailurePredictor(*structures[::2], copula, Exponential(1.0)), (t,)),
+             (TwoFailurePredictor(*structures, copula, Exponential(1.0)), (0.5 * t, t))]
+    whole = [p.mean(*cond) for p, cond in preds]
+    folds = []
+    for p, _ in preds:
+        build = p._law
+        monkeypatch.setattr(p, "_law", lambda *c, build=build: folds.append(c) or build(*c))
+    monkeypatch.setattr(predictor, "MEAN_ROWS", 1)
+    for (p, cond), want in zip(preds, whole):
+        folds.clear()
+        assert p.mean(*cond).tobytes() == want.tobytes()
+        assert [np.shape(c[0]) for c in folds] == [(1, 1)] * len(t)
     u = np.linspace(0.05, 1.0, 9)
     values = (u, 0.6 * u, 0.2 * u)
-    cases = ((structures[:2], (0,)), (structures[:2], (0, 1)), (structures, (0, 1)))
-    before = [_PatternSum(copula, *s).partial(*v)(*values[:len(s)]) for s, v in cases]
-    calls = []
-    kernel = distortion._clayton_pair
-
-    def counted(p, *args):
-        calls.append(np.size(p))
-        return kernel(p, *args)
-
-    monkeypatch.setattr(distortion, "_clayton_pair", counted)
-    monkeypatch.setattr(distortion, "CELLS", 3)  # a point per chunk
-    after = [_PatternSum(copula, *s).partial(*v)(*values[:len(s)]) for s, v in cases]
-    assert len(calls) == 3 * len(u)
-    for x, y in zip(before, after):
-        assert x.tobytes() == y.tobytes()
+    got = _PatternSum(copula, *structures).partial(0, 1)(*values)
     want, scale = oracle_sum(copula, _joint_terms(*structures), values, 0, 1)
-    assert _rounding(after[2], want, scale) <= SUM_ULPS
+    assert _rounding(got, want, scale) <= SUM_ULPS
 
 
-def test_large_grid_stays_within_cell_budget(monkeypatch):
-    """A 2000-point grid on 2-of-10 (58 d1 patterns under a Clayton pair) goes in chunks of at most CELLS cells."""
+def test_large_grid_kernel_calls_span_only_the_points(monkeypatch):
+    """The Clayton kernel never stacks patterns: a call spans the points, or a mean's block.
+
+    d1 on 2-of-10 has 58 count patterns under a Clayton pair, and each
+    distinct read of the pair is its own call over the 2,000 points.  A
+    3,001-point mean folds and integrates MEAN_ROWS points at a time, so no
+    call spans more than MEAN_ROWS x 545 node cells.
+    """
     first, system = series(10), k_out_of_n(2, 10)
     copula = ClaytonPairCopula(pair=(2, 7), theta=2.5, n=10)
     d = BivariateDistortion(first, system, copula)
@@ -155,8 +165,13 @@ def test_large_grid_stays_within_cell_budget(monkeypatch):
     monkeypatch.setattr(distortion, "_clayton_pair", spy)
     u = np.linspace(0.0, 1.0, 2000)
     got = d.d1(u, 0.5 * u)
-    assert len(sizes) > 1 and max(sizes) <= distortion.CELLS
+    assert len(sizes) > 1 and max(sizes) <= u.size
     assert np.all(np.isfinite(got))
+    sizes.clear()
+    pred = EarlyFailurePredictor(series(3), validate_structure(3, [[1], [2, 3]]),
+                                 ClaytonPairCopula(pair=(2, 3), theta=2.5, n=3), Exponential(1.0))
+    assert np.all(np.isfinite(pred.mean(np.linspace(0.0, 3.0, 3001))))
+    assert max(sizes) == predictor.MEAN_ROWS * predictor._NODES.size <= 1 << 16
 
 
 # -- the mask kernel: a stack of masks against one index tuple at a time ----
@@ -204,6 +219,14 @@ def _count(monkeypatch, cls, name, counts, key=None):
     monkeypatch.setattr(cls, name, counted)
 
 
+def _pair_reads(evaluator):
+    """(reads of the Clayton pair that touch z, the others), a read and its mirror one."""
+    reads = {min((*slots, *marks), (*slots[::-1], *marks[::-1]))
+             for _, _, slots, marks, *_ in evaluator._patterns if slots}
+    at_z = sum(evaluator._k in read[:2] for read in reads)
+    return at_z, len(reads) - at_z
+
+
 @pytest.mark.parametrize("mode", ["one", "weak", "two", "clayton-one", "clayton-weak",
                                   "clayton-two"])
 def test_scalar_quantile_call_budget(monkeypatch, mode):
@@ -213,12 +236,13 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     point and the numerator's c factors are folded once; every later law
     evaluation, the bracket check and each solver step, is one call of the
     folded evaluator in z.  Under FGM that is a polynomial in Python floats;
-    under a Clayton pair it makes one pair-kernel call over all its patterns,
-    as den does once.  A weak law adds one evaluation at the horizon for
-    alpha, which both the atom mask and the law reuse.  The glue around the
-    solve runs in Python too: the marginal's F-bar once per conditioning
-    time, its inverse once, and no unit-interval check of the copula values
-    (den is its folded partial).
+    under a Clayton pair it makes one pair-kernel call per distinct read of
+    the pair that touches z (a read and its mirror image are one), and the
+    fold makes the other reads once, as den makes its own.  A weak law adds
+    one evaluation at the horizon for alpha, which both the atom mask and the
+    law reuse.  The glue around the solve runs in Python too: the marginal's
+    F-bar once per conditioning time, its inverse once, and no unit-interval
+    check of the copula values (den is its folded partial).
     """
     clayton = mode.startswith("clayton")
     mode = mode.removeprefix("clayton-")
@@ -277,7 +301,10 @@ def test_scalar_quantile_call_budget(monkeypatch, mode):
     assert counts["law"] <= 16  # the bracket check and every solver step
     assert counts["folded"] == counts["law"] + extra
     assert counts["den"] == counts["fold"] == 1
-    assert counts.get("pair", 0) == (counts["folded"] + 1 if clayton else 0)
+    at_z, fixed = _pair_reads(pred._num)
+    den_at_z, den_fixed = _pair_reads(pred._den)
+    assert den_at_z == 0 and (at_z > 0) == clayton
+    assert counts.get("pair", 0) == at_z * counts["folded"] + fixed + den_fixed
     assert "_partial" not in counts and "eval" not in counts
     assert counts["sf"] == len(cond) and counts["inv_sf"] == 1
     assert "_check_unit" not in counts
