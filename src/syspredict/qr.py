@@ -1,4 +1,4 @@
-"""Exact linear quantile regression by bisection on the profile slope.
+"""Exact linear quantile regression by a search on the profile slope.
 
 The pinball loss L(a, b) = sum rho_tau(y_k - a - b x_k) is convex and
 piecewise linear, so some optimum interpolates two sample points (or is a
@@ -13,21 +13,33 @@ the earliest candidate.  Only candidates near the optimum are formed:
    m = ceil(tau n), the best a is the m-th smallest residual r_q, and
    g'(b) = (sum of x over the m - 1 smallest residuals) + (tau n - m + 1) x_q
    - tau sum x; for tau n = m that is the sum over the m smallest residuals
-   less tau sum x.  One argpartition gives it.  The slope is bisected over
-   the ordered doubles on the sign of g', in at most 64 steps.
-2. Window.  With E(b) the error bound below, b0 the best step and |b| at
-   most `reach` in the window, T = g(b0) + 2 E(reach) bounds the exact loss
-   of every candidate that can win or tie.  The steps nearest b0 whose
-   g - E exceeds T bound the slope window (g is convex; a few more steps
-   per side tighten it).  The intercepts are bounded at b0 by galloping
-   over the sorted residuals, as L(a, b) >= L(a, b0) + s (b - b0) for any s
-   in the b-subdifferential.
+   less tau sum x.  One argpartition (a pass) gives it.  A bracket over the
+   ordered doubles, from -limit to limit, is narrowed on the sign of g'
+   until its ends are adjacent.  g' changes only where the pivot point q
+   does, at a pair slope, so after a probe that halved the bracket the next
+   one jumps to where the pivots of its two ends cross; where rounding puts
+   that crossing at or just past an end, it steps past the end by a stride
+   that doubles.  Otherwise it halves the bracket by rank, so the bracket
+   at least halves every two probes.
+2. Window.  With E(b) the error bound below, b0 the better bracket end and
+   |b| at most `reach` in the window, T = g(b0) + 2 E(reach) bounds the
+   exact loss of every candidate that can win or tie.  A probe beyond b0
+   whose g - E exceeds T bounds the slope window on its side (g is convex).
+   g lies above its tangents, so the tangent at the bracket end on that
+   side guesses where g - E crosses T; the guess is doubled until it lies
+   outside, then stepped back along the tangent at the outside probe while
+   a step gains at least a sixteenth.  The intercepts are bounded at b0 by
+   galloping over the sorted residuals, as L(a, b) >= L(a, b0) + s (b - b0)
+   for any s in the b-subdifferential.
 3. Candidates.  Both points of a candidate in the window have a residual at
    b0 in the intercept window, widened by |b - b0| |x_k| and rounding.
    Only pairs of those points are formed.  Points exactly on a line of
-   slope +-1 (under weak ordering, the rows with T1 = T) give every pair
-   bitwise the same slope and the lower point's intercept, so that group
-   adds one candidate per distinct intercept, not one per pair.
+   slope s = +-2^e in the slope window (under weak ordering, the rows with
+   T1 = T, on y = x before the sample was scaled by powers of two) give
+   every pair bitwise the slope s and the lower point's intercept: s x is
+   exact, so fl(y_j - y_i) = s fl(x_j - x_i), and y_i - s x_i is exact.
+   The largest such group adds one candidate per distinct intercept, not
+   one per pair.
 4. Rescore.  Each distinct (intercept, slope) is summed directly once, in
    candidate order.
 
@@ -39,14 +51,15 @@ its line, u the unit roundoff and G(b) = sum |y| + n max |y|
 + |b| (sum |x| + n max |x|), and so is the rounded form of an exact optimal
 vertex; E(b) = 2 (D + 8) u G(b).
 
-Cost.  O(n) per step, one O(n log n) sort, and O(p n) for the p points near
+Cost.  O(n) per probe, one O(n log n) sort, and O(p n) for the p points near
 the optimum: a handful on random data, and the tied group once per
-distinct line under weak ordering.  Data collinear only to within rounding,
-whose pair slopes differ by ulps, put every point near the optimum: O(n^2)
-pairs, each distinct line rescored directly.  So does a large group tied
-exactly on a line of another slope (equal y on a horizontal optimum, say),
-though its pairs collapse to a few distinct lines before any sum.  Memory
-is O(n) plus the distinct candidate lines.
+distinct line under weak ordering.  A 400-point fit takes 9-34 probes, two
+to four of them for the slope window.  Data collinear only to within
+rounding, whose pair slopes differ by ulps, put every point near the
+optimum: O(n^2) pairs, each distinct line rescored directly.  So does a
+large group tied exactly on a line whose slope is no power of two (equal y
+on a horizontal optimum, say), though its pairs collapse to a few distinct
+lines before any sum.  Memory is O(n) plus the distinct candidate lines.
 """
 
 from __future__ import annotations
@@ -64,11 +77,13 @@ from .errors import DegenerateDesign, OutOfRange
 _UNIT = np.finfo(float).eps / 2  # unit roundoff
 _BLOCK = 1 << 14  # elements in each temporary of the pair and rescoring loops
 _MAGNITUDE = (1 << 63) - 1  # the bits of a double below its sign
-# extra profile steps that move each window edge inward.  Fits are bit-identical
-# without them, but slow where a window stays wide (2-CPU host, numpy 2.4.6):
-# without the slope-window steps, x normal and y = x + Cauchy noise at n = 10^5
-# took 2.0 s a fit at tau = 0.5 instead of 95 ms; without the intercept-window
-# steps, y in {0, 1, 2} at n = 2,000 took 100-234 ms a fit instead of 82-105 ms
+# the steps that move each slope-window edge back toward b0 along its tangent,
+# and the value bisections that move each intercept-window edge inward.  Fits
+# are bit-identical without them, but slow where a window stays wide (2-CPU
+# host, numpy 2.4.6): without the tangent steps, x normal and y = x + Cauchy
+# noise at n = 10^5 took 615 ms a fit at tau = 0.5 instead of 84 ms; without
+# the value bisections, y in {0, 1, 2} at n = 2,000 took 66-95 ms a fit instead
+# of 17-33 ms.  It also caps the doublings of a slope-window edge's guess.
 _REFINE = 4
 
 
@@ -163,47 +178,96 @@ def _fit(x, y, tau):
     if not math.isfinite(n * (y_max + limit * x_max)):
         raise DegenerateDesign("the sample's pair slopes overflow its residuals")
 
-    # 1. bisect on the sign of g'; steps are keyed by the rank of their slope
-    quantile, profile = {}, {}  # the point q at the minimizing residual; g(b)
+    # 1. bracket the sign change of g'; probes are keyed by the rank of their slope
+    rise, quantile, profile = {}, {}, {}  # g'(b); the point q at the minimizing residual; g(b)
 
     def slope(k):
-        r = y - _unrank(k) * x
-        part = np.argpartition(r, m - 1)
-        quantile[k] = q = part[m - 1]
-        return float(x[part[:m - 1]].sum()) + frac * x[q] - tau * sum_x
+        if k not in rise:
+            r = y - _unrank(k) * x
+            part = np.argpartition(r, m - 1)
+            quantile[k] = q = part[m - 1]
+            rise[k] = float(x[part[:m - 1]].sum() + frac * x[q] - tau * sum_x)
+        return rise[k]
 
-    def g(k):  # summed directly, once per step that needs it
+    def g(k):  # summed directly, once per probe that needs it
         if k not in profile:
-            if k not in quantile:
-                slope(k)
+            slope(k)
             r = y - _unrank(k) * x
             resid = r - r[quantile[k]]
             profile[k] = float((resid * (tau - (resid < 0.0))).sum())
         return profile[k]
 
-    k0 = min(_bisect(_rank(-limit), _rank(limit), lambda k: slope(k) > 0.0),
-             key=lambda k: g(k) + slack(_unrank(k)))
+    lo, hi = _rank(-limit), _rank(limit)
+    if slope(lo) > 0.0:  # g' of one sign at both ends: b0 is that end
+        hi = lo
+    elif not slope(hi) > 0.0:
+        lo = hi
+    stride, last = 1, hi - lo
+    while hi - lo > 1:
+        # g' changes only where the pivot point does, at a pair slope: after
+        # a probe that halved the bracket, jump to where the pivots of its
+        # ends cross, or, where they cross at or just past an end (rounding),
+        # step past that end by a stride that doubles; else halve it
+        k = (lo + hi) // 2
+        p, q = quantile[lo], quantile[hi]
+        if 2 * (hi - lo) <= last and x[p] != x[q]:
+            cross = _rank(float((y[q] - y[p]) / (x[q] - x[p])))
+            if lo < cross < hi:
+                k, stride = cross, 1
+            elif (lo - cross if cross <= lo else cross - hi) <= stride:
+                k = min(max(lo + stride if cross <= lo else hi - stride, lo + 1), hi - 1)
+                stride *= 2
+        last = hi - lo
+        if slope(k) > 0.0:
+            hi = k
+        else:
+            lo = k
+    k0 = min((lo, hi), key=lambda k: g(k) + slack(_unrank(k)))
     b0 = _unrank(k0)
 
     # 2. slope window
-    def outside(k):
-        return g(k) - slack(_unrank(k)) > cut
+    def excess(k):
+        return g(k) - slack(_unrank(k)) - cut
+
+    edges = {}  # side -> rank of the probe that bounds the window there
 
     def edge_slope(side):
-        # the nearest step beyond b0 that lies outside, searched by bisection
-        # over the steps and the bracket's end (g is convex); steps halve their
-        # distance to b0 about as often as they change side, so a few more
-        # move it close to where g crosses the cut.  Only the end lying
-        # outside (b0 = 0, say, where all steps are tiny) needs a full search.
-        steps = sorted((k for k in quantile if side * (k - k0) > 0), key=lambda k: side * k)
-        refine = _REFINE
-        if not steps or not outside(steps[-1]):
-            steps.append(_rank(side * limit))
-            if not outside(steps[-1]):
+        # the nearest probe beyond b0 that lies outside (excess > 0).  g lies
+        # above its tangents, so the tangent beside b0 gives a first guess
+        # (or the edge found for a smaller cut does); it is doubled until it
+        # lies outside, then stepped back toward b0 along the tangent there,
+        # aimed a little short of where that tangent meets the cut.  Where
+        # doubling does not get outside, the bracket's end is tested and
+        # searched in full.
+        end, inner = _rank(side * limit), k0
+        tilt = side * slope(hi if side > 0 else lo)
+        gap = (cut - g(k0) + slack(reach)) / tilt * (17.0 / 16.0) if tilt > 0.0 else math.inf
+        k = edges.get(side)
+        for _ in range(_REFINE):
+            if k is None:
+                k = _rank(b0 + side * gap) if gap < abs(side * limit - b0) else end
+            k = k if side * (k - inner) > 0 else inner + side
+            if side * (k - end) >= 0 or excess(k) > 0.0:
+                break
+            inner, gap, k = k, 2.0 * abs(_unrank(k) - b0), None
+        else:
+            k = end
+        if side * (k - end) >= 0:
+            if side * (end - inner) <= 0 or not excess(end) > 0.0:
                 return side * limit
-            refine = 64
-        i, j = _bisect(-1, len(steps) - 1, lambda i: outside(steps[i]))
-        return _unrank(_bisect(steps[i] if i >= 0 else k0, steps[j], outside, refine)[1])
+            k = _bisect(inner, end, lambda k: excess(k) > 0.0)[1]
+        for _ in range(_REFINE):
+            b, tilt = _unrank(k), side * slope(k)
+            back = excess(k) / tilt * (15.0 / 16.0) if tilt > 0.0 else 0.0
+            step = _rank(b - side * back)
+            # stop once a step would gain less than a sixteenth
+            if not abs(b - b0) / 16.0 <= back < abs(b - b0) or side * (step - inner) <= 0:
+                break
+            if not excess(step) > 0.0:
+                break
+            k = step
+        edges[side] = k
+        return _unrank(k)
 
     reach = abs(b0)
     while True:  # T grows with the largest |b| in the window: widen until stable
@@ -270,27 +334,33 @@ def _candidates(x, y, near, slopes, intercepts):
         ok = (b >= slopes[0]) & (b <= slopes[1]) & (a >= intercepts[0]) & (a <= intercepts[1])
         return a[ok], np.broadcast_to(b, a.shape)[ok], order[ok]
 
-    tied = np.zeros(near.size, dtype=bool)
-    unit = next((s for s in (1.0, -1.0) if slopes[0] <= s <= slopes[1]), None)
-    if unit is not None:
-        # the largest group exactly on a line a + unit x (TwoSum error of
-        # y - unit x is 0): each pair in it has slope unit, since
-        # fl(y_j - y_i) = unit fl(x_j - x_i), and its lower point's intercept
-        xp, yp = x[near], y[near]
-        t = yp - unit * xp
-        back = t - yp
-        exact = (yp - (t - back)) + (-unit * xp - back) == 0.0
-        values, counts = np.unique(t[exact], return_counts=True)
-        if values.size:
-            tied = exact & (t == values[np.argmax(counts)])
-            z, zt, zx = near[tied], t[tied], xp[tied]
-            change = np.nonzero(zx[1:] != zx[:-1])[0] + 1
-            nxt = np.searchsorted(change, np.arange(z.size), side="right")
-            pivot = np.nonzero(nxt < change.size)[0]  # with a later partner of other x
-            # the earliest pivot of each distinct intercept, with its first partner
-            pivot = pivot[np.unique(zt[pivot].view(np.int64), return_index=True)[1]]
-            yield inside(zt[pivot], unit, z[pivot] * n + z[change[nxt[pivot]]])
+    # the largest group exactly on a line a + s x, s = +-2^e in the window
+    # (TwoSum error of y - s x is 0, s x exact): each pair in it has slope s,
+    # since fl(y_j - y_i) = s fl(x_j - x_i), and its lower point's intercept
+    xp, yp = x[near], y[near]
+    tied, size = np.zeros(near.size, dtype=bool), 1
+    powers = _power_slopes(slopes, xp, yp)
     rows = max(1, _BLOCK // max(near.size, 1))
+    for start in range(0, powers.size, rows):
+        t, exact = _on_lines(powers[start:start + rows, None], xp, yp)
+        t = np.sort(np.where(exact, t, np.nan), axis=1)
+        # the runs of equal values, row by row (NaN is a run of its own)
+        runs = np.flatnonzero(np.insert(t[:, 1:] != t[:, :-1], 0, True, axis=1))
+        length = np.diff(runs, append=t.size)
+        i = np.argmax(length)
+        if length[i] > size:
+            row, col = divmod(runs[i], t.shape[1])
+            size, unit = length[i], powers[start + row]
+            line, exact = _on_lines(unit, xp, yp)
+            tied = exact & (line == t[row, col])
+    if tied.any():
+        z, zt, zx = near[tied], line[tied], xp[tied]
+        change = np.nonzero(zx[1:] != zx[:-1])[0] + 1
+        nxt = np.searchsorted(change, np.arange(z.size), side="right")
+        pivot = np.nonzero(nxt < change.size)[0]  # with a later partner of other x
+        # the earliest pivot of each distinct intercept, with its first partner
+        pivot = pivot[np.unique(zt[pivot].view(np.int64), return_index=True)[1]]
+        yield inside(zt[pivot], unit, z[pivot] * n + z[change[nxt[pivot]]])
     others = near[~tied]
     for start in range(0, others.size, rows):
         u = others[start:start + rows, None]
@@ -303,19 +373,44 @@ def _candidates(x, y, near, slopes, intercepts):
     yield inside(y[near], 0.0, near + n * n)
 
 
+def _on_lines(s, xp, yp):
+    """y - s x for the slopes s, and where it is exact: its TwoSum error is 0
+    and s x neither overflows nor loses bits to underflow."""
+    prod = s * xp
+    t = yp - prod
+    back = t - yp
+    return t, ((yp - (t - back)) + (-prod - back) == 0.0) & (prod / s == xp)
+
+
+def _power_slopes(slopes, xp, yp):
+    """The slopes +-2^e in the closed range `slopes` within a factor 2 of the
+    range of pair slopes of the points (xp, yp), e from -1022 up."""
+    ys, xs = np.sort(yp), np.sort(xp)
+    dy, dx = np.diff(ys), np.diff(xs)
+    if not (dy > 0.0).any() or not (dx > 0.0).any():
+        return np.array([])
+    least = float(dy[dy > 0.0].min()) / float(xs[-1] - xs[0]) / 2.0
+    most = float(ys[-1] - ys[0]) / float(dx[dx > 0.0].min()) * 2.0
+    out = []
+    for sign, lo, hi in ((1.0, slopes[0], slopes[1]), (-1.0, -slopes[1], -slopes[0])):
+        lo, hi = max(lo, least, 2.0**-1022), min(hi, most)
+        if lo <= hi:
+            (m_lo, e_lo), e_hi = math.frexp(lo), math.frexp(hi)[1]
+            out += [sign * 2.0**e for e in range(e_lo - (m_lo == 0.5), e_hi)]
+    return np.array(out)
+
+
 def _rescore(x, y, tau, chunks):
     """Winner among the candidate chunks, each distinct (a, b) summed directly once."""
-    earliest = {}  # (a bits, b bits) -> (scan order, a, b)
-    for a, b, order in chunks:
-        idx = np.argsort(order)
-        a, b, order = a[idx], b[idx], order[idx]
-        # np.unique returns each bit pattern's first, so earliest, occurrence
-        bits = np.column_stack([a.view(np.int64), b.view(np.int64)])
-        for i in np.unique(bits, axis=0, return_index=True)[1]:
-            key = (int(bits[i, 0]), int(bits[i, 1]))
-            if key not in earliest or order[i] < earliest[key][0]:
-                earliest[key] = (order[i], a[i], b[i])
-    _, a, b = (np.array(v) for v in zip(*sorted(earliest.values())))
+    a, b, order = (np.concatenate(c) for c in zip(*chunks))
+    # sorted by bits, then scan order: the first of each run is its earliest
+    bits = a.view(np.int64), b.view(np.int64)
+    idx = np.lexsort((order, bits[1], bits[0]))
+    first = np.ones(idx.size, dtype=bool)
+    first[1:] = (np.diff(bits[0][idx]) != 0) | (np.diff(bits[1][idx]) != 0)
+    idx = idx[first]
+    idx = idx[np.argsort(order[idx])]
+    a, b = a[idx], b[idx]
     best = None  # (loss, |b|, a, b) of the winner so far
     rows = max(1, _BLOCK // x.size)
     for start in range(0, a.size, rows):

@@ -173,6 +173,79 @@ def test_exact_ties_are_summed_once(monkeypatch, kind, line):
     assert hex_fit(x, y, tau) == [v.hex() for v in scan(x, y, tau)]
 
 
+def formed_lines(monkeypatch):
+    """A list that collects the number of candidate lines `_candidates` forms
+    in each fit from here on, before any of them is deduplicated."""
+    formed = []
+
+    def counting(*args):
+        formed.append(0)
+        for chunk in candidates(*args):
+            formed[-1] += chunk[0].size
+            yield chunk
+
+    candidates = qr._candidates
+    monkeypatch.setattr(qr, "_candidates", counting)
+    return formed
+
+
+@pytest.mark.parametrize("kx, ky", [(0, 0), (0, 3), (2, -1)])
+def test_ties_on_a_power_of_two_slope_form_one_line(monkeypatch, kx, ky):
+    # scaled to max |x|, max |y| in [1/2, 1), the 400 points on y = x lie on
+    # a line of slope 2^(ex - ey) * 2^(ky - kx), here never +-1; formed pair
+    # by pair, they would give C(400, 2) lines before deduplication
+    x, y, tau = tied_design("y = x")
+    x, y = np.ldexp(x, kx), np.ldexp(y, ky)
+    _, _, ex, ey = qr._unit_scaled(x, y)
+    assert ex - ey + ky - kx != 0
+    formed = formed_lines(monkeypatch)
+    got = hex_fit(x, y, tau)
+    assert formed and sum(formed) <= 5
+    assert got == [v.hex() for v in scan(x, y, tau)]
+
+
+def test_weak_ordering_ties_form_few_lines(monkeypatch, first3, gate, fgm1, exp1):
+    # the rows with T1 = T lie on y = x, a slope of 2^(ex - ey) once scaled
+    t1, t = gate_design_sample(first3, gate, fgm1, exp1, 400)
+    _, _, ex, ey = qr._unit_scaled(t1, t)
+    assert ex != ey and np.sum(t1 == t) > 100
+    formed = formed_lines(monkeypatch)
+    got = hex_fit(t1, t, 0.25)
+    assert formed and sum(formed) <= 5
+    assert got == [v.hex() for v in scan(t1, t, 0.25)]
+
+
+def test_profile_passes_per_fit(monkeypatch, first3, gate, fgm1, exp1):
+    # each probe of the profile slope partitions the residuals once; a
+    # bisection over the ordered doubles alone would take 63
+    t1, t = gate_design_sample(first3, gate, fgm1, exp1, 400)
+    passes = []
+
+    def counting(*args, **kwargs):
+        passes[-1] += 1
+        return argpartition(*args, **kwargs)
+
+    argpartition = np.argpartition
+    monkeypatch.setattr(np, "argpartition", counting)
+    for tau in (0.25, 0.5, 0.75):
+        passes.append(0)
+        fit_lqr(np.column_stack([t1, t]), tau)
+    assert max(passes) <= 40, passes
+
+
+def test_lqr_answers_where_a_pair_slope_overflows_unscaled():
+    # (1e300 - 0) / (1e-300 - 0) overflows, but not on the sample scaled by
+    # powers of two: the fit is the oracle's on the scaled sample, scaled back
+    x = np.array([0.0, 1e-300, 1.0, 2.0, 3.0])
+    y = np.array([0.0, 1e300, 3e299, 1e300, 2e299])
+    with np.errstate(over="ignore"):
+        assert np.isinf((y[1] - y[0]) / (x[1] - x[0]))
+    xs, ys, ex, ey = qr._unit_scaled(x, y)
+    for tau in (0.2, 0.25, 0.5, 0.75, 0.8):
+        want = np.ldexp(np.array(oracle_scan(xs, ys, tau), dtype=float), [ey, ey - ex, ey])
+        assert hex_fit(x, y, tau) == [float(v).hex() for v in want], tau
+
+
 @pytest.mark.parametrize("n", [100, 5_000, 300_000])
 def test_row_sums_meet_the_depth_bound(n):
     # the error window assumes numpy sums a row pairwise: a sum that added
