@@ -18,9 +18,11 @@ the smallest and largest positive hazards, -log(1 - 2^-53) and
 lifetime lies between them.  Only parameters near the ends of the double
 range keep the per-call `np.errstate` and range check.
 
-The range checks keep a scalar 0-d, so the arithmetic after them gives a
-float64 scalar, which numpy's `**` raises with the C library's pow; an
-array of any length takes numpy's SIMD loop instead.  For a Weibull shape
+The range checks turn a float (a Python float or np.float64) into a
+float64 scalar after one Python comparison, and keep any other scalar
+0-d, so the arithmetic after them gives a float64 scalar either way,
+which numpy's `**` raises with the C library's pow; an array of any
+length takes numpy's SIMD loop instead.  For a Weibull shape
 other than 1 the two can differ in the last bits (ROADMAP 9(f)); for the
 exponential, both powers are exact.
 """
@@ -37,15 +39,25 @@ _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _check_times(t):
+    """t as a float64 scalar (a float) or array, checked >= 0 (NaN fails it too)."""
+    if isinstance(t, float):
+        if not t >= 0.0:
+            raise NegativeTime("lifetimes must be >= 0")
+        return np.float64(t)
     arr = np.asarray(t, dtype=float)
-    if not np.logical_and.reduce(arr >= 0, axis=None):  # NaN fails it too
+    if not np.logical_and.reduce(arr >= 0, axis=None):
         raise NegativeTime("lifetimes must be >= 0")
     return arr
 
 
 def _check_probs(p):
+    """p as a float64 scalar (a float) or array, checked in (0, 1] (NaN fails it too)."""
+    if isinstance(p, float):
+        if not 0.0 < p <= 1.0:
+            raise OutOfRange("survival levels must lie in (0, 1]")
+        return np.float64(p)
     arr = np.asarray(p, dtype=float)
-    if not np.logical_and.reduce((arr > 0) & (arr <= 1), axis=None):  # NaN fails it too
+    if not np.logical_and.reduce((arr > 0) & (arr <= 1), axis=None):
         raise OutOfRange("survival levels must lie in (0, 1]")
     return arr
 

@@ -33,11 +33,19 @@ its slopes.
 
 A one-entry quantile, band edge or alpha, every input 0-d, runs in Python
 floats from call to answer: Python comparisons check the level, the time
-order and den, and c_i is the float of the marginal's 0-d F-bar(t_i).  Only
-the marginal's F-bar and its inverse (whose scalar and array powers may
-differ, ROADMAP 9(f)) and the Clayton kernel, on numpy scalars, call numpy.
-A one-point mean takes F-bar on (1, 1) columns, as a stacked mean does,
-and a one-entry survival keeps its numpy body; both return a float.
+order and den, and c_i is the float of the marginal's scalar F-bar(t_i).
+Only the marginal's F-bar and its inverse (whose scalar and array powers
+may differ, ROADMAP 9(f)) and the Clayton kernel, on numpy scalars, call
+numpy.  A predictor keeps the conditioned law (horizon, c, law, alpha) of
+its last one-entry point, so the quantiles, band edges, alpha and survival
+of one request compute F-bar and fold num and den once.  The entry is
+served while the point's times (bit for bit, so -0.0 and 0.0, whose weak
+atoms differ, do not share it), the mode, the marginal (by identity) and
+the law builder are those it was built with; it is one tuple, replaced in
+one assignment, and array points and laws that raise are not kept.  A
+one-point mean builds its own law, on (1, 1) F-bar columns as a stacked
+mean does, and a one-entry survival keeps its numpy body; both return a
+float.
 
 Quantiles invert the survival level in z space, where every law is
 monotone on (0, F-bar(horizon)], by safeguarded Anderson-Bjorck regula
@@ -70,6 +78,7 @@ counts as F-bar(y) = 0 under the error estimate.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -314,12 +323,44 @@ class _PredictorCore:
         self._num = _PatternSum(copula, *observed, system).partial(*variables)
         self._den = _PatternSum(copula, *observed).partial(*variables)
         self.marginal = marginal
+        # packs k times to bytes, equal only where every bit is: -0.0 != 0.0
+        self._times_format = f"{len(observed)}d"
+        # (mode, time bytes, marginal, law builder, (horizon, c, law, alpha)) of the
+        # last one-entry point, replaced in one assignment
+        self._entry = None
+
+    def __getstate__(self):
+        # the kept law is a closure, which does not pickle; a copy builds its own
+        return {**self.__dict__, "_entry": None}
 
     def _point(self, *times):
         """(horizon, c): the last observed time and F-bar at each; floats at a one-entry point."""
         times = _checked_times(times)
         c = tuple(self.marginal.sf(t) for t in times)
         return times[-1], tuple(map(float, c)) if type(times[-1]) is float else c
+
+    def _conditioned(self, *cond):
+        """(horizon, c, law, alpha) at cond: `_point` and `_law`, once per one-entry point.
+
+        A one-entry point's tuple is kept, one entry deep, and served again
+        while the times (bit for bit), the mode, the marginal (by identity)
+        and the law builder are those it was built with.  Arrays and points
+        whose law raises are not kept.
+        """
+        times = _checked_times(cond)
+        mode, marginal, build = self.mode, self.marginal, self._law
+        if type(times[-1]) is not float:
+            c = tuple(marginal.sf(t) for t in times)
+            return (times[-1], c, *build(*c))
+        key = struct.pack(self._times_format, *times)
+        entry = self._entry
+        if (entry is not None and entry[0] == mode and entry[1] == key
+                and entry[2] is marginal and entry[3] == build):
+            return entry[4]
+        c = tuple(float(marginal.sf(t)) for t in times)
+        out = (times[-1], c, *build(*c))
+        self._entry = (mode, key, marginal, build, out)
+        return out
 
     def _law(self, *c):
         """z -> S(z | c) with the normalizers of c computed once, and alpha.
@@ -355,8 +396,7 @@ class _PredictorCore:
 
     def survival(self, y, *cond):
         """P(T > y | cond): 1 before the horizon."""
-        horizon, c = self._point(*cond)
-        law, _ = self._law(*c)
+        horizon, c, law, _ = self._conditioned(*cond)
         y = np.asarray(y, dtype=float)
         # times before the horizon lie outside the ordered region: clamp,
         # then the y < horizon branch overrides with probability 1
@@ -366,16 +406,14 @@ class _PredictorCore:
 
     def alpha(self, *cond):
         """P(T > horizon | cond) before renormalization: the continuous share."""
-        horizon, c = self._point(*cond)
-        law, alpha = self._law(*c)
+        horizon, c, law, alpha = self._conditioned(*cond)
         alpha = law(c[-1]) if alpha is None else alpha
         return float(alpha) if type(horizon) is float else alpha
 
     def quantile(self, w, *cond):
         """Generalized inverse of the conditional survival at level w."""
         w = _as_level(w)
-        horizon, c = self._point(*cond)
-        law, alpha = self._law(*c)
+        horizon, c, law, alpha = self._conditioned(*cond)
         # levels at or above alpha sit in the atom at the horizon
         atom = w >= alpha if self.mode == "weak" else None
         if type(w) is float and type(horizon) is float:  # one entry

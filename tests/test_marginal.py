@@ -178,3 +178,41 @@ def test_guards_decided_at_construction_keep_every_bit(shape, scale, t, p):
                 m.inv_sf(x)
         else:
             assert np.asarray(m.inv_sf(x)).tobytes() == np.asarray(want).tobytes()
+
+
+_TINY = float(np.finfo(float).tiny)
+SCALAR_MARGINALS = [Weibull(shape, 1.3) for shape in (0.5, 1.0, 1.5, 3.0)] + [
+    Weibull(0.01, 1.0),  # inv_sf keeps its range check
+    Exponential(1e308),  # sf has no cap
+]
+
+
+def _scalar_outcome(call, x):
+    try:
+        out = call(x)
+    except (NegativeTime, OutOfRange) as exc:
+        return type(exc), str(exc)
+    return type(out), float(out).hex()
+
+
+@pytest.mark.parametrize("m", SCALAR_MARGINALS, ids=repr)
+def test_a_float_input_gives_the_bits_of_a_0d_array(m):
+    """sf and inv_sf on a Python float, an np.float64 and a 0-d array agree bit for bit.
+
+    A float input is range-checked by one Python comparison and goes on as a
+    float64 scalar, where a 0-d array goes through numpy's check; the
+    arithmetic after both is numpy-scalar arithmetic.  Raises compare by
+    class and message.
+    """
+    times = [0.0, -0.0, 5e-324, 1e-310, _TINY, 0.3, 1.0, 50.0, 1e300, math.inf, math.nan,
+             -0.1, -5e-324, -math.inf]
+    if m._cap is not None:
+        times += [m._cap, math.nextafter(m._cap, 0.0), math.nextafter(m._cap, math.inf)]
+    probs = [0.0, -0.0, 5e-324, 1e-310, _TINY, 1e-300, 0.3, 1.0 - 2.0 ** -53, 1.0,
+             math.nextafter(1.0, 2.0), 1.5, math.inf, math.nan, -0.5]
+    for call, values in ((m.sf, times), (m.inv_sf, probs)):
+        for x in values:
+            want = _scalar_outcome(call, np.array(x))
+            assert want[0] in (np.float64, NegativeTime, OutOfRange), (call, x, want)
+            for form in (float, np.float64):
+                assert _scalar_outcome(call, form(x)) == want, (call, x, form)

@@ -1,5 +1,7 @@
 import math
+import pickle
 import subprocess
+from copy import deepcopy
 import sys
 from decimal import Decimal, localcontext
 from itertools import product
@@ -43,6 +45,7 @@ from syspredict.errors import (
 from syspredict.predictor import BISECT_MAX, BISECT_TOL, _solve_increasing, _solve_one, _tail_mean
 
 from solver_oracle import solve_increasing as oracle_solve_increasing
+from test_predictor_bits import CASES, _hex, predictor_at
 
 # closed-form offsets for IID exponentials, frozen from the analytic laws
 RELAY_MEDIAN = 0.5427656
@@ -1098,6 +1101,105 @@ def test_one_entry_calls_match_the_stacked_call_in_every_scalar_form(design, cop
                 assert got is want, (name, args, form)
             else:
                 assert type(got) is float and got.hex() == want.hex(), (name, args, form)
+
+
+def _request(p, cond):
+    """The calls a predict request makes at one point, then alpha, survival and mean."""
+    calls = [lambda w=w: p.quantile(w, *cond) for w in (0.25, 0.5, 0.75)]
+    for level in (0.5, 0.9):
+        band = p.band("centered", level)
+        calls += [lambda band=band: band.lower(*cond), lambda band=band: band.upper(*cond)]
+    calls += [lambda: p.alpha(*cond), lambda: p.survival(cond[-1] + 0.5, *cond),
+              lambda: p.mean(*cond)]
+    return calls
+
+
+@pytest.mark.parametrize("key", CASES, ids=lambda c: "/".join(map(str, c)))
+def test_answers_at_a_repeated_point_match_a_fresh_predictor(key):
+    """One predictor answering a whole request at one point gives each answer's bits.
+
+    Every call after the first reuses the point's law; a fresh predictor
+    builds it for its one call.  Raises compare by class.
+    """
+    p, cond = predictor_at(*key)
+    kept = [_hex(call) for call in _request(p, cond)]
+    fresh = [_hex(_request(*predictor_at(*key))[i]) for i in range(len(kept))]
+    assert kept == fresh
+
+
+def _spied(monkeypatch, p):
+    """Counts of `p._law` builds and marginal `sf` calls, from now on."""
+    counts = {"law": 0, "sf": 0}
+    build, sf = p._law, Weibull.sf
+
+    def counted_build(*c):
+        counts["law"] += 1
+        return build(*c)
+
+    def counted_sf(self, t):
+        counts["sf"] += 1
+        return sf(self, t)
+
+    monkeypatch.setattr(p, "_law", counted_build)
+    monkeypatch.setattr(Weibull, "sf", counted_sf)
+    return counts
+
+
+@pytest.mark.parametrize("design", ["two_of_four", "three_then_two_of_four"])
+def test_one_entry_calls_at_one_point_build_its_law_once(monkeypatch, design):
+    """7 quantiles and band edges at one point fold the law once, F-bar once per time.
+
+    A new point, a new mode or a new marginal object, even an equal one, builds
+    the law again; an array point builds its own and keeps none.
+    """
+    observed, system, cond = GLUE_DESIGNS[design]
+    cop = FGMCopula(theta=0.5, n=4)
+    p = (EarlyFailurePredictor(*observed, system, cop, Exponential(1.0)) if len(observed) == 1
+         else TwoFailurePredictor(*observed, system, cop, Exponential(1.0)))
+    counts = _spied(monkeypatch, p)
+    for call in _request(p, cond)[:7]:
+        call()
+    assert counts == {"law": 1, "sf": len(cond)}
+    later = (*cond[:-1], cond[-1] + 0.25)
+    p.quantile(0.5, *later)
+    p.quantile(0.25, *later)
+    assert counts == {"law": 2, "sf": 2 * len(cond)}
+    p.quantile(0.5, *(np.array([t]) for t in later))
+    p.quantile(0.5, *later)
+    assert counts == {"law": 3, "sf": 3 * len(cond)}
+    p.mode = "alive"
+    p.quantile(0.5, *later)
+    p.mode = "strict"
+    p.quantile(0.5, *later)
+    assert counts == {"law": 5, "sf": 5 * len(cond)}
+    p.marginal = Exponential(1.0)
+    p.quantile(0.5, *later)
+    p.quantile(0.75, *later)
+    assert counts == {"law": 6, "sf": 6 * len(cond)}
+
+
+def test_weak_atoms_at_signed_zero_keep_their_sign(first3, gate, product3, exp1):
+    """The atom is the horizon itself, so t = -0.0 and t = 0.0 never share a law."""
+    w = 0.5 * (1.0 + EarlyFailurePredictor(first3, gate, product3, exp1, mode="weak").alpha(0.0))
+    for order in ((-0.0, 0.0), (0.0, -0.0)):
+        p = EarlyFailurePredictor(first3, gate, product3, exp1, mode="weak")
+        for t in (*order, *order[::-1]):
+            assert p.quantile(w, t).hex() == t.hex()
+
+
+def test_a_predictor_with_a_kept_law_pickles(relay_strict):
+    want = relay_strict.quantile(0.5, 0.3)
+    for copy in (pickle.loads(pickle.dumps(relay_strict)), deepcopy(relay_strict)):
+        assert copy.quantile(0.5, 0.3) == want
+
+
+def test_a_point_whose_law_raises_raises_every_time(first3, relay, product3):
+    p = EarlyFailurePredictor(first3, relay, product3, Weibull(shape=2.0, scale=1.0))
+    want = p.quantile(0.5, 1.0)
+    for _ in range(2):
+        with pytest.raises(DegenerateDenominator):
+            p.quantile(0.5, 40.0)
+    assert p.quantile(0.5, 1.0) == want
 
 
 def _loaded_by_fresh_import(package):
