@@ -9,7 +9,7 @@ sample file.  Scalar settings (seed, output path) can be overridden on
 the command line; everything is deterministic given (config, seed).
 
 Each `curves` or `predict` request solves all its quantile levels and band
-edges in one vector quantile solve, then computes the mean; so a failing
+edges in one stacked quantile call, then computes the mean; so a failing
 level raises before any output is written or printed, and a level that
 fails is reported before a mean that would fail too.
 """
@@ -60,7 +60,11 @@ def _solve(predictor, levels, kind, *cond):
     """Quantiles at `levels`, then the lower and upper edge of each band in BAND_LEVELS.
 
     One quantile call solves every level and band edge, stacked on a leading
-    axis; a bottom band's lower edge is the horizon and is not solved.
+    axis; a bottom band's lower edge is the horizon and is not solved.  The
+    call picks the solver form: up to `predictor.FLOAT_STACK` entries under
+    product or FGM (a `predict` point, a 2-point grid) solve entry by entry
+    in Python floats, larger stacks and the Clayton pair in one vector solve,
+    with the same bits either way.
     """
     edges = [w for level in BAND_LEVELS for w in _band_edges(kind, level)]
     stack = [*levels, *(w for w in edges if w is not None)]

@@ -45,7 +45,8 @@ the law builder are those it was built with; it is one tuple, replaced in
 one assignment, and array points and laws that raise are not kept.  A
 one-point mean builds its own law, on (1, 1) F-bar columns as a stacked
 mean does, and a one-entry survival keeps its numpy body; both return a
-float.
+float.  Array inputs that do not broadcast against each other raise
+LengthMismatch.
 
 Quantiles invert the survival level in z space, where every law is
 monotone on (0, F-bar(horizon)], by safeguarded Anderson-Bjorck regula
@@ -55,6 +56,18 @@ designs (t up to 60, Exp and Weibull shapes 0.5-4) a level in [0.01, 0.99]
 takes a median of 7 law evaluations and at most 24; levels within 1e-14 of
 0 or 1 at most 63.  Band edges are the quantiles at the survival levels
 `_band_edges` gives; a bottom band's lower edge is the horizon.
+
+The solver has two forms with the same steps, bit for bit.  The float
+form, `_solve_one`, serves one-entry quantiles and, entry by entry, every
+product/FGM stack of at most FLOAT_STACK = 16 entries (a `curves` command's
+2 points by 5 levels, a `predict` point's 7): a float point's stack serves
+its kept law, array points build one float law per distinct point from
+F-bar's array call, and F-bar^-1 takes the roots as one array, so each
+entry keeps the vector form's bits.  The vector form, `_solve_increasing`,
+pays numpy's fixed cost at every step whatever the stack's size; it
+serves larger stacks (it overtakes the float form at 25-50 entries on the
+relay and the k-of-n designs) and every Clayton stack, whose float steps
+call numpy once per read of the pair.
 
 Means add to the horizon the integral over y > horizon of the survival,
 S(y | c) = law(min(F-bar(y), F-bar(horizon))), substituting
@@ -88,6 +101,7 @@ from .distortion import UnivariateDistortion, _PatternSum
 from .errors import (
     DegenerateDenominator,
     InvalidOrder,
+    LengthMismatch,
     NotInvertible,
     OutOfRange,
     QuadratureFailure,
@@ -109,6 +123,7 @@ _WEIGHTS = QUAD_STEP * 0.5 * np.pi * np.cosh(_K * QUAD_STEP) * _NODES
 _COARSE_WEIGHTS = np.where(_K % 2 == 0, 2.0 * _WEIGHTS, 0.0)
 QUAD_TOL = 1e-8  # largest error estimate, relative to the tail integral
 MEAN_ROWS = (1 << 16) // _NODES.size  # points a mean folds and integrates at once: 120
+FLOAT_STACK = 16  # most entries of a product/FGM quantile stack solved one by one in floats
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -126,10 +141,20 @@ def _as_level(w):
     return w
 
 
+def _broadcast(*shapes):
+    """The shape the given shapes broadcast to; LengthMismatch if they do not."""
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise LengthMismatch(f"shapes {', '.join(map(str, shapes))} do not broadcast") from None
+
+
 def _checked_times(times):
     """Conditioning times checked 0 <= t1 <= t2 (NaN fails): Python floats if all are 0-d."""
     one = all(map(_zero_d, times))
     times = [float(t) if one else np.asarray(t, dtype=float) for t in times]
+    if not one:
+        _broadcast(*(t.shape for t in times))
     if len(times) > 1 and not (0.0 <= times[0] <= times[1] if one else
                                all(np.all(a <= b) for a, b in zip([0.0, *times], times))):
         raise OutOfRange("conditioning times must satisfy 0 <= t1 <= t2")
@@ -323,7 +348,7 @@ class _PredictorCore:
         self._num = _PatternSum(copula, *observed, system).partial(*variables)
         self._den = _PatternSum(copula, *observed).partial(*variables)
         self.marginal = marginal
-        # packs k times to bytes, equal only where every bit is: -0.0 != 0.0
+        # packs k times (or k F-bar values) to bytes, equal only where every bit is: -0.0 != 0.0
         self._times_format = f"{len(observed)}d"
         # (mode, time bytes, marginal, law builder, (horizon, c, law, alpha)) of the
         # last one-entry point, replaced in one assignment
@@ -339,15 +364,14 @@ class _PredictorCore:
         c = tuple(self.marginal.sf(t) for t in times)
         return times[-1], tuple(map(float, c)) if type(times[-1]) is float else c
 
-    def _conditioned(self, *cond):
-        """(horizon, c, law, alpha) at cond: `_point` and `_law`, once per one-entry point.
+    def _conditioned(self, times):
+        """(horizon, c, law, alpha) at checked times: `_point` and `_law`, kept at a float point.
 
         A one-entry point's tuple is kept, one entry deep, and served again
         while the times (bit for bit), the mode, the marginal (by identity)
         and the law builder are those it was built with.  Arrays and points
         whose law raises are not kept.
         """
-        times = _checked_times(cond)
         mode, marginal, build = self.mode, self.marginal, self._law
         if type(times[-1]) is not float:
             c = tuple(marginal.sf(t) for t in times)
@@ -396,8 +420,10 @@ class _PredictorCore:
 
     def survival(self, y, *cond):
         """P(T > y | cond): 1 before the horizon."""
-        horizon, c, law, _ = self._conditioned(*cond)
+        horizon, c, law, _ = self._conditioned(_checked_times(cond))
         y = np.asarray(y, dtype=float)
+        if type(horizon) is not float:
+            _broadcast(y.shape, *(x.shape for x in c))
         # times before the horizon lie outside the ordered region: clamp,
         # then the y < horizon branch overrides with probability 1
         s = law(np.minimum(self.marginal.sf(y), c[-1]))
@@ -406,23 +432,61 @@ class _PredictorCore:
 
     def alpha(self, *cond):
         """P(T > horizon | cond) before renormalization: the continuous share."""
-        horizon, c, law, alpha = self._conditioned(*cond)
+        horizon, c, law, alpha = self._conditioned(_checked_times(cond))
         alpha = law(c[-1]) if alpha is None else alpha
         return float(alpha) if type(horizon) is float else alpha
 
     def quantile(self, w, *cond):
         """Generalized inverse of the conditional survival at level w."""
         w = _as_level(w)
-        horizon, c, law, alpha = self._conditioned(*cond)
-        # levels at or above alpha sit in the atom at the horizon
-        atom = w >= alpha if self.mode == "weak" else None
-        if type(w) is float and type(horizon) is float:  # one entry
+        times = _checked_times(cond)
+        if type(w) is float and type(times[-1]) is float:  # one entry
+            horizon, c, law, alpha = self._conditioned(times)
+            # a level at or above alpha sits in the atom at the horizon
+            atom = w >= alpha if self.mode == "weak" else None
             y = float(self.marginal.inv_sf(_solve_one(law, c[-1], w, atom)))
             return horizon if atom else y
-        shape = np.broadcast_shapes(np.shape(w), *(np.shape(x) for x in c))
-        root = _solve_increasing(law, np.broadcast_to(c[-1], shape), w, skip=atom)
+        shape = _broadcast(np.shape(w), *map(np.shape, times))
+        if 0 < math.prod(shape) <= FLOAT_STACK and not self._num._pair:
+            root, atom = self._float_roots(w, times, shape)
+        else:
+            _, c, law, alpha = self._conditioned(times)
+            atom = w >= alpha if self.mode == "weak" else None
+            root = _solve_increasing(law, np.broadcast_to(c[-1], shape), w, skip=atom)
         y = self.marginal.inv_sf(root)
-        return y if atom is None else np.where(atom, horizon, y)
+        return y if atom is None else np.where(atom, times[-1], y)
+
+    def _float_roots(self, w, times, shape):
+        """(roots in z, weak atoms) of a small stack: one `_solve_one` per entry.
+
+        A float point serves its kept law.  Array points take F-bar as the
+        vector form does, one array call per time, and build one float law
+        per distinct point from its entries, with the array law's bits.
+        Errors keep the vector form's order.  Every law is built before any
+        solve, so a degenerate den at any point raises first; an alive law
+        is alpha / alpha = 1 at the horizon, so no alive level fails its
+        bracket check and ZeroAlpha cannot come after a NotInvertible.
+        """
+        if type(times[-1]) is float:
+            _, c, law, alpha = self._conditioned(times)
+            laws, where = [(c[-1], law, alpha)], np.zeros(shape, dtype=int)
+        else:
+            c = np.broadcast_arrays(*(self.marginal.sf(t) for t in times))
+            slots, laws, index = {}, [], []
+            for point in zip(*(x.ravel().tolist() for x in c)):
+                key = struct.pack(self._times_format, *point)
+                if key not in slots:
+                    slots[key] = len(laws)
+                    laws.append((point[-1], *self._law(*point)))
+                index.append(slots[key])
+            where = np.broadcast_to(np.reshape(index, c[0].shape), shape)
+        weak = self.mode == "weak"
+        roots, atoms = [], []
+        for level, i in zip(np.broadcast_to(w, shape).ravel().tolist(), where.ravel().tolist()):
+            hi, law, alpha = laws[i]
+            atoms.append(weak and level >= alpha)
+            roots.append(_solve_one(law, hi, level, atoms[-1]))
+        return np.reshape(roots, shape), np.reshape(atoms, shape) if weak else None
 
     def median(self, *cond):
         return self.quantile(0.5, *cond)
@@ -547,6 +611,7 @@ def kofn_survival(n, r, s, t, y, marginal):
     _check_kofn(n, r, s)
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
+    _broadcast(t.shape, y.shape)
     if not np.all(y >= t):
         raise OutOfRange("prediction time y must satisfy y >= t")
     sft = marginal.sf(t)

@@ -40,7 +40,7 @@ from syspredict import (
     simulate,
     system_mean,
 )
-from syspredict.errors import OutOfRange, SysPredictError
+from syspredict.errors import LengthMismatch, OutOfRange, SysPredictError
 from syspredict.structure import validate_structure
 
 TINY, HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
@@ -289,3 +289,31 @@ def test_the_ends_of_the_double_range_raise():
         _relay("product", big).mean(1e308)  # was NaN; t + 5 mu / 6 is 1.83e308
     with pytest.raises(OutOfRange, match="normal doubles"):
         Exponential(1e-320)  # its median was 5.43e-321
+
+
+# one call per entry: inputs whose shapes do not broadcast against each other
+_T1, _T2 = np.array([0.1, 0.2]), np.array([0.3, 0.4, 0.5])
+MISMATCHED = {
+    "quantile levels and point": lambda: _relay("fgm", Exponential(1.0)).quantile(
+        np.array([0.5, 0.6]), np.array([0.1, 0.2, 0.3])),
+    "quantile levels over FLOAT_STACK and point": lambda: _relay("fgm", Exponential(1.0)).quantile(
+        np.linspace(0.1, 0.9, 17), np.array([0.1, 0.2, 0.3])),
+    "two-failure quantile": lambda: _two("fgm", Exponential(1.0)).quantile(0.5, _T1, _T2),
+    "two-failure alpha": lambda: _two("fgm", Exponential(1.0)).alpha(_T1, _T2),
+    "two-failure mean": lambda: _two("fgm", Exponential(1.0)).mean(_T1, _T2),
+    "two-failure centered band": lambda: _two("fgm", Exponential(1.0)).band(
+        "centered", 0.5).upper(_T1, _T2),
+    "two-failure bottom band": lambda: _two("fgm", Exponential(1.0)).band(
+        "bottom", 0.5).lower(_T1, _T2),
+    "survival y and point": lambda: _relay("fgm", Exponential(1.0)).survival(
+        np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3])),
+    "two-failure survival y and point": lambda: _two("fgm", Exponential(1.0)).survival(
+        np.array([1.0, 2.0]), _T2 - 0.2, _T2),
+    "kofn_survival": lambda: kofn_survival(4, 1, 2, _T1, _T2 + 1.0, Exponential(1.0)),
+}
+
+
+@pytest.mark.parametrize("call", MISMATCHED.values(), ids=MISMATCHED.keys())
+def test_shapes_that_do_not_broadcast_raise_length_mismatch(call):
+    with pytest.raises(LengthMismatch, match="do not broadcast"):
+        call()

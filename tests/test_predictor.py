@@ -42,7 +42,14 @@ from syspredict.errors import (
     SysPredictError,
     ZeroAlpha,
 )
-from syspredict.predictor import BISECT_MAX, BISECT_TOL, _solve_increasing, _solve_one, _tail_mean
+from syspredict.predictor import (
+    BISECT_MAX,
+    BISECT_TOL,
+    FLOAT_STACK,
+    _solve_increasing,
+    _solve_one,
+    _tail_mean,
+)
 
 from solver_oracle import solve_increasing as oracle_solve_increasing
 from test_predictor_bits import CASES, _hex, predictor_at
@@ -1150,7 +1157,11 @@ def test_one_entry_calls_at_one_point_build_its_law_once(monkeypatch, design):
     """7 quantiles and band edges at one point fold the law once, F-bar once per time.
 
     A new point, a new mode or a new marginal object, even an equal one, builds
-    the law again; an array point builds its own and keeps none.
+    the law again; an array point builds its own and keeps none.  A stack of
+    at most FLOAT_STACK entries takes no vector solve: array points build one
+    float law per distinct point, F-bar one array call per time, and a float
+    point serves its kept law.  A stack one entry over, or under a Clayton
+    pair, takes one.
     """
     observed, system, cond = GLUE_DESIGNS[design]
     cop = FGMCopula(theta=0.5, n=4)
@@ -1176,6 +1187,26 @@ def test_one_entry_calls_at_one_point_build_its_law_once(monkeypatch, design):
     p.quantile(0.5, *later)
     p.quantile(0.75, *later)
     assert counts == {"law": 6, "sf": 6 * len(cond)}
+    solves = []
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return _solve_increasing(*args, **kwargs)
+
+    monkeypatch.setattr("syspredict.predictor._solve_increasing", counted_solve)
+    levels = np.linspace(0.1, 0.9, 5)
+    grid = [np.array([t, t + 0.25, t]) for t in later]  # 3 points, 2 distinct: 15 entries
+    p.quantile(levels[:, None], *grid)
+    assert counts == {"law": 8, "sf": 7 * len(cond)} and solves == []
+    p.quantile(levels, *later)
+    assert counts == {"law": 8, "sf": 7 * len(cond)} and solves == []
+    p.quantile(np.linspace(0.05, 0.95, FLOAT_STACK + 1), *later)
+    assert counts == {"law": 8, "sf": 7 * len(cond)} and solves == [1]
+    pair = ClaytonPairCopula(pair=(1, 3), theta=2.5, n=4)
+    q = (EarlyFailurePredictor(*observed, system, pair, Exponential(1.0)) if len(observed) == 1
+         else TwoFailurePredictor(*observed, system, pair, Exponential(1.0)))
+    q.quantile(levels[:, None], *grid)
+    assert solves == [1, 1]
 
 
 def test_weak_atoms_at_signed_zero_keep_their_sign(first3, gate, product3, exp1):

@@ -441,6 +441,81 @@ def test_stacked_solve_matches_level_by_level(monkeypatch):
     assert checks == []
 
 
+def _result(call):
+    """(shape, hex strings) of an array result, or (error class, message) where it raises."""
+    try:
+        out = call()
+    except SysPredictError as exc:
+        return type(exc).__name__, str(exc)
+    return out.shape, tuple(x.hex() for x in out.ravel().tolist())
+
+
+def _stacks(kind, t):
+    """(levels, cond) of stacks at and around FLOAT_STACK = 16 entries near the case's time.
+
+    Float points with array levels, array points (F-bar distinct at each,
+    except where it saturates), and for two failures t1 a float with t2 an
+    array; the weak levels reach past alpha into the atom.
+    """
+    levels = lambda n: np.linspace(0.03, 0.97, n)
+    later = lambda n: t + np.linspace(0.0, 1.0, n)
+    at = (lambda times: (0.5 * times, times)) if kind == "two" else (lambda times: (times,))
+    stacks = [
+        (levels(4), at(t)),  # (4,)
+        (0.5, at(later(4))),  # (4,)
+        (levels(5)[:, None], at(later(2))),  # (5, 2), as `curves` stacks its grid
+        (levels(16), at(later(1)[:, None])),  # (1, 16)
+        (levels(16)[None, :], at(t)),  # (1, 16)
+        (levels(17), at(t)),  # (17,): one entry over
+        (0.5, at(later(17))),  # (17,)
+    ]
+    if kind == "two":
+        stacks += [(levels(5)[:, None], (0.5 * t, later(2))),  # (5, 2)
+                   (levels(17), (0.5 * t, later(17)))]  # (17,)
+    return stacks
+
+
+@pytest.mark.parametrize("key", CASES, ids=lambda c: "/".join(map(str, c)))
+def test_small_stacks_match_the_vector_form(monkeypatch, key):
+    """A stack of at most FLOAT_STACK entries, solved entry by entry in Python floats,
+    gives the vector form's bits and shape, or raises its error, message and all.
+
+    The vector form is the same call with FLOAT_STACK = 0.  Under the Clayton
+    pair both calls take it.
+    """
+    p, _ = predictor_at(*key)
+    stacks = _stacks(key[0], key[3])
+    small = [_result(lambda: p.quantile(w, *cond)) for w, cond in stacks]
+    monkeypatch.setattr("syspredict.predictor.FLOAT_STACK", 0)
+    assert small == [_result(lambda: p.quantile(w, *cond)) for w, cond in stacks]
+
+
+def test_small_stack_errors_come_in_the_vector_forms_order(monkeypatch):
+    """A degenerate den at any point, then alpha = 0 at an alive point, then a level that
+    cannot be bracketed: the first that applies anywhere in the stack is raised."""
+    strict = predictor("strict", COPULAS["fgm1"], MARGINALS["exp"])
+    # observed: the first failure of a 2-of-3 system's gate; alpha underflows to 0 by t = 400
+    alive = EarlyFailurePredictor(GATE, k_out_of_n(2, 3), COPULAS["fgm1"], MARGINALS["exp"],
+                                  mode="alive")
+    # 1 - 2^-53 cannot be bracketed at t = 2.8999999999999995; F-bar(800) underflows to 0
+    t, top = 2.8999999999999995, 1.0 - 2.0 ** -53
+    calls = [
+        (strict, np.array([top, 0.5]), (t,)),
+        (strict, np.array([[top], [0.5]]), (np.array([t, 800.0]),)),
+        (strict, np.array([0.5, top]), (np.array([800.0, t]),)),
+        (strict, 0.5, (np.array([0.4, t, 800.0]),)),
+        (alive, np.array([0.5, top]), (np.array([0.4, 400.0]),)),
+        (predictor("two", COPULAS["product"], MARGINALS["exp"]), np.array([[top], [0.5]]),
+         (0.5, np.array([t, 800.0]))),
+    ]
+    small = [_result(lambda: p.quantile(w, *cond)) for p, w, cond in calls]
+    assert [out[0] for out in small] == ["NotInvertible", "DegenerateDenominator",
+                                         "DegenerateDenominator", "DegenerateDenominator",
+                                         "ZeroAlpha", "DegenerateDenominator"]
+    monkeypatch.setattr("syspredict.predictor.FLOAT_STACK", 0)
+    assert small == [_result(lambda: p.quantile(w, *cond)) for p, w, cond in calls]
+
+
 if __name__ == "__main__":
     print("PINNED = {")
     for case in CASES:
