@@ -64,7 +64,10 @@ def _solve(predictor, levels, kind, *cond):
     call picks the solver form: up to `predictor.FLOAT_STACK` entries under
     product or FGM (a `predict` point, a 2-point grid) solve entry by entry
     in Python floats, larger stacks and the Clayton pair in one vector solve,
-    with the same bits either way.
+    with the same bits either way.  The float form solves each distinct
+    level of a point once: a `predict` point with the shipped quantiles
+    0.25/0.5/0.75 stacks 7 entries and makes 5 solves, the 50% band's edges
+    being the 0.75 and 0.25 quantiles.
     """
     edges = [w for level in BAND_LEVELS for w in _band_edges(kind, level)]
     stack = [*levels, *(w for w in edges if w is not None)]

@@ -38,15 +38,23 @@ Only the marginal's F-bar and its inverse (whose scalar and array powers
 may differ, ROADMAP 9(f)) and the Clayton kernel, on numpy scalars, call
 numpy.  A predictor keeps the conditioned law (horizon, c, law, alpha) of
 its last one-entry point, so the quantiles, band edges, alpha and survival
-of one request compute F-bar and fold num and den once.  The entry is
-served while the point's times (bit for bit, so -0.0 and 0.0, whose weak
-atoms differ, do not share it), the mode, the marginal (by identity) and
-the law builder are those it was built with; it is one tuple, replaced in
-one assignment, and array points and laws that raise are not kept.  A
-one-point mean builds its own law, on (1, 1) F-bar columns as a stacked
-mean does, and a one-entry survival keeps its numpy body; both return a
-float.  Array inputs that do not broadcast against each other raise
-LengthMismatch.
+of one request compute F-bar and fold num and den once.  With it the
+entry keeps f(hi), the law at F-bar(horizon) that every solve evaluates
+first, and the answer of each level solved there (at most FLOAT_STACK of
+them): a repeated level, such as a 50% band's edges after the 0.75 and
+0.25 quantiles, returns the kept double, so a `predict` point's 7
+quantiles and band edges are 5 solves and one f(hi).  The entry is served
+while the point's times (bit for bit, so -0.0 and 0.0, whose weak atoms
+differ, do not share it), the mode, the marginal (by identity) and the law
+builder are those it was built with; it is one tuple, replaced in one
+assignment, and array points, laws that raise and calls that raise keep
+nothing.  A one-point mean takes F-bar on (1, 1) columns, as a stacked
+mean does, and reuses the kept law where those columns have the kept c's
+bits (always under the exponential; under other Weibull shapes the scalar
+and array powers can differ), else it builds its own; it never writes the
+entry.  A one-entry survival keeps its numpy body; the mean and survival
+return a float.  Array inputs that do not broadcast against each other
+raise LengthMismatch.
 
 Quantiles invert the survival level in z space, where every law is
 monotone on (0, F-bar(horizon)], by safeguarded Anderson-Bjorck regula
@@ -61,9 +69,12 @@ The solver has two forms with the same steps, bit for bit.  The float
 form, `_solve_one`, serves one-entry quantiles and, entry by entry, every
 product/FGM stack of at most FLOAT_STACK = 16 entries (a `curves` command's
 2 points by 5 levels, a `predict` point's 7): a float point's stack serves
-its kept law, array points build one float law per distinct point from
-F-bar's array call, and F-bar^-1 takes the roots as one array, so each
-entry keeps the vector form's bits.  The vector form, `_solve_increasing`,
+its kept law and f(hi), array points build one float law per distinct
+point from F-bar's array call, each law evaluates f(hi) once and each
+distinct (point, level) is solved once (a `predict` point's 7 entries are 5
+solves), and F-bar^-1 takes the roots as one array, so each entry keeps
+the vector form's bits.  The float law divides by den and clips in the
+one call a solver step makes.  The vector form, `_solve_increasing`,
 pays numpy's fixed cost at every step whatever the stack's size; it
 serves larger stacks (it overtakes the float form at 25-50 entries on the
 relay and the k-of-n designs) and every Clayton stack, whose float steps
@@ -75,7 +86,8 @@ y = horizon + sigma * s with sigma = F-bar^-1(F-bar(horizon) / e) - horizon,
 the marginal's residual scale at the horizon, so the rule does not depend
 on units or on how far out the horizon lies.  The s integral over (0, inf)
 uses one fixed exp-sinh rule (Takahasi & Mori 1974), s = exp(pi/2 sinh(x))
-on a uniform x grid.  A grid of points folds and evaluates its law in
+on a uniform x grid.  One point reuses its kept law where it can (see
+above).  A grid of points folds and evaluates its law in
 blocks of MEAN_ROWS = 120 points (2^16 node cells, which bounds a grid
 mean's memory under every family), every block's den checked before any
 integral, and one matmul integrates all points.  The integrand stays in
@@ -232,7 +244,7 @@ def _divide(a, b):
     return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _solve_one(f, hi, target, skip):
+def _solve_one(f, hi, target, skip, top=None):
     """`_solve_increasing` on a 0-d bracket, stepped in Python floats.
 
     Every `np.where` of the vector form becomes an `if` on the same doubles,
@@ -240,10 +252,12 @@ def _solve_one(f, hi, target, skip):
     a NaN trial point through to the midpoint test; here that test comes
     first.  The clip's bounds are never NaN and a trial point is never -0, so
     two comparisons clip as numpy does.  f gets Python floats, under the
-    caller's error state.
+    caller's error state.  `top` is float(f(hi)) where the caller has it:
+    the levels of one point share it, so a `predict` point's 7 entries (5
+    distinct levels) evaluate it once.
     """
     target, hi = float(target), float(hi)
-    g_hi = float(f(hi)) - target
+    g_hi = (float(f(hi)) if top is None else top) - target
     if g_hi < 0 and not skip:
         raise NotInvertible("survival level cannot be bracketed on (0, F-bar(t)]")
     lo = hi if skip else 0.0
@@ -254,7 +268,8 @@ def _solve_one(f, hi, target, skip):
         width = hi - lo
         if not width > BISECT_TOL * hi:
             break
-        z = hi - g_hi * _divide(width, g_hi - g_lo)
+        d = g_hi - g_lo
+        z = hi - g_hi * (width / d if d else _divide(width, d))
         if slow >= 3 or z != z:
             z = 0.5 * (lo + hi)
         else:
@@ -266,12 +281,12 @@ def _solve_one(f, hi, target, skip):
         # an end kept while the other moves twice in a row has its value scaled by m
         if up:
             if was_up:
-                m = 1.0 - _divide(g, g_hi)
+                m = 1.0 - (g / g_hi if g_hi else _divide(g, g_hi))
                 g_lo = (m if m > 0 else 0.5) * g_lo
             g_hi, hi = g, z
         else:
             if was_down:
-                m = 1.0 - _divide(g, g_lo)
+                m = 1.0 - (g / g_lo if g_lo else _divide(g, g_lo))
                 g_hi = (m if m > 0 else 0.5) * g_hi
             g_lo, lo = g, z
         was_up, was_down = up, not up
@@ -288,7 +303,7 @@ def _tail_mean(laws, marginal, horizon, zmax):
     order depends on P (OpenBLAS), not on the blocks.  Returns the P means.
     """
     edge = zmax * math.exp(-1.0)
-    if np.any(edge == 0.0):
+    if (edge == 0.0).any():
         raise QuadratureFailure("F-bar(horizon) underflows to 0: the tail has no scale")
     sigma = marginal.inv_sf(edge) - horizon
     f = np.empty((len(horizon), _NODES.size))
@@ -300,7 +315,7 @@ def _tail_mean(laws, marginal, horizon, zmax):
     fine = f @ _WEIGHTS
     # the last node's term estimates the tail cut off beyond it
     err = np.abs(fine - f @ _COARSE_WEIGHTS) + f[:, -1] * _WEIGHTS[-1]
-    if np.any(err > QUAD_TOL * fine):
+    if (err > QUAD_TOL * fine).any():
         worst = float(np.max(err / fine))
         raise QuadratureFailure(f"mean quadrature error estimate is {worst:.3g} of the tail")
     return horizon[:, 0] + sigma[:, 0] * fine
@@ -320,6 +335,16 @@ def _band_edges(kind, level):
     if kind == "bottom":
         return None, 1.0 - level
     raise OutOfRange(f"band kind must be 'centered' or 'bottom', got {kind!r}")
+
+
+class _Answers(dict):
+    """A kept point's one-entry quantiles by survival level (at most FLOAT_STACK).
+
+    `top` is float(law(F-bar(horizon))), the solver's first law value,
+    once a quantile at the point has succeeded.
+    """
+
+    top = None
 
 
 @dataclass(frozen=True)
@@ -350,8 +375,8 @@ class _PredictorCore:
         self.marginal = marginal
         # packs k times (or k F-bar values) to bytes, equal only where every bit is: -0.0 != 0.0
         self._times_format = f"{len(observed)}d"
-        # (mode, time bytes, marginal, law builder, (horizon, c, law, alpha)) of the
-        # last one-entry point, replaced in one assignment
+        # (mode, time bytes, marginal, law builder, (horizon, c, law, alpha, answers)) of
+        # the last one-entry point, replaced in one assignment
         self._entry = None
 
     def __getstate__(self):
@@ -364,26 +389,34 @@ class _PredictorCore:
         c = tuple(self.marginal.sf(t) for t in times)
         return times[-1], tuple(map(float, c)) if type(times[-1]) is float else c
 
+    def _kept(self, key):
+        """The kept (horizon, c, law, alpha, answers) of the float times packed to `key`, or None."""
+        entry = self._entry
+        if (entry is not None and entry[0] == self.mode and entry[1] == key
+                and entry[2] is self.marginal and entry[3] == self._law):
+            return entry[4]
+        return None
+
     def _conditioned(self, times):
-        """(horizon, c, law, alpha) at checked times: `_point` and `_law`, kept at a float point.
+        """(horizon, c, law, alpha, answers) at checked times: `_point` and `_law`.
 
         A one-entry point's tuple is kept, one entry deep, and served again
         while the times (bit for bit), the mode, the marginal (by identity)
-        and the law builder are those it was built with.  Arrays and points
-        whose law raises are not kept.
+        and the law builder are those it was built with.  Its `_Answers`
+        fill as one-entry quantiles at the point succeed, so a `predict`
+        point's 7 quantiles and band edges are 5 solves.  Arrays (answers
+        None) and points whose law raises are not kept.
         """
-        mode, marginal, build = self.mode, self.marginal, self._law
         if type(times[-1]) is not float:
-            c = tuple(marginal.sf(t) for t in times)
-            return (times[-1], c, *build(*c))
+            c = tuple(self.marginal.sf(t) for t in times)
+            return (times[-1], c, *self._law(*c), None)
         key = struct.pack(self._times_format, *times)
-        entry = self._entry
-        if (entry is not None and entry[0] == mode and entry[1] == key
-                and entry[2] is marginal and entry[3] == build):
-            return entry[4]
-        c = tuple(float(marginal.sf(t)) for t in times)
-        out = (times[-1], c, *build(*c))
-        self._entry = (mode, key, marginal, build, out)
+        out = self._kept(key)
+        if out is None:
+            mode, marginal, build = self.mode, self.marginal, self._law
+            c = tuple(float(marginal.sf(t)) for t in times)
+            out = (times[-1], c, *build(*c), _Answers())
+            self._entry = (mode, key, marginal, build, out)
         return out
 
     def _law(self, *c):
@@ -402,7 +435,10 @@ class _PredictorCore:
         num = self._num.fold(*c)
 
         def law(z):
-            return _clip_unit(num(z) / den)
+            x = num(z) / den
+            if type(x) is float:  # `_clip_unit` inline: a solver step makes one call here
+                return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+            return x.clip(0.0, 1.0)
 
         if self.mode == "strict":
             return law, None
@@ -420,7 +456,7 @@ class _PredictorCore:
 
     def survival(self, y, *cond):
         """P(T > y | cond): 1 before the horizon."""
-        horizon, c, law, _ = self._conditioned(_checked_times(cond))
+        horizon, c, law, *_ = self._conditioned(_checked_times(cond))
         y = np.asarray(y, dtype=float)
         if type(horizon) is not float:
             _broadcast(y.shape, *(x.shape for x in c))
@@ -432,7 +468,7 @@ class _PredictorCore:
 
     def alpha(self, *cond):
         """P(T > horizon | cond) before renormalization: the continuous share."""
-        horizon, c, law, alpha = self._conditioned(_checked_times(cond))
+        horizon, c, law, alpha, _ = self._conditioned(_checked_times(cond))
         alpha = law(c[-1]) if alpha is None else alpha
         return float(alpha) if type(horizon) is float else alpha
 
@@ -441,35 +477,45 @@ class _PredictorCore:
         w = _as_level(w)
         times = _checked_times(cond)
         if type(w) is float and type(times[-1]) is float:  # one entry
-            horizon, c, law, alpha = self._conditioned(times)
-            # a level at or above alpha sits in the atom at the horizon
-            atom = w >= alpha if self.mode == "weak" else None
-            y = float(self.marginal.inv_sf(_solve_one(law, c[-1], w, atom)))
-            return horizon if atom else y
+            horizon, c, law, alpha, answers = self._conditioned(times)
+            y = answers.get(w)
+            if y is None:
+                # a level at or above alpha sits in the atom at the horizon
+                atom = w >= alpha if self.mode == "weak" else None
+                top = float(law(c[-1])) if answers.top is None else answers.top
+                y = float(self.marginal.inv_sf(_solve_one(law, c[-1], w, atom, top)))
+                y = horizon if atom else y
+                answers.top = top
+                if len(answers) < FLOAT_STACK:
+                    answers[w] = y
+            return y
         shape = _broadcast(np.shape(w), *map(np.shape, times))
         if 0 < math.prod(shape) <= FLOAT_STACK and not self._num._pair:
             root, atom = self._float_roots(w, times, shape)
         else:
-            _, c, law, alpha = self._conditioned(times)
+            _, c, law, alpha, _ = self._conditioned(times)
             atom = w >= alpha if self.mode == "weak" else None
             root = _solve_increasing(law, np.broadcast_to(c[-1], shape), w, skip=atom)
         y = self.marginal.inv_sf(root)
         return y if atom is None else np.where(atom, times[-1], y)
 
     def _float_roots(self, w, times, shape):
-        """(roots in z, weak atoms) of a small stack: one `_solve_one` per entry.
+        """(roots in z, weak atoms) of a small stack: one `_solve_one` per distinct entry.
 
-        A float point serves its kept law.  Array points take F-bar as the
-        vector form does, one array call per time, and build one float law
-        per distinct point from its entries, with the array law's bits.
-        Errors keep the vector form's order.  Every law is built before any
-        solve, so a degenerate den at any point raises first; an alive law
-        is alpha / alpha = 1 at the horizon, so no alive level fails its
-        bracket check and ZeroAlpha cannot come after a NotInvertible.
+        A float point serves its kept law and f(hi).  Array points take F-bar
+        as the vector form does, one array call per time, and build one
+        float law per distinct point from its entries, with the array law's
+        bits.  Each law evaluates f(hi) once, and each distinct (point,
+        level) is solved once.  Errors keep the vector form's order.  Every
+        law is built before any solve, so a degenerate den at any point
+        raises first; an alive law is alpha / alpha = 1 at the horizon, so no
+        alive level fails its bracket check and ZeroAlpha cannot come after a
+        NotInvertible.  The stack keeps no answers: its F-bar^-1 takes the
+        array power, one-entry answers the scalar one (ROADMAP 9(f)).
         """
         if type(times[-1]) is float:
-            _, c, law, alpha = self._conditioned(times)
-            laws, where = [(c[-1], law, alpha)], np.zeros(shape, dtype=int)
+            _, c, law, alpha, answers = self._conditioned(times)
+            laws, where = [[c[-1], law, alpha, answers.top]], np.zeros(shape, dtype=int)
         else:
             c = np.broadcast_arrays(*(self.marginal.sf(t) for t in times))
             slots, laws, index = {}, [], []
@@ -477,15 +523,19 @@ class _PredictorCore:
                 key = struct.pack(self._times_format, *point)
                 if key not in slots:
                     slots[key] = len(laws)
-                    laws.append((point[-1], *self._law(*point)))
+                    laws.append([point[-1], *self._law(*point), None])
                 index.append(slots[key])
             where = np.broadcast_to(np.reshape(index, c[0].shape), shape)
         weak = self.mode == "weak"
-        roots, atoms = [], []
+        roots, atoms, solved = [], [], {}
         for level, i in zip(np.broadcast_to(w, shape).ravel().tolist(), where.ravel().tolist()):
-            hi, law, alpha = laws[i]
+            hi, law, alpha, top = laws[i]
             atoms.append(weak and level >= alpha)
-            roots.append(_solve_one(law, hi, level, atoms[-1]))
+            if (i, level) not in solved:
+                if top is None:
+                    top = laws[i][3] = float(law(hi))
+                solved[i, level] = _solve_one(law, hi, level, atoms[-1], top)
+            roots.append(solved[i, level])
         return np.reshape(roots, shape), np.reshape(atoms, shape) if weak else None
 
     def median(self, *cond):
@@ -500,9 +550,17 @@ class _PredictorCore:
         cols = [np.array([[t]]) if one else np.broadcast_to(t, shape).reshape(-1, 1)
                 for t in times]
         sf = [self.marginal.sf(t) for t in cols]
-        # every block's law, its den checked, before any integral (floats at one point)
-        laws = [self._law(*(float(x[0, 0]) if one else x[i:i + MEAN_ROWS] for x in sf))[0]
-                for i in range(0, len(sf[-1]), MEAN_ROWS)]
+        if one:
+            # the kept law where its c has these columns' bits, else a law of its own,
+            # never kept: the kept c takes F-bar's scalar power
+            fmt, c = self._times_format, [float(x[0, 0]) for x in sf]
+            kept = self._kept(struct.pack(fmt, *times))
+            same = kept is not None and struct.pack(fmt, *kept[1]) == struct.pack(fmt, *c)
+            laws = [kept[2] if same else self._law(*c)[0]]
+        else:
+            # every block's law, its den checked, before any integral
+            laws = [self._law(*(x[i:i + MEAN_ROWS] for x in sf))[0]
+                    for i in range(0, len(sf[-1]), MEAN_ROWS)]
         out = _tail_mean(laws, self.marginal, cols[-1], sf[-1])
         return float(out[0]) if one else out.reshape(shape)
 

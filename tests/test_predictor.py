@@ -42,10 +42,12 @@ from syspredict.errors import (
     SysPredictError,
     ZeroAlpha,
 )
+from syspredict import cli, distortion
 from syspredict.predictor import (
     BISECT_MAX,
     BISECT_TOL,
     FLOAT_STACK,
+    _PredictorCore,
     _solve_increasing,
     _solve_one,
     _tail_mean,
@@ -1231,6 +1233,232 @@ def test_a_point_whose_law_raises_raises_every_time(first3, relay, product3):
         with pytest.raises(DegenerateDenominator):
             p.quantile(0.5, 40.0)
     assert p.quantile(0.5, 1.0) == want
+
+
+def _counted_solves(monkeypatch):
+    """The `_solve_one` calls made from now on, one list item each."""
+    solves, solve = [], _solve_one
+
+    def counted(*args):
+        solves.append(args[2])
+        return solve(*args)
+
+    monkeypatch.setattr("syspredict.predictor._solve_one", counted)
+    return solves
+
+
+def _answers(p):
+    """The answers kept with `p`'s one-entry point."""
+    return p._entry[4][4]
+
+
+def _kofn(design, marginal=None):
+    """A predict-kofn design (GLUE_DESIGNS) under FGM(0.5) and `marginal` (Exp(1)), and its point."""
+    observed, system, cond = GLUE_DESIGNS[design]
+    cop, marginal = FGMCopula(theta=0.5, n=4), marginal or Exponential(1.0)
+    p = (EarlyFailurePredictor(*observed, system, cop, marginal) if len(observed) == 1
+         else TwoFailurePredictor(*observed, system, cop, marginal))
+    return p, cond
+
+
+def test_memo_returns_a_repeated_levels_answer_without_a_solve(monkeypatch):
+    p, cond = _kofn("three_then_two_of_four")
+    solves = _counted_solves(monkeypatch)
+    first = p.quantile(0.3, *cond)
+    assert p.quantile(0.3, *cond).hex() == first.hex() and solves == [0.3]
+    assert first.hex() == _kofn("three_then_two_of_four")[0].quantile(0.3, *cond).hex()
+
+
+def test_memo_shares_one_solve_between_a_quantile_and_a_band_edge(monkeypatch):
+    """The 50% band runs from the 0.75 to the 0.25 survival quantile."""
+    p, cond = _kofn("two_of_four")
+    band = p.band("centered", 0.5)
+    solves = _counted_solves(monkeypatch)
+    got = [p.quantile(0.25, *cond), band.upper(*cond), band.lower(*cond), p.quantile(0.75, *cond)]
+    assert solves == [0.25, 0.75]
+    fresh = [_kofn("two_of_four")[0].quantile(w, *cond) for w in (0.25, 0.25, 0.75, 0.75)]
+    assert [x.hex() for x in got] == [x.hex() for x in fresh]
+
+
+def test_memo_starts_empty_at_a_new_point_mode_marginal_or_law_builder(monkeypatch):
+    p, cond = _kofn("two_of_four")
+    solves = _counted_solves(monkeypatch)
+    later = (cond[0] + 0.25,)
+    steps = [
+        ("point", lambda: None, later),
+        ("mode", lambda: setattr(p, "mode", "alive"), later),
+        ("mode back", lambda: setattr(p, "mode", "strict"), later),
+        ("marginal", lambda: setattr(p, "marginal", Exponential(1.0)), later),
+        ("builder", lambda: monkeypatch.setattr(p, "_law", lambda *c: _PredictorCore._law(p, *c)),
+         later),
+    ]
+    p.quantile(0.5, *cond)
+    for name, change, at in steps:
+        change()
+        before = len(solves)
+        got = p.quantile(0.5, *at)
+        assert len(solves) == before + 1, name
+        fresh, _ = _kofn("two_of_four")
+        fresh.mode = p.mode
+        assert got.hex() == fresh.quantile(0.5, *at).hex(), name
+    # -0.0 and 0.0 are two points: the weak atom at each is its own horizon
+    gate = validate_structure(3, [[1, 2], [1, 3]])
+    q = EarlyFailurePredictor(series(3), gate, ProductCopula(3), Exponential(1.0), mode="weak")
+    w = 0.5 * (1.0 + q.alpha(0.0))
+    del solves[:]
+    assert [q.quantile(w, t).hex() for t in (-0.0, 0.0, -0.0)] == ["-0x0.0p+0", "0x0.0p+0",
+                                                                   "-0x0.0p+0"]
+    assert len(solves) == 3
+
+
+def test_memo_keeps_nothing_from_calls_that_raise_or_array_points(monkeypatch, first3, gate,
+                                                                  product3, exp1):
+    p = EarlyFailurePredictor(first3, gate, product3, exp1, mode="strict")
+    t = 0.4
+    above = 0.5 * (1.0 + p.alpha(t))  # past alpha: not invertible under strict ordering
+    p.quantile(0.2, t)
+    kept = _answers(p)
+    solves = _counted_solves(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(NotInvertible):
+            p.quantile(above, t)
+    assert solves == [above, above] and list(kept) == [0.2]
+    # a law that raises keeps no entry, and the kept one stays
+    steep = EarlyFailurePredictor(first3, gate, product3, Weibull(shape=2.0, scale=1.0))
+    steep.quantile(0.5, 1.0)
+    entry = steep._entry
+    with pytest.raises(DegenerateDenominator):
+        steep.quantile(0.5, 40.0)
+    assert steep._entry is entry
+    # alpha = 0 at an alive point raises at the solver's first law value: no top, no answer
+    alive = EarlyFailurePredictor(gate, k_out_of_n(2, 3), FGMCopula(theta=1.0, n=3), exp1,
+                                  mode="alive")
+    for _ in range(2):
+        with pytest.raises(ZeroAlpha):
+            alive.quantile(0.5, 400.0)
+    assert _answers(alive) == {} and _answers(alive).top is None
+    # array points, and stacks at a float point, keep no answer
+    fresh = EarlyFailurePredictor(first3, gate, product3, exp1, mode="strict")
+    fresh.quantile(0.2, np.array([t]))
+    assert fresh._entry is None
+    fresh.quantile(np.array([0.2, 0.3]), t)
+    assert _answers(fresh) == {}
+    del solves[:]
+    assert fresh.quantile(0.2, t).hex() == kept[0.2].hex() and solves == [0.2]
+
+
+def test_memo_pickles_and_deep_copies(relay_strict):
+    want = [relay_strict.quantile(w, 0.3).hex() for w in (0.25, 0.5, 0.75)]
+    assert len(_answers(relay_strict)) == 3
+    for copy in (pickle.loads(pickle.dumps(relay_strict)), deepcopy(relay_strict)):
+        assert copy._entry is None
+        assert [copy.quantile(w, 0.3).hex() for w in (0.25, 0.5, 0.75)] == want
+
+
+def test_memo_keeps_at_most_float_stack_levels(monkeypatch, relay_strict):
+    levels = np.linspace(0.02, 0.98, FLOAT_STACK + 4).tolist()
+    want = [relay_strict.quantile(w, 0.3) for w in levels]
+    assert list(_answers(relay_strict)) == levels[:FLOAT_STACK]
+    solves = _counted_solves(monkeypatch)
+    assert [relay_strict.quantile(w, 0.3) for w in levels] == want
+    assert solves == levels[FLOAT_STACK:]
+
+
+def _work(monkeypatch, p):
+    """Counts of `_solve_one` calls, law builds, law values at F-bar(horizon) and
+    `_Polynomial` evaluator calls, from now on."""
+    counts = {"solve": 0, "law": 0, "top": 0, "eval": 0}
+    build, fold, solve = p._law, distortion._Polynomial.fold, _solve_one
+
+    def counted_build(*c):
+        counts["law"] += 1
+        law, alpha = build(*c)
+        hi = float(c[-1])
+
+        def counted(z):
+            counts["top"] += type(z) is float and z == hi
+            return law(z)
+
+        return counted, alpha
+
+    def counted_fold(self, *c):
+        at = fold(self, *c)
+
+        def counted(z):
+            counts["eval"] += 1
+            return at(z)
+
+        return counted
+
+    def counted_solve(*args):
+        counts["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(p, "_law", counted_build)
+    monkeypatch.setattr(distortion._Polynomial, "fold", counted_fold)
+    monkeypatch.setattr("syspredict.predictor._solve_one", counted_solve)
+    return counts
+
+
+@pytest.mark.parametrize("design", ["two_of_four", "three_then_two_of_four"])
+def test_work_of_a_predict_request_is_one_solve_per_level(monkeypatch, design):
+    """3 quantiles, two centered bands and the mean at one point: 5 distinct levels.
+
+    Every answer has the bits of a fresh predictor's same call.
+    """
+    p, cond = _kofn(design)
+    counts = _work(monkeypatch, p)
+    picks = [*range(7), 9]  # `_request` without alpha and survival
+    calls = _request(p, cond)
+    got = [_hex(calls[i]) for i in picks]
+    assert {k: counts[k] for k in ("solve", "law", "top")} == {"solve": 5, "law": 1, "top": 1}
+    assert counts["eval"] <= 42
+    monkeypatch.undo()
+    assert got == [_hex(_request(*_kofn(design))[i]) for i in picks]
+
+
+def test_work_of_a_small_stack_is_one_top_per_law(monkeypatch):
+    p, _ = _kofn("three_then_two_of_four")
+    counts = _work(monkeypatch, p)
+    levels = np.linspace(0.1, 0.9, 5)[:, None]
+    t1, t2 = np.array([0.3, 0.2]), np.array([0.7, 0.9])
+    got = p.quantile(levels, t1, t2)
+    assert {k: counts[k] for k in ("solve", "law", "top")} == {"solve": 10, "law": 2, "top": 2}
+    monkeypatch.undo()
+    want = _kofn("three_then_two_of_four")[0].quantile(levels, t1, t2)
+    assert [x.hex() for x in got.ravel()] == [x.hex() for x in want.ravel()]
+
+
+def test_work_of_the_cli_predict_stack_is_five_solves(monkeypatch):
+    """`syspredict predict`'s one stacked call: 3 quantiles and 4 band edges, 5 distinct levels."""
+    p, cond = _kofn("three_then_two_of_four")
+    counts = _work(monkeypatch, p)
+    got = cli._solve(p, [0.25, 0.5, 0.75], "centered", *cond)
+    assert {k: counts[k] for k in ("solve", "law", "top")} == {"solve": 5, "law": 1, "top": 1}
+    monkeypatch.undo()
+    monkeypatch.setattr("syspredict.predictor.FLOAT_STACK", 0)  # the vector form
+    want = cli._solve(_kofn("three_then_two_of_four")[0], [0.25, 0.5, 0.75], "centered", *cond)
+    assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+def test_work_of_a_mean_whose_f_bar_bits_differ_is_its_own_law(monkeypatch):
+    """Under Weibull(1.5, 1) the scalar and the array power of F-bar can differ
+    (ROADMAP 9(f)): the mean then folds its (1, 1) columns' c, as the mean of
+    a (1,)-shaped point does, and leaves the kept entry as it was."""
+    marginal = Weibull(shape=1.5, scale=1.0)
+    agree = lambda t: float(marginal.sf(t)) == float(marginal.sf(np.array([[t]]))[0, 0])
+    differs = next(t for t in np.linspace(0.31, 2.0, 2000).tolist() if not agree(t))
+    assert agree(0.7)  # there the mean reuses the kept law
+    for t, builds in ((0.7, 0), (differs, 1)):
+        p, _ = _kofn("two_of_four", marginal)
+        counts = _work(monkeypatch, p)
+        p.quantile(0.5, t)
+        entry = p._entry
+        got = p.mean(t)
+        assert counts["law"] == 1 + builds and p._entry is entry
+        monkeypatch.undo()
+        want = _kofn("two_of_four", marginal)[0].mean(np.array([t]))[0]
+        assert got.hex() == float(want).hex()
 
 
 def _loaded_by_fresh_import(package):
